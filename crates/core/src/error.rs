@@ -54,6 +54,17 @@ pub enum CoreError {
         /// The configured maximum unsolvable fraction.
         limit: f64,
     },
+    /// A verdict table does not line up with the injection candidates it
+    /// is re-weighted against: the lengths differ, or a row's
+    /// `component/mode` is not its candidate's.
+    VerdictMismatch {
+        /// Index of the first row that does not line up.
+        row: usize,
+        /// `component/mode` of that verdict row, `-` past the table's end.
+        verdict: String,
+        /// `component/mode` of that candidate, `-` past the list's end.
+        candidate: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -79,6 +90,10 @@ impl fmt::Display for CoreError {
                 f,
                 "fault campaign aborted: {failed}/{total} cases unsolvable (limit {:.0}%) — this signals a modelling bug, not physics",
                 limit * 100.0
+            ),
+            CoreError::VerdictMismatch { row, verdict, candidate } => write!(
+                f,
+                "verdict row {row} (`{verdict}`) does not match injection candidate `{candidate}`"
             ),
         }
     }

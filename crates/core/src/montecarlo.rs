@@ -5,9 +5,14 @@
 //! single numbers, but handbook failure rates are order-of-magnitude
 //! estimates. Following Nagy et al.'s simulation-based safety assessment,
 //! this module perturbs the [`ReliabilityDb`] per trial — lognormal noise
-//! on each type's FIT, Dirichlet-style noise on its mode shares — so an
-//! N-trial injection sweep yields a mean and 95 % confidence interval on
-//! SPFM/LFM/PMHF instead of a point estimate.
+//! on each type's FIT, Dirichlet-style noise on its mode shares — so N
+//! trials yield a mean and 95 % confidence interval on SPFM/LFM/PMHF
+//! instead of a point estimate.
+//!
+//! The perturbation never touches the circuit, and an injection verdict
+//! depends only on the circuit, the block and the failure mode. A
+//! campaign therefore simulates once: each trial [`reweight`]s the one
+//! verdict table with its drawn numbers, which is pure arithmetic.
 //!
 //! Determinism contract: every sampling decision is driven by a
 //! [`StdRng`] seeded from [`mix`]`(master_seed, trial_index)`, and the
@@ -24,7 +29,9 @@ use serde::{Deserialize, Serialize};
 
 use decisive_ssam::architecture::Fit;
 
-use crate::fmea::FmeaTable;
+use crate::error::{CoreError, Result};
+use crate::fmea::injection::Candidate;
+use crate::fmea::{FmeaRow, FmeaTable};
 use crate::metrics;
 use crate::reliability::{ComponentReliability, ReliabilityDb};
 
@@ -102,6 +109,59 @@ pub fn perturb<R: Rng>(db: &ReliabilityDb, rng: &mut R) -> ReliabilityDb {
 /// trial index only.
 pub fn trial_rng(master_seed: u64, trial: usize) -> StdRng {
     StdRng::seed_from_u64(mix(master_seed, trial as u64))
+}
+
+/// Stamps `candidate`'s reliability numbers — its block FIT and its mode's
+/// share — onto the verdict `row` of the same `(component, mode)`.
+///
+/// This is the one place that encodes "verdicts do not depend on
+/// reliability numbers": an injection verdict depends only on the
+/// circuit, the block and the failure mode, so a row computed under one
+/// reliability model is the row of any other once re-stamped. The
+/// injection pass re-stamps cached rows with it, and every Monte-Carlo
+/// trial re-weights one verdict table with it instead of re-simulating.
+///
+/// # Errors
+///
+/// [`CoreError::VerdictMismatch`] when the row is not the candidate's.
+pub fn restamp(row: &mut FmeaRow, candidate: &Candidate, index: usize) -> Result<()> {
+    if row.component != candidate.name || row.failure_mode != candidate.mode.name {
+        return Err(CoreError::VerdictMismatch {
+            row: index,
+            verdict: format!("{}/{}", row.component, row.failure_mode),
+            candidate: format!("{}/{}", candidate.name, candidate.mode.name),
+        });
+    }
+    row.fit = candidate.fit;
+    row.distribution = candidate.mode.distribution;
+    Ok(())
+}
+
+/// Re-weights a verdict table, in place, under another reliability model:
+/// row `i` is [`restamp`]ed from `candidates[i]` — the injection
+/// candidates of the same diagram under that model, in sweep order. Every
+/// row is overwritten, so one working copy serves any number of trials.
+///
+/// # Errors
+///
+/// [`CoreError::VerdictMismatch`] when the lengths differ or a row is not
+/// its candidate's.
+pub fn reweight(table: &mut FmeaTable, candidates: &[Candidate]) -> Result<()> {
+    if table.rows.len() != candidates.len() {
+        let row = table.rows.len().min(candidates.len());
+        let label = |r: &FmeaRow| format!("{}/{}", r.component, r.failure_mode);
+        return Err(CoreError::VerdictMismatch {
+            row,
+            verdict: table.rows.get(row).map_or_else(|| "-".to_owned(), label),
+            candidate: candidates
+                .get(row)
+                .map_or_else(|| "-".to_owned(), |c| format!("{}/{}", c.name, c.mode.name)),
+        });
+    }
+    for (i, (row, candidate)) in table.rows.iter_mut().zip(candidates).enumerate() {
+        restamp(row, candidate, i)?;
+    }
+    Ok(())
 }
 
 /// The architecture metrics of one Monte-Carlo trial.
@@ -228,6 +288,89 @@ impl MonteCarloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fmea::injection::{self, InjectionConfig};
+    use decisive_blocks::gallery;
+    use proptest::prelude::*;
+
+    /// The case-study supply's verdict table under Table II, and its
+    /// diagram.
+    fn case_study_verdicts() -> (decisive_blocks::BlockDiagram, FmeaTable) {
+        let (diagram, _) = gallery::sensor_power_supply();
+        let table =
+            injection::run(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default())
+                .expect("case-study sweep");
+        (diagram, table)
+    }
+
+    /// Every Table II FIT scaled by `factor`; shares untouched.
+    fn scaled_fits(db: &ReliabilityDb, factor: f64) -> ReliabilityDb {
+        let mut out = ReliabilityDb::new();
+        for entry in db.iter() {
+            out.insert(ComponentReliability {
+                fit: Fit::new(entry.fit.value() * factor),
+                ..entry.clone()
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn reweighting_equals_re_simulating_a_drawn_model() {
+        let (diagram, verdicts) = case_study_verdicts();
+        let db = ReliabilityDb::paper_table_ii();
+        for trial in 0..8 {
+            let drawn = perturb(&db, &mut trial_rng(3, trial));
+            let mut reweighted = verdicts.clone();
+            reweight(&mut reweighted, &injection::candidates(&diagram, &drawn)).expect("aligned");
+            let simulated = injection::run(&diagram, &drawn, &InjectionConfig::default()).unwrap();
+            assert_eq!(reweighted, simulated, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn misaligned_candidates_are_a_typed_error() {
+        let (diagram, mut verdicts) = case_study_verdicts();
+        let mut candidates = injection::candidates(&diagram, &ReliabilityDb::paper_table_ii());
+        candidates.swap(0, 1);
+        let err = reweight(&mut verdicts, &candidates).unwrap_err();
+        assert!(matches!(err, CoreError::VerdictMismatch { row: 0, .. }), "{err}");
+        candidates.truncate(3);
+        let err = reweight(&mut verdicts, &candidates).unwrap_err();
+        match err {
+            CoreError::VerdictMismatch { row, candidate, .. } => {
+                assert_eq!((row, candidate.as_str()), (3, "-"));
+            }
+            other => panic!("expected a verdict mismatch, got {other}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Eq. 1 is homogeneous of degree zero in the FITs and PMHF of
+        /// degree one: scaling every FIT by 2^k (exact in binary floating
+        /// point) leaves SPFM and LFM bit-identical and scales PMHF by
+        /// exactly 2^k, on any drawn model.
+        #[test]
+        fn scaling_every_fit_by_a_power_of_two_scales_only_pmhf(
+            k in -16i32..=16,
+            trial in 0usize..64,
+        ) {
+            let (diagram, verdicts) = case_study_verdicts();
+            let drawn = perturb(&ReliabilityDb::paper_table_ii(), &mut trial_rng(9, trial));
+            let factor = 2f64.powi(k);
+            let metrics = |db: &ReliabilityDb| {
+                let mut table = verdicts.clone();
+                reweight(&mut table, &injection::candidates(&diagram, db)).expect("aligned");
+                TrialMetrics::of(&table)
+            };
+            let base = metrics(&drawn);
+            let scaled = metrics(&scaled_fits(&drawn, factor));
+            prop_assert_eq!(scaled.spfm.to_bits(), base.spfm.to_bits());
+            prop_assert_eq!(scaled.lfm.to_bits(), base.lfm.to_bits());
+            prop_assert_eq!(scaled.pmhf.to_bits(), (base.pmhf * factor).to_bits());
+        }
+    }
 
     #[test]
     fn mix_separates_neighbouring_trials() {

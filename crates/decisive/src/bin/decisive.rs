@@ -690,10 +690,11 @@ fn load_diagram(request: &AnalysisRequest) -> Result<decisive::blocks::BlockDiag
 
 /// `decisive montecarlo`: a stochastic injection campaign — `--trials`
 /// perturbed reliability annexes (lognormal FIT noise, jittered
-/// distribution shares), each run through the supervised campaign, and
-/// the three architecture metrics reported as mean ± 95 % CI. Seeded by
-/// `--seed`; the report is bitwise identical for a given seed regardless
-/// of `--jobs` or cache warmth.
+/// distribution shares) re-weighting the verdicts of one supervised
+/// injection sweep, and the three architecture metrics reported as mean
+/// ± 95 % CI. The sweep's campaign health is what `--strict` checks.
+/// Seeded by `--seed`; the report is bitwise identical for a given seed
+/// regardless of `--jobs` or cache warmth.
 fn cmd_montecarlo(args: &[String]) -> Result<(), CliError> {
     check_flags("montecarlo", args, &STOCHASTIC_FLAGS)?;
     let format = output_format(args)?;

@@ -68,15 +68,13 @@ pub enum ArtifactKind {
     /// Completed per-model row of a fleet sweep (the fleet journal: the
     /// supervisor appends one on completion, `--resume` replays them).
     FleetRow,
-    /// Per-trial metrics of one Monte-Carlo draw (the stochastic pass).
-    McTrial,
     /// Ranked safety-pattern recommendation report of one FMEA table.
     Recommendation,
 }
 
 impl ArtifactKind {
     /// All kinds, for iteration.
-    pub const ALL: [ArtifactKind; 10] = [
+    pub const ALL: [ArtifactKind; 9] = [
         ArtifactKind::GraphFacts,
         ArtifactKind::GraphRow,
         ArtifactKind::InjectionRow,
@@ -85,7 +83,6 @@ impl ArtifactKind {
         ArtifactKind::RiskLog,
         ArtifactKind::AssuranceCase,
         ArtifactKind::FleetRow,
-        ArtifactKind::McTrial,
         ArtifactKind::Recommendation,
     ];
 
@@ -101,13 +98,20 @@ impl ArtifactKind {
             ArtifactKind::RiskLog => "risk-log",
             ArtifactKind::AssuranceCase => "assurance-case",
             ArtifactKind::FleetRow => "fleet-row",
-            ArtifactKind::McTrial => "mc-trial",
             ArtifactKind::Recommendation => "recommendation",
         }
     }
 
     pub(crate) fn parse(tag: &str) -> Option<ArtifactKind> {
         ArtifactKind::ALL.into_iter().find(|k| k.tag() == tag)
+    }
+
+    /// `true` for the tag of a kind older builds wrote but this one no
+    /// longer produces (`mc-trial`: per-trial Monte-Carlo metrics, now
+    /// re-weighted from the injection rows). Such artefacts are stale,
+    /// not corrupt: loading skips them and compaction drops them.
+    pub(crate) fn is_retired(tag: &str) -> bool {
+        tag == "mc-trial"
     }
 }
 
@@ -629,6 +633,8 @@ impl CacheStore {
     ///
     /// Validation per entry: known kind tag, parsable key, string owner,
     /// present value, and a `sum` matching the recomputed entry checksum.
+    /// Entries of a retired kind (such as `mc-trial`) are skipped without
+    /// quarantine.
     /// Rejected entries land in the returned list (for quarantining) with
     /// one reason each in the report. A version mismatch yields an empty
     /// store with a note but quarantines nothing (an old format is stale,
@@ -653,10 +659,18 @@ impl CacheStore {
         };
         let mut sums = Vec::with_capacity(entries.len());
         for (idx, entry) in entries.iter().enumerate() {
-            let kind = entry.get("kind").and_then(Value::as_str).and_then(ArtifactKind::parse);
+            let tag = entry.get("kind").and_then(Value::as_str);
+            let stored_sum = entry.get("sum").and_then(Value::as_str).and_then(Fingerprint::parse);
+            if let (Some(tag), Some(sum)) = (tag, stored_sum) {
+                if ArtifactKind::is_retired(tag) {
+                    // Skipped, but still part of the file the sum covers.
+                    sums.push(sum);
+                    continue;
+                }
+            }
+            let kind = tag.and_then(ArtifactKind::parse);
             let key = entry.get("key").and_then(Value::as_str).and_then(Fingerprint::parse);
             let owner = entry.get("owner").and_then(Value::as_str);
-            let stored_sum = entry.get("sum").and_then(Value::as_str).and_then(Fingerprint::parse);
             let (Some(kind), Some(key), Some(owner), Some(sum), Some(value)) =
                 (kind, key, owner, stored_sum, entry.get("value"))
             else {
@@ -896,6 +910,32 @@ mod tests {
         assert_eq!(report.quarantined, 1);
         assert_eq!(rejected.len(), 1);
         assert!(report.reasons[0].contains("checksum mismatch"), "{:?}", report.reasons);
+    }
+
+    #[test]
+    fn retired_kind_entries_are_skipped_not_quarantined() {
+        let mut store = CacheStore::new();
+        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
+        store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
+        let mut value = store.to_value();
+        // Re-tag the first entry as an older build's `mc-trial` artefact.
+        if let Value::Record(fields) = &mut value {
+            for (k, v) in fields.iter_mut() {
+                if let (true, Value::List(entries)) = (k == "entries", v) {
+                    if let Value::Record(efields) = &mut entries[0] {
+                        for (ek, ev) in efields.iter_mut() {
+                            if ek == "kind" {
+                                *ev = Value::from("mc-trial");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let (back, report, rejected) = CacheStore::from_value_audited(&value);
+        assert_eq!(back.len(), 1, "the retired entry is not loaded");
+        assert!(report.is_clean(), "stale, not corrupt: {report:?}");
+        assert!(rejected.is_empty());
     }
 
     #[test]

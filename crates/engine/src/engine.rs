@@ -570,12 +570,16 @@ impl Engine {
         self.run_extracting(&InjectionFmeaPass, &input, PassArtifact::into_injection_table)
     }
 
-    /// Runs the Monte-Carlo injection campaign: `trials` seeded draws of
-    /// the perturbed reliability model, each swept through the supervised
-    /// injection campaign, aggregated into mean + 95 % CI on SPFM / LFM /
-    /// PMHF. The report is bitwise identical for the same `(inputs, seed,
-    /// trials)` across thread counts and warm/cold caches. (Thin wrapper
-    /// over [`crate::pass::MonteCarloPass`].)
+    /// Runs the Monte-Carlo campaign: `trials` seeded draws of the
+    /// perturbed reliability model, aggregated into mean + 95 % CI on
+    /// SPFM / LFM / PMHF. A two-pass pipeline (injection → Monte-Carlo):
+    /// the supervised injection sweep runs once — warm rows are cache
+    /// hits, and its campaign health is published as by
+    /// [`Engine::analyze_injection`] — and each trial re-weights its
+    /// verdict table with the drawn numbers. The report is bitwise
+    /// identical for the same `(inputs, seed, trials)` across thread
+    /// counts and warm/cold caches. (Thin wrapper over
+    /// [`crate::pass::MonteCarloPass`].)
     ///
     /// # Errors
     ///
@@ -593,7 +597,11 @@ impl Engine {
             .with_injection_config(config.clone())
             .with_trials(trials)
             .with_seed(seed);
-        self.run_extracting(&MonteCarloPass, &input, PassArtifact::into_montecarlo)
+        let pipeline = Pipeline::new().with(InjectionFmeaPass).with(MonteCarloPass);
+        let run = self.run_pipeline(&pipeline, &input)?;
+        run.montecarlo()
+            .cloned()
+            .ok_or_else(|| EngineError::Pipeline("montecarlo pass produced no artefact".to_owned()))
     }
 
     /// Runs the safety-pattern recommendation step on the injection FMEA

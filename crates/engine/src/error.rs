@@ -27,10 +27,16 @@ pub enum EngineError {
     /// `verify_against_full` found a divergence between the incremental
     /// and the from-scratch result — a cache-soundness bug.
     Verification(String),
-    /// The pass pipeline was misconfigured (duplicate ids, unknown
-    /// dependencies, a dependency cycle) or a pass produced an artefact of
-    /// an unexpected type.
+    /// The pass pipeline was misconfigured (duplicate ids, a dependency
+    /// cycle) or a pass produced an artefact of an unexpected type.
     Pipeline(String),
+    /// A pass depends on a pass the pipeline does not contain.
+    UnknownDependency {
+        /// The dependent pass.
+        pass: String,
+        /// The missing pass it depends on.
+        dependency: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -47,6 +53,9 @@ impl std::fmt::Display for EngineError {
                 write!(f, "incremental result diverged from full recomputation: {message}")
             }
             EngineError::Pipeline(message) => write!(f, "pipeline: {message}"),
+            EngineError::UnknownDependency { pass, dependency } => {
+                write!(f, "pipeline: pass `{pass}` depends on unknown pass `{dependency}`")
+            }
         }
     }
 }

@@ -165,18 +165,21 @@ pub fn graph_config_fingerprint(model: &SsamModel, config: &GraphConfig) -> Fing
     h.finish()
 }
 
-/// Digest of one injection candidate: block name, type key, FIT, block
-/// kind and the failure mode to inject.
+/// Digest of one injection candidate's verdict inputs: block name, type
+/// key, block kind, and the failure mode's name and nature.
+///
+/// Deliberately excludes the FIT and the mode share: a verdict does not
+/// depend on them, and the injection pass re-stamps both onto every row
+/// it serves (`montecarlo::restamp`), so a FIT-only edit re-solves
+/// nothing.
 pub fn candidate_fingerprint(candidate: &Candidate) -> Fingerprint {
     let mut h = Hasher::new();
     h.write_str("candidate");
     h.write_str(&candidate.name);
     h.write_str(&candidate.type_key);
-    h.write_f64(candidate.fit.value());
     h.write_str(&format!("{:?}", candidate.kind));
     h.write_str(&candidate.mode.name);
     h.write_str(&candidate.mode.nature.to_string());
-    h.write_f64(candidate.mode.distribution);
     h.finish()
 }
 
@@ -190,27 +193,6 @@ pub fn serialized_fingerprint<T: serde::Serialize>(artefact: &T, tag: &str) -> F
         Ok(value) => h.write_str(&decisive_federation::json::to_string(&value)),
         Err(e) => h.write_str("unserialisable").write_str(&e.to_string()),
     };
-    h.finish()
-}
-
-/// Digest of a reliability database, stable across processes: entries are
-/// hashed field-wise in sorted type-key order. The backing map's
-/// iteration order is seeded per process, so [`serialized_fingerprint`]
-/// (which digests whatever order the serializer visits) must not be used
-/// for it — a warm cache would miss every key after a restart.
-pub fn reliability_fingerprint(db: &decisive_core::reliability::ReliabilityDb) -> Fingerprint {
-    let mut entries: Vec<_> = db.iter().collect();
-    entries.sort_by(|a, b| a.type_key.cmp(&b.type_key));
-    let mut h = Hasher::new();
-    h.write_str("reliability-db");
-    for entry in entries {
-        h.write_str(&entry.type_key).write_f64(entry.fit.value());
-        for mode in &entry.modes {
-            h.write_str(&mode.name)
-                .write_str(&format!("{:?}", mode.nature))
-                .write_f64(mode.distribution);
-        }
-    }
     h.finish()
 }
 
@@ -291,31 +273,23 @@ mod tests {
     }
 
     #[test]
-    fn reliability_digest_ignores_map_iteration_order() {
+    fn candidate_digest_ignores_reliability_numbers() {
+        use decisive_core::fmea::injection::candidates;
         use decisive_core::reliability::ReliabilityDb;
-        let csv = "Component,FIT,Failure_Mode,Distribution\n\
-                   Diode,10,Open,0.3\n\
-                   Diode,10,Short,0.7\n\
-                   Resistor,5,Open,0.3\n\
-                   Resistor,5,Short,0.7\n\
-                   MC,300,RAM Failure,1.0\n";
-        let forward = ReliabilityDb::from_csv_str(csv).unwrap();
-        // The same entries inserted in reverse: the backing map iterates
-        // differently, the digest must not care (warm caches in a NEW
-        // process depend on this — map order is seeded per process).
-        let mut reversed = ReliabilityDb::new();
-        let mut entries: Vec<_> = forward.iter().cloned().collect();
-        entries.reverse();
-        for entry in entries {
-            reversed.insert(entry);
-        }
-        assert_eq!(reliability_fingerprint(&forward), reliability_fingerprint(&reversed));
-        // And a FIT edit must change it.
-        let mut edited = forward.clone();
+        let (diagram, _) = decisive_blocks::gallery::sensor_power_supply();
+        let db = ReliabilityDb::paper_table_ii();
+        let mut edited = db.clone();
         let mut diode = edited.get("Diode").unwrap().clone();
-        diode.fit = decisive_ssam::architecture::Fit::new(11.0);
+        diode.fit = Fit::new(diode.fit.value() * 3.0);
+        diode.modes[0].distribution *= 0.5;
         edited.insert(diode);
-        assert_ne!(reliability_fingerprint(&forward), reliability_fingerprint(&edited));
+        let digests = |db: &ReliabilityDb| -> Vec<Fingerprint> {
+            candidates(&diagram, db).iter().map(candidate_fingerprint).collect()
+        };
+        assert_eq!(digests(&db), digests(&edited), "FIT and share edits keep every row key");
+        let all = digests(&db);
+        let distinct: std::collections::HashSet<_> = all.iter().collect();
+        assert_eq!(distinct.len(), all.len(), "every (block, mode) keeps its own key");
     }
 
     #[test]

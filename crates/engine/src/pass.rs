@@ -58,7 +58,8 @@ pub mod ids {
     pub const HARA: &str = "hara";
     /// Assurance-case generation and evaluation.
     pub const ASSURANCE: &str = "assurance";
-    /// Monte-Carlo injection campaign over the perturbed reliability model.
+    /// Monte-Carlo campaign: the injection verdicts re-weighted under
+    /// perturbed reliability models.
     pub const MONTECARLO: &str = "montecarlo";
     /// Safety-pattern recommendation over uncovered failure modes.
     pub const RECOMMEND: &str = "recommend";
@@ -244,19 +245,6 @@ impl PassArtifact {
     pub fn into_monitor(self) -> std::result::Result<RuntimeMonitor, Box<PassArtifact>> {
         match self {
             PassArtifact::Monitor(monitor) => Ok(monitor),
-            other => Err(Box::new(other)),
-        }
-    }
-
-    /// Consumes a Monte-Carlo artefact into its report.
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not
-    /// [`PassArtifact::MonteCarlo`].
-    pub fn into_montecarlo(self) -> std::result::Result<MonteCarloReport, Box<PassArtifact>> {
-        match self {
-            PassArtifact::MonteCarlo(report) => Ok(report),
             other => Err(Box::new(other)),
         }
     }
@@ -1003,7 +991,12 @@ impl AnalysisPass for InjectionFmeaPass {
             },
         )?;
 
-        let (rows, reports): (Vec<FmeaRow>, Vec<CaseReport>) = results.into_iter().unzip();
+        let (mut rows, reports): (Vec<FmeaRow>, Vec<CaseReport>) = results.into_iter().unzip();
+        // Row keys ignore FIT and mode share, so a cached row carries the
+        // numbers of whichever run computed it: stamp the current ones.
+        for (i, (row, candidate)) in rows.iter_mut().zip(&candidates).enumerate() {
+            montecarlo::restamp(row, candidate, i)?;
+        }
         let mut health = CampaignHealth::from_reports(&reports);
         let mut degradation = ctx.baseline_degraded.clone();
         degradation.merge(&ctx.degraded);
@@ -1210,16 +1203,16 @@ impl AnalysisPass for HaraPass {
     }
 }
 
-/// The Monte-Carlo campaign as a pass: every trial perturbs the
-/// reliability model (lognormal FIT, Dirichlet-style shares, seeded per
-/// trial from the master seed) and re-runs the full supervised injection
-/// sweep against the *unchanged* circuit, so all trials share one nominal
-/// lowering/solve and — through the thread-local `SolverWorkspace` inside
-/// `analyse_candidate_supervised` — the healthy circuit's sparse symbolic
-/// layout. Trials are the keyed work items, cached per `(circuit,
-/// reliability, solver, seed, index)`, and aggregated in trial-index
-/// order, so the report is bitwise identical across worker counts and
-/// warm/cold caches.
+/// The Monte-Carlo campaign as a pass over the `injection-fmea` verdict
+/// table. Every trial perturbs the reliability model (lognormal FIT,
+/// Dirichlet-style shares, seeded per trial from the master seed) and
+/// re-weights the one table with the drawn numbers
+/// ([`montecarlo::reweight`]): a verdict depends only on the circuit, the
+/// block and the failure mode, so a campaign simulates once, in the
+/// upstream pass — which also enforces the breaker, publishes the
+/// campaign health and serves its rows from the cache when warm. Trials
+/// are pure arithmetic, folded in trial-index order, so the report is
+/// bitwise identical across worker counts and warm/cold caches.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MonteCarloPass;
 
@@ -1228,8 +1221,8 @@ impl AnalysisPass for MonteCarloPass {
         ids::MONTECARLO
     }
 
-    fn kinds(&self) -> &[ArtifactKind] {
-        &[ArtifactKind::McTrial]
+    fn depends_on(&self) -> &[&'static str] {
+        &[ids::INJECTION]
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
@@ -1237,13 +1230,6 @@ impl AnalysisPass for MonteCarloPass {
             ctx.input.diagram.ok_or_else(|| missing_input(self.id(), "a block diagram"))?;
         let reliability =
             ctx.input.reliability.ok_or_else(|| missing_input(self.id(), "reliability data"))?;
-        let config = ctx.input.injection.clone();
-        if !(config.threshold > 0.0 && config.threshold.is_finite()) {
-            return Err(EngineError::Core(CoreError::InvalidParameter {
-                message: format!("threshold must be positive and finite, got {}", config.threshold),
-            }));
-        }
-        config.campaign.validate().map_err(EngineError::Core)?;
         let trials = ctx.input.trials;
         if trials == 0 {
             return Err(EngineError::Core(CoreError::InvalidParameter {
@@ -1251,74 +1237,36 @@ impl AnalysisPass for MonteCarloPass {
             }));
         }
         let seed = ctx.input.seed;
-        let circuit_fp = model_fp::serialized_fingerprint(diagram, "block-diagram");
-        let reliability_fp = model_fp::reliability_fingerprint(reliability);
-        let solver = &config.campaign.solver;
-        let items: Vec<WorkItem> = (0..trials)
+        let source = ctx.dep_arc(ids::INJECTION)?;
+        let verdicts = source.fmea_table().ok_or_else(|| {
+            EngineError::Pipeline(format!(
+                "pass `{}` expects an FMEA table from `{}`, got {}",
+                self.id(),
+                ids::INJECTION,
+                source.kind_name()
+            ))
+        })?;
+
+        let start = Instant::now();
+        let _phase_span =
+            ctx.telemetry.enabled().then(|| ctx.telemetry.span("phase:mc-trials", "phase"));
+        // One working copy: every trial re-stamps every row of it.
+        let mut table = verdicts.clone();
+        let samples = (0..trials)
             .map(|trial| {
-                let key = Hasher::new()
-                    .write_str("mc-trial")
-                    .write_fingerprint(circuit_fp)
-                    .write_fingerprint(reliability_fp)
-                    .write_f64(config.threshold)
-                    .write_bool(solver.damped)
-                    .write_bool(solver.gmin_stepping)
-                    .write_bool(solver.source_stepping)
-                    .write_u64(solver.budget as u64)
-                    .write_str(solver.kernel.tag())
-                    .write_u64(seed)
-                    .write_u64(trial as u64)
-                    .finish();
-                WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::McTrial, key },
-                    owner: diagram.name().to_owned(),
-                    label: format!("trial-{trial}"),
-                }
-            })
-            .collect();
-        let results = ctx.run_keyed(
-            "mc-trials",
-            &items,
-            |_, metrics: TrialMetrics| metrics,
-            |_| {
-                // One nominal lowering/solve for every trial that needs
-                // simulating: the perturbation touches only reliability
-                // numbers, never the circuit.
-                let lowered = to_circuit(diagram).map_err(CoreError::from)?;
-                let nominal_options = decisive_circuit::SolverOptions {
-                    kernel: config.campaign.solver.kernel,
-                    ..decisive_circuit::SolverOptions::default()
-                };
-                let (nominal_solution, _) = decisive_circuit::SolverWorkspace::new()
-                    .dc(&lowered.circuit, &nominal_options)
-                    .map_err(CoreError::from)?;
-                let nominal = lowered
-                    .circuit
-                    .all_sensor_readings(&nominal_solution)
-                    .map_err(CoreError::from)?;
-                Ok((lowered, nominal))
-            },
-            |(lowered, nominal), trial| {
-                let mut rng = montecarlo::trial_rng(seed, trial);
-                let drawn = montecarlo::perturb(reliability, &mut rng);
-                let candidates = injection::candidates(diagram, &drawn);
-                let mut table = FmeaTable::new(diagram.name());
-                let mut reports = Vec::with_capacity(candidates.len());
-                for candidate in &candidates {
-                    let (row, report) = injection::analyse_candidate_supervised(
-                        candidate, lowered, nominal, &config,
-                    );
-                    table.push(row);
-                    reports.push(report);
-                }
-                // Each trial is a full campaign; the supervisor's circuit
-                // breaker applies to it like to any other sweep.
-                CampaignHealth::from_reports(&reports).enforce(&config.campaign)?;
+                let drawn =
+                    montecarlo::perturb(reliability, &mut montecarlo::trial_rng(seed, trial));
+                montecarlo::reweight(&mut table, &injection::candidates(diagram, &drawn))?;
                 Ok(TrialMetrics::of(&table))
-            },
-            |_, metrics| *metrics,
-        )?;
-        Ok(PassArtifact::MonteCarlo(MonteCarloReport::from_trials(seed, &results)))
+            })
+            .collect::<Result<Vec<TrialMetrics>>>()?;
+        ctx.phases.push(PhaseStats {
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            jobs_total: trials,
+            jobs_executed: trials,
+            ..PhaseStats::new("mc-trials")
+        });
+        Ok(PassArtifact::MonteCarlo(MonteCarloReport::from_trials(seed, &samples)))
     }
 }
 

@@ -94,8 +94,9 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Pipeline`] on duplicate ids, unknown dependencies or
-    /// a dependency cycle.
+    /// [`EngineError::UnknownDependency`] when a dependency is not in the
+    /// pipeline, [`EngineError::Pipeline`] on duplicate ids or a
+    /// dependency cycle.
     pub fn validate(&self) -> Result<Vec<usize>> {
         let mut index_of: HashMap<&str, usize> = HashMap::new();
         for (i, pass) in self.passes.iter().enumerate() {
@@ -108,10 +109,10 @@ impl Pipeline {
         for (i, pass) in self.passes.iter().enumerate() {
             for dep in pass.depends_on() {
                 let Some(&d) = index_of.get(dep) else {
-                    return Err(EngineError::Pipeline(format!(
-                        "pass `{}` depends on unknown pass `{dep}`",
-                        pass.id()
-                    )));
+                    return Err(EngineError::UnknownDependency {
+                        pass: pass.id().to_owned(),
+                        dependency: (*dep).to_owned(),
+                    });
                 };
                 indegree[i] += 1;
                 dependents[d].push(i);
@@ -254,7 +255,7 @@ impl Engine {
         pipeline: &Pipeline,
         input: &PipelineInput<'_>,
     ) -> Result<PipelineRun> {
-        pipeline.validate()?;
+        let order = pipeline.validate()?;
         let passes = pipeline.passes();
         let n = passes.len();
         if n == 0 {
@@ -264,15 +265,28 @@ impl Engine {
         let baseline_degraded = self.degraded.clone();
         let telemetry = self.telemetry.clone();
         let cache = Mutex::new(std::mem::take(&mut self.cache));
-        // Split the budget: up to `pass_workers` passes in flight, each
-        // with `intra` workers for its own batches.
-        let pass_workers = config.jobs.min(n).max(1);
-        let intra = (config.jobs / pass_workers).max(1);
 
         let mut index_of: HashMap<&str, usize> = HashMap::new();
         for (i, pass) in passes.iter().enumerate() {
             index_of.insert(pass.id(), i);
         }
+        // Split the budget: up to `pass_workers` passes in flight, each
+        // with `intra` workers for its own batches. A pass sits one level
+        // below its deepest dependency; no more passes are in flight than
+        // the widest level holds, so a chain gives each pass the whole
+        // budget instead of idling workers reserved for its dependents.
+        let mut level = vec![0usize; n];
+        for &i in &order {
+            level[i] =
+                passes[i].depends_on().iter().map(|d| level[index_of[d]] + 1).max().unwrap_or(0);
+        }
+        let mut width = vec![0usize; n];
+        for &l in &level {
+            width[l] += 1;
+        }
+        let widest = width.into_iter().max().unwrap_or(1);
+        let pass_workers = config.jobs.min(widest).max(1);
+        let intra = (config.jobs / pass_workers).max(1);
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, pass) in passes.iter().enumerate() {

@@ -304,6 +304,11 @@ impl Scheduler {
                         // install this batch's handle so jobs and the leaf
                         // code under them can record.
                         let _telemetry = decisive_obs::set_current(self.telemetry.clone());
+                        // Spans nest per thread: a worker span keeps this
+                        // thread's job spans inside the trace tree.
+                        let _worker_span = instrumented.then(|| {
+                            self.telemetry.span(format!("worker:{}", self.label), "worker")
+                        });
                         loop {
                             if self.cancel.is_cancelled() {
                                 break;

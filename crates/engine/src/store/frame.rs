@@ -20,7 +20,9 @@
 //! length but bad checksum/shape is *corrupt* — quarantined and skipped,
 //! the scan resyncs at the next frame boundary — while an implausible or
 //! truncated length is a *torn tail*: nothing after it can be trusted,
-//! the segment is truncated there.
+//! the segment is truncated there. A verified frame of a kind an older
+//! build wrote but this one retired is neither: it is a *retired* frame,
+//! skipped as dead.
 
 use crate::cache::ArtifactKind;
 use crate::fingerprint::{Fingerprint, Hasher};
@@ -57,7 +59,11 @@ pub(crate) fn encode(
     owner: &str,
     value_json: &str,
 ) -> Vec<u8> {
-    let tag = kind.tag().as_bytes();
+    encode_tagged(kind.tag(), key, owner, value_json)
+}
+
+fn encode_tagged(tag: &str, key: Fingerprint, owner: &str, value_json: &str) -> Vec<u8> {
+    let tag = tag.as_bytes();
     let mut body = Vec::with_capacity(2 + tag.len() + 8 + 4 + owner.len() + 4 + value_json.len());
     body.push(OP_PUT);
     body.push(tag.len() as u8);
@@ -81,6 +87,9 @@ pub(crate) fn encode(
 pub(crate) enum ScanStep {
     /// A verified frame occupying `len` bytes on disk.
     Frame { body: FrameBody, len: usize },
+    /// A verified frame of a retired artefact kind: stale, not corrupt.
+    /// It occupies `len` bytes but serves nothing — a dead frame.
+    Retired { len: usize },
     /// A plausibly-delimited frame that failed checksum or shape
     /// verification; the scan can resync `len` bytes further on.
     Corrupt { reason: String, len: usize },
@@ -114,7 +123,8 @@ pub(crate) fn scan_step(buf: &[u8]) -> ScanStep {
         return ScanStep::Corrupt { reason: "frame checksum mismatch".to_owned(), len: total };
     }
     match decode_body(body) {
-        Ok(frame) => ScanStep::Frame { body: frame, len: total },
+        Ok(Some(frame)) => ScanStep::Frame { body: frame, len: total },
+        Ok(None) => ScanStep::Retired { len: total },
         Err(reason) => ScanStep::Corrupt { reason, len: total },
     }
 }
@@ -127,11 +137,14 @@ pub(crate) fn decode(frame: &[u8]) -> Result<FrameBody, String> {
         ScanStep::Frame { len, .. } => {
             Err(format!("frame length {len} does not fill the {}-byte slot", frame.len()))
         }
+        ScanStep::Retired { .. } => Err("frame of a retired artefact kind".to_owned()),
         ScanStep::Corrupt { reason, .. } | ScanStep::Tail { reason } => Err(reason),
     }
 }
 
-fn decode_body(body: &[u8]) -> Result<FrameBody, String> {
+/// Decodes a verified body; `None` for a well-formed frame of a retired
+/// artefact kind.
+fn decode_body(body: &[u8]) -> Result<Option<FrameBody>, String> {
     let mut at = 0usize;
     let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
         let end = at.checked_add(n).filter(|&e| e <= body.len());
@@ -147,7 +160,11 @@ fn decode_body(body: &[u8]) -> Result<FrameBody, String> {
     let tag_len = take(&mut at, 1)?[0] as usize;
     let tag = std::str::from_utf8(take(&mut at, tag_len)?)
         .map_err(|_| "frame kind tag is not UTF-8".to_owned())?;
-    let kind = ArtifactKind::parse(tag).ok_or_else(|| format!("unknown artefact kind `{tag}`"))?;
+    let kind = match ArtifactKind::parse(tag) {
+        Some(kind) => Some(kind),
+        None if ArtifactKind::is_retired(tag) => None,
+        None => return Err(format!("unknown artefact kind `{tag}`")),
+    };
     let key = Fingerprint(u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("8-byte key")));
     let owner_len =
         u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4-byte owner length")) as usize;
@@ -162,7 +179,7 @@ fn decode_body(body: &[u8]) -> Result<FrameBody, String> {
     if at != body.len() {
         return Err(format!("{} trailing bytes after frame fields", body.len() - at));
     }
-    Ok(FrameBody { kind, key, owner, value_json })
+    Ok(kind.map(|kind| FrameBody { kind, key, owner, value_json }))
 }
 
 #[cfg(test)]
@@ -201,7 +218,7 @@ mod tests {
             let mut torn = frame.clone();
             torn[bit / 8] ^= 1 << (bit % 8);
             match scan_step(&torn) {
-                ScanStep::Frame { .. } => {
+                ScanStep::Frame { .. } | ScanStep::Retired { .. } => {
                     panic!("bit flip at {bit} verified as a clean frame")
                 }
                 // Flips in the length prefix may make the frame implausible
@@ -210,6 +227,18 @@ mod tests {
                 ScanStep::Corrupt { .. } | ScanStep::Tail { .. } => {}
             }
         }
+    }
+
+    #[test]
+    fn retired_kinds_scan_as_dead_frames_and_unknown_kinds_as_corrupt() {
+        let retired = encode_tagged("mc-trial", Fingerprint(3), "design", "{}");
+        match scan_step(&retired) {
+            ScanStep::Retired { len } => assert_eq!(len, retired.len()),
+            other => panic!("expected a retired frame, got {other:?}"),
+        }
+        assert!(decode(&retired).is_err(), "a retired frame never serves a read");
+        let unknown = encode_tagged("no-such-kind", Fingerprint(3), "design", "{}");
+        assert!(matches!(scan_step(&unknown), ScanStep::Corrupt { .. }));
     }
 
     #[test]

@@ -457,6 +457,12 @@ impl SegmentStore {
                         frames_on_disk += 1;
                         at += len;
                     }
+                    frame::ScanStep::Retired { len } => {
+                        // Written by an older build; never indexed, so
+                        // it counts as dead and compaction drops it.
+                        frames_on_disk += 1;
+                        at += len;
+                    }
                     frame::ScanStep::Corrupt { reason, len } => {
                         recovery.quarantined_frames += 1;
                         quarantine_items.push(quarantine_item(

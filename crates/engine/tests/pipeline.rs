@@ -15,16 +15,20 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use decisive_blocks::gallery;
+use decisive_blocks::{gallery, BlockDiagram};
+use decisive_core::campaign::CampaignHealth;
 use decisive_core::case_study;
 use decisive_core::fmea::graph::{self, GraphConfig};
-use decisive_core::fmea::injection::InjectionConfig;
+use decisive_core::fmea::injection::{self, InjectionConfig};
+use decisive_core::montecarlo::{self, MonteCarloReport, TrialMetrics};
 use decisive_core::reliability::ReliabilityDb;
+use decisive_core::request::RunSpec;
 use decisive_engine::{
-    AnalysisPass, Engine, EngineConfig, InjectionFmeaPass, MonteCarloPass, PassArtifact,
-    PassContext, Pipeline, PipelineInput, RecommendPass,
+    AnalysisPass, Engine, EngineConfig, EngineError, InjectionFmeaPass, MonteCarloPass,
+    PassArtifact, PassContext, Pipeline, PipelineInput, RecommendPass,
 };
 use decisive_federation::Value;
+use decisive_obs::Telemetry;
 use decisive_ssam::architecture::Fit;
 use decisive_ssam::base::IntegrityLevel;
 use decisive_workload::sets::chain_model;
@@ -138,6 +142,11 @@ fn unknown_dependency_is_rejected_before_execution() {
     let mut engine = Engine::new(EngineConfig::with_jobs(1));
     let err = engine.run_pipeline(&pipeline, &PipelineInput::new()).unwrap_err();
     assert!(err.to_string().contains("ghost"), "error names the missing dependency: {err}");
+    assert!(
+        matches!(&err, EngineError::UnknownDependency { pass, dependency }
+            if pass == "lonely" && dependency == "ghost"),
+        "typed error: {err:?}"
+    );
     assert!(log.lock().unwrap().is_empty(), "nothing ran");
 }
 
@@ -202,14 +211,42 @@ fn brownout_db() -> ReliabilityDb {
     ReliabilityDb::from_csv_str(BROWNOUT_RELIABILITY).expect("brownout reliability annex")
 }
 
+/// The simulating route, kept only as a test oracle: every trial runs the
+/// full supervised injection sweep on its own perturbed database.
+fn simulated_montecarlo(
+    diagram: &BlockDiagram,
+    db: &ReliabilityDb,
+    config: &InjectionConfig,
+    trials: usize,
+    seed: u64,
+) -> MonteCarloReport {
+    let samples: Vec<TrialMetrics> = (0..trials)
+        .map(|trial| {
+            let drawn = montecarlo::perturb(db, &mut montecarlo::trial_rng(seed, trial));
+            let (table, _) =
+                injection::run_supervised(diagram, &drawn, config).expect("trial sweep");
+            TrialMetrics::of(&table)
+        })
+        .collect();
+    MonteCarloReport::from_trials(seed, &samples)
+}
+
+/// A file under the repository's `data/` directory.
+fn data(name: &str) -> String {
+    let path = format!("{}/../../data/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A seeded Monte-Carlo campaign is bitwise identical across scheduler
-    /// thread counts and across warm/cold caches: the trial RNG is keyed by
-    /// `(seed, trial index)` alone, and the report folds samples in trial
-    /// order, so neither the worker count nor cache hits can reorder or
-    /// perturb a single bit of the estimate.
+    /// thread counts and across warm/cold caches — and to the simulating
+    /// route that re-runs the injection sweep on every perturbed database.
+    /// The trial RNG is keyed by `(seed, trial index)` alone, the report
+    /// folds samples in trial order, and a re-weighted verdict table is
+    /// the table a fresh sweep would produce, so neither the worker
+    /// count, cache hits nor re-weighting can move a single bit.
     #[test]
     fn seeded_montecarlo_is_bitwise_identical_across_threads_and_caches(
         jobs in 1usize..=8,
@@ -220,10 +257,7 @@ proptest! {
         let config = InjectionConfig::default();
         let trials = 8;
 
-        let mut reference = Engine::new(EngineConfig::with_jobs(1));
-        let baseline = reference
-            .analyze_montecarlo(&diagram, &db, &config, trials, seed)
-            .expect("single-worker reference run");
+        let baseline = simulated_montecarlo(&diagram, &db, &config, trials, seed);
 
         let mut engine = Engine::new(EngineConfig::with_jobs(jobs));
         let cold = engine
@@ -241,7 +275,7 @@ proptest! {
 /// Confidence intervals tighten as the campaign grows: on the brownout
 /// gallery model the PMHF half-width shrinks strictly from N=64 to N=256 to
 /// N=1024 trials, and no metric's half-width ever widens. The three runs
-/// share one engine, so the larger campaigns re-serve the earlier trials
+/// share one engine, so the larger campaigns re-serve the verdict rows
 /// from cache — exactly how an interactive refinement session would run.
 #[test]
 fn montecarlo_ci_half_widths_shrink_with_trial_count() {
@@ -305,8 +339,10 @@ fn recommend_pass_reaches_asil_b_on_the_gallery_model() {
     }
 }
 
-/// `MonteCarloPass` participates in a pipeline like any other pass, and the
-/// engine wrapper equals the pipeline route bit for bit.
+/// `MonteCarloPass` participates in a pipeline downstream of the injection
+/// pass, and the engine wrapper equals the pipeline route bit for bit.
+/// Without the injection pass the pipeline is rejected before anything
+/// runs, with the typed unknown-dependency error.
 #[test]
 fn montecarlo_pass_runs_inside_a_pipeline() {
     let (diagram, _) = gallery::brownout_threshold_supply();
@@ -317,7 +353,7 @@ fn montecarlo_pass_runs_inside_a_pipeline() {
         .with_seed(42);
     let mut engine = Engine::new(EngineConfig::with_jobs(2));
     let run = engine
-        .run_pipeline(&Pipeline::new().with(MonteCarloPass), &input)
+        .run_pipeline(&Pipeline::new().with(InjectionFmeaPass).with(MonteCarloPass), &input)
         .expect("montecarlo pipeline");
     let via_pipeline = run.montecarlo().expect("montecarlo artefact").clone();
 
@@ -328,4 +364,126 @@ fn montecarlo_pass_runs_inside_a_pipeline() {
     assert_eq!(via_pipeline, via_wrapper, "pipeline and wrapper routes agree");
     assert_eq!(via_pipeline.trials, 16);
     assert_eq!(via_pipeline.seed, 42);
+
+    let mut bare = Engine::new(EngineConfig::with_jobs(2));
+    let err = bare.run_pipeline(&Pipeline::new().with(MonteCarloPass), &input).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::UnknownDependency { pass, dependency }
+            if pass == "montecarlo" && dependency == "injection-fmea"),
+        "a lone Monte-Carlo pass is rejected: {err:?}"
+    );
+    assert!(bare.stats().phases.is_empty(), "nothing ran");
+}
+
+/// Goldens recorded from the simulating implementation (one injection
+/// sweep per trial), compared bit for bit: `decisive montecarlo
+/// data/power_supply.bd --trials 32 --seed 7`, and the same design with
+/// `--reliability data/reliability.csv --trials 64 --seed 42`.
+#[test]
+fn montecarlo_reports_match_the_simulating_goldens() {
+    let diagram = decisive_blocks::text::from_text(&data("power_supply.bd")).expect("design");
+    let config = RunSpec::default().injection_config();
+    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+
+    let table_ii = engine
+        .analyze_montecarlo(&diagram, &ReliabilityDb::paper_table_ii(), &config, 32, 7)
+        .expect("Table II campaign");
+    let expected = |mean: f64, half_width: f64| montecarlo::CiEstimate { mean, half_width };
+    assert_eq!(table_ii.trials, 32);
+    assert_eq!(table_ii.seed, 7);
+    assert_eq!(table_ii.spfm, expected(0.051362508322025074, 0.00533523920805851));
+    assert_eq!(table_ii.lfm, expected(1.0, 0.0));
+    assert_eq!(table_ii.pmhf, expected(3.191789648972507e-07, 2.4665066036432757e-08));
+
+    let db = ReliabilityDb::from_csv_str(&data("reliability.csv")).expect("reliability annex");
+    let annex = engine.analyze_montecarlo(&diagram, &db, &config, 64, 42).expect("annex campaign");
+    assert_eq!(annex.spfm, expected(0.05817858775149025, 0.0038609766026214106));
+    assert_eq!(annex.lfm, expected(1.0, 0.0));
+    assert_eq!(annex.pmhf, expected(3.125960332503115e-07, 1.9146331721177948e-08));
+}
+
+/// A campaign simulates once, however many trials it draws: the solver
+/// runs exactly as often for 64 trials as for one.
+#[test]
+fn montecarlo_solve_count_is_independent_of_the_trial_count() {
+    let (diagram, _) = gallery::brownout_threshold_supply();
+    let db = brownout_db();
+    let solves = |trials: usize| {
+        let (telemetry, sink) = Telemetry::recording();
+        let mut engine = Engine::builder().jobs(2).telemetry(telemetry).build().expect("engine");
+        engine
+            .analyze_montecarlo(&diagram, &db, &InjectionConfig::default(), trials, 5)
+            .expect("campaign");
+        let trial_phase = engine.stats().phase("mc-trials").expect("trial phase recorded").clone();
+        assert_eq!((trial_phase.jobs_total, trial_phase.jobs_executed), (trials, trials));
+        sink.drain().counters.get("solver.solves").copied().unwrap_or(0)
+    };
+    let one = solves(1);
+    assert!(one > 0, "the verdict sweep solves the circuit");
+    assert_eq!(solves(64), one, "trials are arithmetic, not simulation");
+}
+
+/// The Monte-Carlo route publishes the campaign health of its verdict
+/// sweep, exactly as the injection route does, so `--strict` sees failed
+/// cases on `montecarlo` too.
+#[test]
+fn montecarlo_publishes_the_injection_campaign_health() {
+    let (diagram, _) = gallery::brownout_threshold_supply();
+    let db = brownout_db();
+    let config = InjectionConfig::default();
+    // Per-case wall clocks differ between runs; everything else must not.
+    let semantic =
+        |health: &CampaignHealth| CampaignHealth { slowest: Vec::new(), ..health.clone() };
+
+    let mut injection_engine = Engine::new(EngineConfig::with_jobs(2));
+    injection_engine.analyze_injection(&diagram, &db, &config).expect("injection");
+    let expected = semantic(injection_engine.campaign_health().expect("injection health"));
+
+    let mut mc_engine = Engine::new(EngineConfig::with_jobs(2));
+    mc_engine.analyze_montecarlo(&diagram, &db, &config, 8, 1).expect("campaign");
+    let health = mc_engine.campaign_health().expect("montecarlo publishes campaign health");
+    assert_eq!(semantic(health), expected);
+    assert!(health.total > 0);
+}
+
+/// Injection row keys ignore FIT and mode share: after a FIT-only edit the
+/// standard `.bd` pipeline re-solves no injection case, and every
+/// artefact still equals a cold run's on the edited inputs.
+#[test]
+fn fit_only_edit_re_solves_no_injection_row() {
+    let (diagram, _) = gallery::sensor_power_supply();
+    let pipeline = Pipeline::standard(true);
+    let run = |engine: &mut Engine, db: &ReliabilityDb, verify: bool| {
+        let mut model = decisive_blocks::to_ssam(&diagram);
+        db.aggregate_into(&mut model);
+        let top = model
+            .components
+            .iter()
+            .find(|(_, c)| c.parent.is_none())
+            .map(|(i, _)| i)
+            .expect("top component");
+        let input = PipelineInput::for_model(&model, top).with_diagram(&diagram, db);
+        let run = if verify {
+            engine.verify_pipeline_against_full(&pipeline, &input)
+        } else {
+            engine.run_pipeline(&pipeline, &input)
+        };
+        run.expect("pipeline").fmea().expect("injection table").clone()
+    };
+
+    let db = ReliabilityDb::paper_table_ii();
+    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    run(&mut engine, &db, false);
+
+    let mut edited = db.clone();
+    let mut diode = edited.get("Diode").expect("Table II diode").clone();
+    diode.fit = decisive_ssam::architecture::Fit::new(diode.fit.value() * 4.0);
+    edited.insert(diode);
+    engine.reset_stats();
+    let table = run(&mut engine, &edited, true);
+    let rows = engine.stats().phase("injection-rows").expect("injection phase ran");
+    assert_eq!(rows.jobs_executed, 0, "a FIT-only edit re-solves nothing");
+    assert_eq!(rows.cache_hits, rows.jobs_total);
+    let d1 = table.rows.iter().find(|r| r.component == "D1").expect("D1 row");
+    assert_eq!(d1.fit, edited.get("Diode").unwrap().fit, "served rows carry the edited FIT");
 }

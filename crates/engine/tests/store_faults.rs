@@ -28,7 +28,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use decisive_engine::store::{FailpointFs, RealFs, StoreFs, WriteFault};
-use decisive_engine::{ArtifactKind, Fingerprint, SegmentStore, StoreOptions, StoreRecovery};
+use decisive_engine::{
+    ArtifactKind, Fingerprint, SegmentStore, StoreOptions, StoreRecovery, STORE_QUARANTINE_FILE,
+};
 use decisive_federation::Value;
 use decisive_obs::Telemetry;
 
@@ -263,6 +265,74 @@ fn bit_flips_at_rest_never_panic_recovery() {
                 assert!(version_of(&value) < 12);
             }
         }
+    }
+}
+
+/// One `put` frame as an older build wrote it for a kind this build has
+/// retired, hand-encoded in the documented layout: `[len u32][body][sum
+/// u64]`, body = `op · tag_len · tag · key u64 · owner_len u32 · owner ·
+/// value_len u32 · value`.
+fn legacy_frame(tag: &str, key: u64, owner: &str, value_json: &str) -> Vec<u8> {
+    let mut body = vec![1u8, tag.len() as u8];
+    body.extend_from_slice(tag.as_bytes());
+    body.extend_from_slice(&key.to_le_bytes());
+    body.extend_from_slice(&(owner.len() as u32).to_le_bytes());
+    body.extend_from_slice(owner.as_bytes());
+    body.extend_from_slice(&(value_json.len() as u32).to_le_bytes());
+    body.extend_from_slice(value_json.as_bytes());
+    let sum = decisive_engine::fingerprint::Hasher::new().write_bytes(&body).finish().0;
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// A store written by a build that still kept per-trial Monte-Carlo
+/// artefacts (`mc-trial` frames) opens cleanly: those frames are stale,
+/// not corrupt, so nothing is quarantined. They serve nothing, count as
+/// dead, and compaction drops them.
+#[test]
+fn retired_mc_trial_frames_open_clean_and_compact_away() {
+    let dir = TempDir::new("retired");
+    {
+        let (store, _) = SegmentStore::open(dir.path(), StoreOptions::default(), Telemetry::noop())
+            .expect("fresh store");
+        let (committed, _) = run_workload(&store, 4, 4, 1);
+        assert_eq!(committed.len(), 4);
+    }
+    let segment = dir.path().join("seg-000001.seg");
+    let mut bytes = std::fs::read(&segment).expect("the only segment");
+    for trial in 0..3u64 {
+        bytes.extend(legacy_frame(
+            "mc-trial",
+            trial,
+            "System B",
+            r#"{"spfm":0.9,"lfm":1.0,"pmhf":1e-7}"#,
+        ));
+    }
+    std::fs::write(&segment, &bytes).expect("append legacy frames");
+
+    let open = || {
+        SegmentStore::open(dir.path(), StoreOptions::default(), Telemetry::noop())
+            .expect("store opens")
+    };
+    let (store, recovery) = open();
+    assert!(recovery.is_clean(), "retired frames are not damage: {recovery:?}");
+    assert_eq!(recovery.quarantined_frames, 0);
+    assert_eq!(recovery.live_frames, 4, "only the live kinds are indexed");
+    assert!(!dir.path().join(STORE_QUARANTINE_FILE).exists());
+    let health = store.health();
+    assert_eq!(health.dead_frames, 3, "the retired frames are dead weight");
+
+    let summary = store.compact().expect("compaction");
+    assert_eq!(summary.dropped_frames, 3);
+    assert_eq!(summary.live_frames, 4);
+    drop(store);
+    let (store, recovery) = open();
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!(store.health().dead_frames, 0, "compaction dropped them for good");
+    for key in 0..4 {
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(key)).is_some());
     }
 }
 

@@ -120,7 +120,8 @@ pub struct MonteCarloOutput {
     /// The stochastic campaign report: trial count, seed, mean and 95 %
     /// confidence interval per metric.
     pub report: MonteCarloReport,
-    /// Engine phase statistics (trial cache traffic shows up here).
+    /// Engine phase statistics: the verdict sweep's cache traffic
+    /// (`injection-rows`) and the trial loop (`mc-trials`).
     pub stats: EngineStats,
     /// Everything the run substituted or abandoned instead of failing.
     pub degraded: DegradedModeReport,
