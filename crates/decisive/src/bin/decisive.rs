@@ -1336,11 +1336,14 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
                         if recovery.is_clean() { "clean" } else { "repaired" },
                         format_args!(
                             " ({} quarantined frame(s), {} truncated byte(s), \
-                             {} orphan segment(s) removed, {} legacy entr(ies) migrated)",
+                             {} orphan segment(s) removed, {} legacy entr(ies) migrated, \
+                             {} hinted segment(s), {} byte(s) scanned)",
                             recovery.quarantined_frames,
                             recovery.truncated_bytes,
                             recovery.removed_orphan_segments,
                             recovery.migrated_entries,
+                            recovery.hinted_segments,
+                            recovery.scanned_bytes,
                         ),
                     );
                     for note in &recovery.notes {

@@ -360,6 +360,29 @@ impl Engine {
         &mut self.degraded
     }
 
+    /// Frames the durable store behind this engine has quarantined so
+    /// far, rot caught on read included; 0 without one.
+    pub(crate) fn store_quarantined(&self) -> u64 {
+        self.cache
+            .shared()
+            .and_then(SharedStore::durable)
+            .map_or(0, |log| log.health().quarantined_frames)
+    }
+
+    /// Records the frames the store quarantined since `before` — rot
+    /// caught when a frame was served — as degradation, exactly like rot
+    /// caught when the store opened.
+    pub(crate) fn note_store_rot(&mut self, before: u64) {
+        let rotten = self.store_quarantined().saturating_sub(before) as usize;
+        if rotten > 0 {
+            self.stats.quarantined_entries += rotten;
+            self.degraded.quarantined_cache_entries += rotten;
+            self.degraded.notes.push(format!(
+                "{rotten} stored artefact(s) failed verification when read; quarantined and recomputed"
+            ));
+        }
+    }
+
     /// Loads the cache persisted in `dir` (empty when absent), restoring
     /// the campaign-health report persisted next to it when present.
     ///

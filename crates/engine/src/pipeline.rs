@@ -264,6 +264,7 @@ impl Engine {
         let config = self.config.clone();
         let baseline_degraded = self.degraded.clone();
         let telemetry = self.telemetry.clone();
+        let store_quarantined = self.store_quarantined();
         let cache = Mutex::new(std::mem::take(&mut self.cache));
 
         let mut index_of: HashMap<&str, usize> = HashMap::new();
@@ -427,6 +428,7 @@ impl Engine {
 
         // Give the cache back before reporting anything.
         self.cache = cache.into_inner().unwrap_or_else(|e| e.into_inner());
+        self.note_store_rot(store_quarantined);
 
         // Merge sinks in registration order — independent of the actual
         // interleaving, so stats and notes are reproducible.
@@ -474,6 +476,7 @@ impl Engine {
         let config = self.config.clone();
         let baseline_degraded = self.degraded.clone();
         let telemetry = self.telemetry.clone();
+        let store_quarantined = self.store_quarantined();
         let cache = Mutex::new(std::mem::take(&mut self.cache));
         let mut ctx = PassContext {
             config: &config,
@@ -499,6 +502,7 @@ impl Engine {
         };
         let PassContext { phases, degraded, campaign, .. } = ctx;
         self.cache = cache.into_inner().unwrap_or_else(|e| e.into_inner());
+        self.note_store_rot(store_quarantined);
         for phase in phases {
             self.stats.record(phase);
         }

@@ -14,7 +14,8 @@
 //! All integers are little-endian; `sum` is the repository's standard
 //! [`Hasher`] digest over the body bytes. The checksum sits *after* the
 //! body so a torn append is overwhelmingly likely to fail verification
-//! even when the length field landed intact.
+//! even when the length field landed intact. Hint-log batches
+//! (`super::hint`) are sealed and delimited the same way.
 //!
 //! Scanning distinguishes two failure classes: a frame with a plausible
 //! length but bad checksum/shape is *corrupt* — quarantined and skipped,
@@ -39,17 +40,28 @@ pub(crate) const MAX_BODY_BYTES: u32 = 64 << 20;
 /// frames rather than logging deletes, so no tombstone op exists.
 const OP_PUT: u8 = 1;
 
-/// A decoded frame body.
+/// A decoded frame body, borrowed from the bytes it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FrameBody {
+pub(crate) struct FrameBody<'a> {
     pub kind: ArtifactKind,
     pub key: Fingerprint,
-    pub owner: String,
-    pub value_json: String,
+    pub owner: &'a str,
+    pub value_json: &'a str,
 }
 
 fn body_sum(body: &[u8]) -> u64 {
     Hasher::new().write_bytes(body).finish().0
+}
+
+/// Frames `body` for disk: length prefix, body, checksum. Hint-log
+/// batches share this framing.
+pub(crate) fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_BYTES + body.len() + TRAILER_BYTES);
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let sum = body_sum(&body);
+    frame.append(&mut body);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame
 }
 
 /// Encodes one `put` as a complete on-disk frame.
@@ -73,20 +85,54 @@ fn encode_tagged(tag: &str, key: Fingerprint, owner: &str, value_json: &str) -> 
     body.extend_from_slice(owner.as_bytes());
     body.extend_from_slice(&(value_json.len() as u32).to_le_bytes());
     body.extend_from_slice(value_json.as_bytes());
-
-    let mut frame = Vec::with_capacity(HEADER_BYTES + body.len() + TRAILER_BYTES);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    let sum = body_sum(&body);
-    frame.append(&mut body);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
+    seal(body)
 }
 
-/// One step of a segment scan, starting at a frame boundary.
+/// How the bytes at a frame boundary delimit a checksummed record.
+#[derive(Debug)]
+pub(crate) enum Delimited<'a> {
+    /// A record whose checksum verifies, occupying `len` bytes on disk.
+    Sealed { body: &'a [u8], len: usize },
+    /// A plausibly-delimited record whose checksum fails.
+    Corrupt { len: usize },
+    /// The bytes cannot delimit a record: a torn tail.
+    Tail { reason: String },
+}
+
+/// Delimits and checksums the record at the start of `buf`.
+pub(crate) fn delimit(buf: &[u8]) -> Delimited<'_> {
+    if buf.len() < HEADER_BYTES {
+        return Delimited::Tail {
+            reason: format!("{}-byte tail, too short for a frame", buf.len()),
+        };
+    }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    if len == 0 || len > MAX_BODY_BYTES {
+        return Delimited::Tail { reason: format!("implausible frame length {len}") };
+    }
+    let total = HEADER_BYTES + len as usize + TRAILER_BYTES;
+    if buf.len() < total {
+        return Delimited::Tail {
+            reason: format!("truncated frame: {total} bytes framed, {} on disk", buf.len()),
+        };
+    }
+    let body = &buf[HEADER_BYTES..HEADER_BYTES + len as usize];
+    let stored = u64::from_le_bytes(
+        buf[HEADER_BYTES + len as usize..total].try_into().expect("trailer is 8 bytes"),
+    );
+    if body_sum(body) != stored {
+        return Delimited::Corrupt { len: total };
+    }
+    Delimited::Sealed { body, len: total }
+}
+
+/// One step of a segment scan, starting at a frame boundary. A scan only
+/// indexes, so a verified frame yields its kind, key and length — the
+/// owner and value stay unread until [`decode`].
 #[derive(Debug)]
 pub(crate) enum ScanStep {
     /// A verified frame occupying `len` bytes on disk.
-    Frame { body: FrameBody, len: usize },
+    Frame { kind: ArtifactKind, key: Fingerprint, len: usize },
     /// A verified frame of a retired artefact kind: stale, not corrupt.
     /// It occupies `len` bytes but serves nothing — a dead frame.
     Retired { len: usize },
@@ -100,51 +146,37 @@ pub(crate) enum ScanStep {
 
 /// Examines the bytes at a frame boundary. `buf` must be non-empty.
 pub(crate) fn scan_step(buf: &[u8]) -> ScanStep {
-    if buf.len() < HEADER_BYTES {
-        return ScanStep::Tail {
-            reason: format!("{}-byte tail, too short for a frame", buf.len()),
-        };
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len == 0 || len > MAX_BODY_BYTES {
-        return ScanStep::Tail { reason: format!("implausible frame length {len}") };
-    }
-    let total = HEADER_BYTES + len as usize + TRAILER_BYTES;
-    if buf.len() < total {
-        return ScanStep::Tail {
-            reason: format!("truncated frame: {total} bytes framed, {} on disk", buf.len()),
-        };
-    }
-    let body = &buf[HEADER_BYTES..HEADER_BYTES + len as usize];
-    let stored = u64::from_le_bytes(
-        buf[HEADER_BYTES + len as usize..total].try_into().expect("trailer is 8 bytes"),
-    );
-    if body_sum(body) != stored {
-        return ScanStep::Corrupt { reason: "frame checksum mismatch".to_owned(), len: total };
-    }
-    match decode_body(body) {
-        Ok(Some(frame)) => ScanStep::Frame { body: frame, len: total },
-        Ok(None) => ScanStep::Retired { len: total },
-        Err(reason) => ScanStep::Corrupt { reason, len: total },
+    match delimit(buf) {
+        Delimited::Sealed { body, len } => match parse_body(body) {
+            Ok(Some(frame)) => ScanStep::Frame { kind: frame.kind, key: frame.key, len },
+            Ok(None) => ScanStep::Retired { len },
+            Err(reason) => ScanStep::Corrupt { reason, len },
+        },
+        Delimited::Corrupt { len } => {
+            ScanStep::Corrupt { reason: "frame checksum mismatch".to_owned(), len }
+        }
+        Delimited::Tail { reason } => ScanStep::Tail { reason },
     }
 }
 
 /// Decodes and re-verifies a complete frame previously located by a scan
-/// (the point-read path). The slice must be exactly one frame.
-pub(crate) fn decode(frame: &[u8]) -> Result<FrameBody, String> {
-    match scan_step(frame) {
-        ScanStep::Frame { body, len } if len == frame.len() => Ok(body),
-        ScanStep::Frame { len, .. } => {
+/// or a hint (the point-read path). The slice must be exactly one frame.
+pub(crate) fn decode(frame: &[u8]) -> Result<FrameBody<'_>, String> {
+    match delimit(frame) {
+        Delimited::Sealed { body, len } if len == frame.len() => {
+            parse_body(body)?.ok_or_else(|| "frame of a retired artefact kind".to_owned())
+        }
+        Delimited::Sealed { len, .. } => {
             Err(format!("frame length {len} does not fill the {}-byte slot", frame.len()))
         }
-        ScanStep::Retired { .. } => Err("frame of a retired artefact kind".to_owned()),
-        ScanStep::Corrupt { reason, .. } | ScanStep::Tail { reason } => Err(reason),
+        Delimited::Corrupt { .. } => Err("frame checksum mismatch".to_owned()),
+        Delimited::Tail { reason } => Err(reason),
     }
 }
 
-/// Decodes a verified body; `None` for a well-formed frame of a retired
+/// Parses a verified body; `None` for a well-formed frame of a retired
 /// artefact kind.
-fn decode_body(body: &[u8]) -> Result<Option<FrameBody>, String> {
+fn parse_body(body: &[u8]) -> Result<Option<FrameBody<'_>>, String> {
     let mut at = 0usize;
     let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
         let end = at.checked_add(n).filter(|&e| e <= body.len());
@@ -169,13 +201,11 @@ fn decode_body(body: &[u8]) -> Result<Option<FrameBody>, String> {
     let owner_len =
         u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4-byte owner length")) as usize;
     let owner = std::str::from_utf8(take(&mut at, owner_len)?)
-        .map_err(|_| "frame owner is not UTF-8".to_owned())?
-        .to_owned();
+        .map_err(|_| "frame owner is not UTF-8".to_owned())?;
     let value_len =
         u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4-byte value length")) as usize;
     let value_json = std::str::from_utf8(take(&mut at, value_len)?)
-        .map_err(|_| "frame value is not UTF-8".to_owned())?
-        .to_owned();
+        .map_err(|_| "frame value is not UTF-8".to_owned())?;
     if at != body.len() {
         return Err(format!("{} trailing bytes after frame fields", body.len() - at));
     }
@@ -261,7 +291,7 @@ mod tests {
         let ScanStep::Corrupt { len, .. } = step else { panic!("expected corrupt, got {step:?}") };
         assert_eq!(len, first_len, "scan resyncs exactly after the corrupt frame");
         match scan_step(&bytes[len..]) {
-            ScanStep::Frame { body, .. } => assert_eq!(body.kind, ArtifactKind::MonitorSet),
+            ScanStep::Frame { kind, .. } => assert_eq!(kind, ArtifactKind::MonitorSet),
             other => panic!("clean second frame expected, got {other:?}"),
         }
     }

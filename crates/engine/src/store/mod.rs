@@ -9,19 +9,33 @@
 //! <cache-dir>/store/
 //! ├── MANIFEST.json          {"version":1,"generation":G,"segments":[1,2,…]}
 //! ├── seg-000001.seg         8-byte magic, then checksummed frames
+//! ├── seg-000001.hint        the segment's index: checksummed batches of
+//! │                          (kind, key, offset, len), advisory
 //! ├── seg-000002.seg         ← the last listed segment is the append head
+//! ├── seg-000002.hint
 //! └── store.quarantine.json  frames dropped by recovery, for post-mortem
 //! ```
 //!
 //! *Crash safety is structural, not transactional*: every write is an
 //! append (plus fsync at pass boundaries), never a rewrite-in-place, so
 //! the only possible damage is at the tail of the active segment. Recovery
-//! scans each listed segment once: a frame with a plausible length but a
+//! scans what no hint covers: a frame with a plausible length but a
 //! failing checksum is quarantined at frame granularity and skipped; a
 //! torn tail is truncated and quarantined; everything before it is served.
-//! Opening the store costs one sequential scan to build the in-memory
-//! `(kind, key) → (segment, offset)` index — values are parsed lazily on
-//! `get`, so a warm start pays O(touched artifacts), not O(history).
+//!
+//! Opening the store costs O(frames), not O(bytes): each segment's hint
+//! log ([`hint`]) lists the frames of its synced prefix, so open builds
+//! the in-memory `(kind, key) → (segment, offset)` index from the hints
+//! and reads and verifies only the bytes past each segment's last valid
+//! hint batch — nothing, after a clean close. Values are parsed lazily on
+//! `get`, so a warm start pays O(touched artifacts), not O(history). A
+//! frame that rots at rest inside a hinted range is therefore not seen at
+//! open: `get` re-verifies every frame it serves (checksum, kind and key)
+//! and quarantines a rotten one, which then reads as a miss and
+//! recomputes; compaction's verifying copy drops it too. Hints are never
+//! fsynced and never needed for correctness: a missing, torn or corrupt
+//! hint only means that open scans that segment as it would without one,
+//! and writes the hint it lacked.
 //!
 //! *Compaction* rewrites the live index into fresh segments and commits by
 //! atomically swapping `MANIFEST.json` (temp file + fsync + rename + dir
@@ -30,16 +44,19 @@
 //! segments are orphans) — never a mix, because segment files themselves
 //! are immutable once sealed.
 //!
-//! The whole write path runs through the [`StoreFs`] seam so the fault
-//! harness ([`FailpointFs`]) can inject torn writes, bit flips, and a
-//! crash at every fsync boundary; `crates/engine/tests/store_faults.rs`
-//! proves recovery never loses a committed frame and never panics.
+//! The whole write path, hint logs included, runs through the [`StoreFs`]
+//! seam so the fault harness ([`FailpointFs`]) can inject torn writes, bit
+//! flips, and a crash at every fsync boundary;
+//! `crates/engine/tests/store_faults.rs` proves recovery never loses a
+//! committed frame and never panics.
 
 pub mod failpoint;
 mod frame;
+mod hint;
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
+use std::hash::BuildHasherDefault;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -65,6 +82,9 @@ pub const STORE_QUARANTINE_FILE: &str = "store.quarantine.json";
 
 /// First bytes of every segment file.
 const SEGMENT_MAGIC: [u8; 8] = *b"DSEGv01\n";
+
+/// Offset of a segment's first frame.
+const FIRST_FRAME: u64 = SEGMENT_MAGIC.len() as u64;
 
 fn segment_name(id: u64) -> String {
     format!("seg-{id:06}.seg")
@@ -108,13 +128,20 @@ pub struct StoreRecovery {
     /// Legacy `cache.json` entries migrated into the log on first open
     /// (see `SharedStore::open_durable`).
     pub migrated_entries: usize,
+    /// Segments indexed, at least in part, from their hint logs.
+    pub hinted_segments: usize,
+    /// Segment bytes open had to read and verify because no valid hint
+    /// covered them: 0 after a clean close. A missing or invalid hint is
+    /// not a repair — it only costs this scan.
+    pub scanned_bytes: u64,
     /// One human-readable line per repair — these degrade the run.
     pub notes: Vec<String>,
 }
 
 impl StoreRecovery {
-    /// `true` when nothing had to be repaired (orphan removal and legacy
-    /// migration are expected operations, not repairs).
+    /// `true` when nothing had to be repaired (orphan removal, legacy
+    /// migration and scanning unhinted bytes are expected operations, not
+    /// repairs).
     pub fn is_clean(&self) -> bool {
         self.quarantined_frames == 0 && self.truncated_bytes == 0 && self.notes.is_empty()
     }
@@ -129,6 +156,8 @@ impl StoreRecovery {
             ("truncated_bytes", Value::Int(self.truncated_bytes as i64)),
             ("removed_orphan_segments", Value::Int(self.removed_orphan_segments as i64)),
             ("migrated_entries", Value::Int(self.migrated_entries as i64)),
+            ("hinted_segments", Value::Int(self.hinted_segments as i64)),
+            ("scanned_bytes", Value::Int(self.scanned_bytes as i64)),
             ("notes", Value::List(self.notes.iter().map(|n| Value::from(n.as_str())).collect())),
         ])
     }
@@ -218,12 +247,124 @@ impl StoreHealth {
     }
 }
 
+/// Hashes index keys with one multiply per word. Fingerprints are
+/// already uniformly mixed 64-bit digests, so SipHash's resistance to
+/// chosen keys buys nothing here, and open inserts every key it indexes.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The in-memory index: where each live artefact's frame sits.
+type Index = HashMap<(ArtifactKind, Fingerprint), Slot, BuildHasherDefault<KeyHasher>>;
+
 /// Where one live frame sits on disk.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Slot {
     segment: u64,
     offset: u64,
     len: u32,
+}
+
+/// The hint log of the active segment, extended by one batch per sync
+/// that committed frames.
+#[derive(Debug)]
+struct HintLog {
+    /// The open log; `None` until the first batch creates it.
+    file: Option<File>,
+    /// End of the last batch written.
+    covered: u64,
+    /// Frames appended past `covered`, in segment order.
+    pending: Vec<hint::Entry>,
+    /// `false` once the log can no longer tile the segment (a hint write
+    /// failed, or open left a corrupt frame unhinted): open then scans the
+    /// segment from the log's last valid batch on.
+    enabled: bool,
+}
+
+impl HintLog {
+    fn fresh() -> Self {
+        HintLog { file: None, covered: FIRST_FRAME, pending: Vec::new(), enabled: true }
+    }
+
+    /// Writes the pending entries as one batch — called only once the
+    /// frames they locate are synced.
+    fn flush(&mut self, fs: &dyn StoreFs, dir: &Path, segment: u64) {
+        let pending = std::mem::take(&mut self.pending);
+        let Some(last) = pending.last() else { return };
+        if !self.enabled {
+            return;
+        }
+        let end = last.offset + u64::from(last.len);
+        self.enabled = pending[0].offset == self.covered
+            && append_hint(fs, dir, segment, &mut self.file, &hint::encode_batch(&pending));
+        self.covered = end;
+    }
+}
+
+/// Appends `bytes` (whole batches) to segment `id`'s hint log, creating
+/// the log when `file` is `None`. Hints are advisory: a failure is
+/// reported, never an error.
+fn append_hint(
+    fs: &dyn StoreFs,
+    dir: &Path,
+    id: u64,
+    file: &mut Option<File>,
+    bytes: &[u8],
+) -> bool {
+    if let Some(file) = file {
+        return fs.append(file, bytes).is_ok();
+    }
+    let Ok(mut created) = fs.create(&dir.join(hint::hint_name(id))) else { return false };
+    let mut log = hint::HINT_MAGIC.to_vec();
+    log.extend_from_slice(bytes);
+    let written = fs.append(&mut created, &log).is_ok();
+    *file = Some(created);
+    written
+}
+
+/// Rewrites segment `id`'s hint log — `on_disk`, as open read it — as its
+/// valid batches plus one batch for the frames open scanned, `fresh`.
+/// Anything past the valid batches goes: a stale batch left there could
+/// turn valid once the segment grows past the range it claims. Returns
+/// the log when this wrote it, and whether every write landed.
+fn refresh_hint(
+    fs: &dyn StoreFs,
+    dir: &Path,
+    id: u64,
+    on_disk: Option<&[u8]>,
+    loaded: &hint::Loaded,
+    fresh: &[hint::Entry],
+) -> (Option<File>, bool) {
+    if fresh.is_empty() && (loaded.intact || on_disk.is_none()) {
+        return (None, true);
+    }
+    let valid = on_disk.and_then(|bytes| bytes.get(hint::HINT_MAGIC.len()..loaded.valid_len));
+    let mut batches = valid.unwrap_or_default().to_vec();
+    if !fresh.is_empty() {
+        batches.extend(hint::encode_batch(fresh));
+    }
+    let mut log = None;
+    let written = append_hint(fs, dir, id, &mut log, &batches);
+    (log, written)
 }
 
 #[derive(Debug)]
@@ -232,7 +373,11 @@ struct Inner {
     generation: u64,
     active: File,
     active_len: u64,
-    index: HashMap<(ArtifactKind, Fingerprint), Slot>,
+    hint: HintLog,
+    index: Index,
+    /// One shared read handle per segment, opened on first read; `get`
+    /// reads through it positionally, outside the lock.
+    readers: HashMap<u64, Arc<File>>,
     /// Valid frames physically on disk (live + superseded).
     frames_on_disk: usize,
     bytes_on_disk: u64,
@@ -246,9 +391,10 @@ struct Inner {
     wedged: Option<String>,
 }
 
-/// The append-only segmented log. All access is serialised on one mutex,
-/// so same-process readers never observe a partially swapped manifest;
-/// clones of the owning `Arc` are the sharing mechanism.
+/// The append-only segmented log. The index and all writes are serialised
+/// on one mutex, so same-process readers never observe a partially
+/// swapped manifest; reads hold it only to look up a slot. Clones of the
+/// owning `Arc` are the sharing mechanism.
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
@@ -266,7 +412,7 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn quarantine_item(segment: u64, offset: usize, reason: &str, bytes: &[u8]) -> Value {
+fn quarantine_item(segment: u64, offset: u64, reason: &str, bytes: &[u8]) -> Value {
     let preview = &bytes[..bytes.len().min(256)];
     Value::record([
         ("segment", Value::Int(segment as i64)),
@@ -275,6 +421,16 @@ fn quarantine_item(segment: u64, offset: usize, reason: &str, bytes: &[u8]) -> V
         ("bytes", Value::Int(bytes.len() as i64)),
         ("hex_preview", Value::Str(hex(preview))),
     ])
+}
+
+/// Records dropped frames in a fresh quarantine file, rotating the
+/// previous one aside. Best-effort: the frames are already out of the
+/// index.
+fn write_quarantine(dir: &Path, items: Vec<Value>) {
+    let quarantine = dir.join(STORE_QUARANTINE_FILE);
+    rotate_quarantine(&quarantine);
+    let doc = Value::record([("version", Value::Int(1)), ("frames", Value::List(items))]);
+    atomic_write(&quarantine, &json::to_string(&doc)).ok();
 }
 
 fn manifest_value(generation: u64, segments: &[u64]) -> Value {
@@ -316,30 +472,77 @@ fn write_manifest(fs: &dyn StoreFs, dir: &Path, generation: u64, segments: &[u64
     Ok(())
 }
 
-/// Creates segment file `id` with its magic header, fsynced.
+/// Creates segment file `id` with its magic header, fsynced, and drops
+/// any stale hint log an interrupted compaction left under its id.
 fn create_segment(fs: &dyn StoreFs, dir: &Path, id: u64) -> Result<File> {
     let path = dir.join(segment_name(id));
     let mut file = fs.create(&path).map_err(|e| store_err(&path, e))?;
+    std::fs::remove_file(dir.join(hint::hint_name(id))).ok();
     fs.append(&mut file, &SEGMENT_MAGIC).map_err(|e| store_err(&path, e))?;
     fs.sync(&file).map_err(|e| store_err(&path, e))?;
     Ok(file)
 }
 
-/// Segment ids present on disk, ascending.
-fn scan_dir_for_segments(dir: &Path) -> Vec<u64> {
+/// Ids of the `seg-NNNNNN{suffix}` files on disk, ascending.
+fn scan_dir_for(dir: &Path, suffix: &str) -> Vec<u64> {
     let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
     let mut ids: Vec<u64> = entries
         .flatten()
         .filter_map(|e| {
             let name = e.file_name();
             let name = name.to_str()?;
-            let id = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
+            let id = name.strip_prefix("seg-")?.strip_suffix(suffix)?;
             id.parse::<u64>().ok().filter(|&i| i > 0)
         })
         .collect();
     ids.sort_unstable();
     ids.dedup();
     ids
+}
+
+/// Reads the `slot.len` bytes at `slot.offset` without moving any shared
+/// cursor, so concurrent readers can share one handle.
+fn read_slot(file: &File, slot: &Slot) -> std::result::Result<Vec<u8>, String> {
+    let mut buf = vec![0u8; slot.len as usize];
+    read_exact_at(file, &mut buf, slot.offset).map_err(|e| e.to_string())?;
+    Ok(buf)
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Re-verifies the frame read for `(kind, key)`: checksum, shape, and
+/// that it *is* that artefact — a slot that locates any other frame is
+/// rot, never a hit.
+fn verify(
+    bytes: &[u8],
+    kind: ArtifactKind,
+    key: Fingerprint,
+) -> std::result::Result<frame::FrameBody<'_>, String> {
+    let body = frame::decode(bytes)?;
+    if body.kind != kind || body.key != key {
+        return Err(format!("slot of {}/{key} holds {}/{}", kind.tag(), body.kind.tag(), body.key));
+    }
+    Ok(body)
 }
 
 impl SegmentStore {
@@ -355,10 +558,10 @@ impl SegmentStore {
 
     /// Opens the store through an explicit filesystem seam (the fault
     /// harness entry point). Recovery is idempotent: it truncates torn
-    /// tails, quarantines corrupt frames, removes orphan segments of an
-    /// interrupted rotation/compaction, and rebuilds a missing or corrupt
-    /// manifest from the segment files on disk (ascending segment id, so
-    /// compacted copies win over stale originals).
+    /// tails, quarantines corrupt frames, removes orphan segments and hint
+    /// logs of an interrupted rotation/compaction, and rebuilds a missing
+    /// or corrupt manifest from the segment files on disk (ascending
+    /// segment id, so compacted copies win over stale originals).
     ///
     /// # Errors
     ///
@@ -396,7 +599,7 @@ impl SegmentStore {
                     let quarantined = dir.join(format!("{MANIFEST_FILE}.quarantined"));
                     rotate_quarantine(&quarantined);
                     std::fs::rename(&manifest_path, &quarantined).ok();
-                    segments = scan_dir_for_segments(&dir);
+                    segments = scan_dir_for(&dir, ".seg");
                     recovery.notes.push(format!(
                         "store manifest unreadable; quarantined it and rebuilt from {} segment file(s)",
                         segments.len()
@@ -405,7 +608,7 @@ impl SegmentStore {
                 }
             },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                segments = scan_dir_for_segments(&dir);
+                segments = scan_dir_for(&dir, ".seg");
                 if !segments.is_empty() {
                     recovery.notes.push(format!(
                         "store manifest missing; rebuilt from {} segment file(s)",
@@ -427,16 +630,33 @@ impl SegmentStore {
             present
         });
 
-        // One sequential scan per segment builds the index; values stay
-        // on disk until `get` touches them.
-        let mut index: HashMap<(ArtifactKind, Fingerprint), Slot> = HashMap::new();
+        // The index comes from each segment's hint log; only the bytes
+        // past its last valid batch are read and verified. Values stay on
+        // disk until `get` touches them.
+        // Sized once from the hint logs' lengths: growing the table while
+        // tens of thousands of entries stream in would rehash it each time.
+        // A log holds no more entries than its segment holds frames, so a
+        // garbage log cannot inflate the estimate past the segment.
+        let len_of = |path: PathBuf| std::fs::metadata(path).map_or(0, |meta| meta.len());
+        let hinted: u64 = segments
+            .iter()
+            .map(|&id| {
+                len_of(dir.join(hint::hint_name(id))).min(len_of(dir.join(segment_name(id))))
+            })
+            .sum();
+        let mut index =
+            Index::with_capacity_and_hasher(hint::entries_within(hinted), Default::default());
         let mut frames_on_disk = 0usize;
         let mut quarantine_items: Vec<Value> = Vec::new();
         let mut kept: Vec<u64> = Vec::with_capacity(segments.len());
+        let mut last_hint: Option<(u64, HintLog)> = None;
         for &id in &segments {
             let path = dir.join(segment_name(id));
-            let bytes = std::fs::read(&path).map_err(|e| store_err(&path, e))?;
-            if bytes.len() < SEGMENT_MAGIC.len() || bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+            let mut file = File::open(&path).map_err(|e| store_err(&path, e))?;
+            let len = file.metadata().map_err(|e| store_err(&path, e))?.len();
+            let mut magic = [0u8; SEGMENT_MAGIC.len()];
+            if file.read_exact(&mut magic).is_err() || magic != SEGMENT_MAGIC {
+                drop(file);
                 recovery.quarantined_frames += 1;
                 recovery.notes.push(format!("segment {id}: bad header; quarantined wholesale"));
                 let quarantined = dir.join(format!("{}.quarantined", segment_name(id)));
@@ -446,64 +666,109 @@ impl SegmentStore {
                 continue;
             }
             kept.push(id);
-            let mut at = SEGMENT_MAGIC.len();
-            while at < bytes.len() {
-                match frame::scan_step(&bytes[at..]) {
-                    frame::ScanStep::Frame { body, len } => {
-                        index.insert(
-                            (body.kind, body.key),
-                            Slot { segment: id, offset: at as u64, len: len as u32 },
-                        );
+
+            let hint_path = dir.join(hint::hint_name(id));
+            let hint_bytes = std::fs::read(&hint_path).ok();
+            let loaded = hint::load(hint_bytes.as_deref().unwrap_or_default(), FIRST_FRAME, len);
+            if loaded.batches > 0 {
+                recovery.hinted_segments += 1;
+            }
+            frames_on_disk += loaded.entries.len();
+            index.extend(loaded.entries.iter().filter_map(|e| {
+                Some(((e.kind?, e.key), Slot { segment: id, offset: e.offset, len: e.len }))
+            }));
+
+            let mut tail = Vec::new();
+            file.seek(SeekFrom::Start(loaded.covered))
+                .and_then(|_| file.read_to_end(&mut tail))
+                .map_err(|e| store_err(&path, e))?;
+            recovery.scanned_bytes += tail.len() as u64;
+            // Scanned frames go into a new hint batch, up to the first
+            // corrupt one: batches tile, so none can skip it, and the
+            // next open must find it again.
+            let mut fresh: Vec<hint::Entry> = Vec::new();
+            let mut hintable = true;
+            let mut at = 0usize;
+            while at < tail.len() {
+                let offset = loaded.covered + at as u64;
+                match frame::scan_step(&tail[at..]) {
+                    frame::ScanStep::Frame { kind, key, len } => {
+                        index.insert((kind, key), Slot { segment: id, offset, len: len as u32 });
                         frames_on_disk += 1;
+                        if hintable {
+                            fresh.push(hint::Entry {
+                                kind: Some(kind),
+                                key,
+                                offset,
+                                len: len as u32,
+                            });
+                        }
                         at += len;
                     }
                     frame::ScanStep::Retired { len } => {
                         // Written by an older build; never indexed, so
                         // it counts as dead and compaction drops it.
                         frames_on_disk += 1;
+                        if hintable {
+                            let key = Fingerprint(0);
+                            fresh.push(hint::Entry { kind: None, key, offset, len: len as u32 });
+                        }
                         at += len;
                     }
                     frame::ScanStep::Corrupt { reason, len } => {
                         recovery.quarantined_frames += 1;
                         quarantine_items.push(quarantine_item(
                             id,
-                            at,
+                            offset,
                             &reason,
-                            &bytes[at..at + len],
+                            &tail[at..at + len],
                         ));
-                        recovery.notes.push(format!("segment {id} @{at}: {reason}"));
+                        recovery.notes.push(format!("segment {id} @{offset}: {reason}"));
+                        hintable = false;
                         at += len;
                     }
                     frame::ScanStep::Tail { reason } => {
-                        let torn = (bytes.len() - at) as u64;
+                        let torn = (tail.len() - at) as u64;
                         recovery.quarantined_frames += 1;
                         recovery.truncated_bytes += torn;
-                        quarantine_items.push(quarantine_item(id, at, &reason, &bytes[at..]));
+                        quarantine_items.push(quarantine_item(id, offset, &reason, &tail[at..]));
                         recovery.notes.push(format!(
-                            "segment {id} @{at}: {reason}; truncated {torn} torn byte(s)"
+                            "segment {id} @{offset}: {reason}; truncated {torn} torn byte(s)"
                         ));
                         let file = std::fs::OpenOptions::new()
                             .write(true)
                             .open(&path)
                             .map_err(|e| store_err(&path, e))?;
-                        file.set_len(at as u64).map_err(|e| store_err(&path, e))?;
+                        file.set_len(offset).map_err(|e| store_err(&path, e))?;
                         file.sync_data().map_err(|e| store_err(&path, e))?;
                         break;
                     }
                 }
             }
+
+            let (log, written) =
+                refresh_hint(&*fs, &dir, id, hint_bytes.as_deref(), &loaded, &fresh);
+            let covered = fresh.last().map_or(loaded.covered, |e| e.offset + u64::from(e.len));
+            let enabled = hintable && written;
+            last_hint = Some((id, HintLog { file: log, covered, pending: Vec::new(), enabled }));
         }
         manifest_dirty |= kept.len() != segments.len();
         let mut segments = kept;
 
         // Segment files not in the manifest are leftovers of an
         // interrupted rotation or compaction swap: their content was
-        // either never committed or is a duplicate of live segments.
+        // either never committed or is a duplicate of live segments. A
+        // hint log without its segment is left over the same way.
         let listed: HashSet<u64> = segments.iter().copied().collect();
-        for id in scan_dir_for_segments(&dir) {
+        for id in scan_dir_for(&dir, ".seg") {
             if !listed.contains(&id) {
                 std::fs::remove_file(dir.join(segment_name(id))).ok();
                 recovery.removed_orphan_segments += 1;
+            }
+        }
+        for id in scan_dir_for(&dir, ".hint") {
+            if !listed.contains(&id) {
+                std::fs::remove_file(dir.join(hint::hint_name(id))).ok();
             }
         }
         std::fs::remove_file(dir.join(format!("{MANIFEST_FILE}.tmp"))).ok();
@@ -519,13 +784,7 @@ impl SegmentStore {
         }
 
         if !quarantine_items.is_empty() {
-            let quarantine = dir.join(STORE_QUARANTINE_FILE);
-            rotate_quarantine(&quarantine);
-            let doc = Value::record([
-                ("version", Value::Int(1)),
-                ("frames", Value::List(quarantine_items)),
-            ]);
-            atomic_write(&quarantine, &json::to_string(&doc)).ok();
+            write_quarantine(&dir, quarantine_items);
         }
 
         let active_id = *segments.last().expect("at least one segment");
@@ -540,12 +799,25 @@ impl SegmentStore {
             .iter()
             .map(|&id| std::fs::metadata(dir.join(segment_name(id))).map(|m| m.len()).unwrap_or(0))
             .sum();
+        let hint = match last_hint {
+            Some((id, mut log)) if id == active_id => {
+                let path = dir.join(hint::hint_name(id));
+                if log.enabled && log.file.is_none() && path.exists() {
+                    log.file = std::fs::OpenOptions::new().append(true).open(path).ok();
+                    log.enabled = log.file.is_some();
+                }
+                log.enabled &= log.covered == active_len;
+                log
+            }
+            _ => HintLog::fresh(),
+        };
 
         recovery.segments = segments.len();
         recovery.live_frames = index.len();
         if recovery.quarantined_frames > 0 {
             telemetry.count("store.quarantined_frames", recovery.quarantined_frames as u64);
         }
+        telemetry.count("store.scanned_bytes", recovery.scanned_bytes);
         telemetry.duration_ms("store.open_ms", started.elapsed().as_secs_f64() * 1000.0);
 
         let store = SegmentStore {
@@ -558,7 +830,9 @@ impl SegmentStore {
                 generation,
                 active,
                 active_len,
+                hint,
                 index,
+                readers: HashMap::new(),
                 frames_on_disk,
                 bytes_on_disk,
                 appends: 0,
@@ -630,7 +904,7 @@ impl SegmentStore {
         let frame = frame::encode(kind, key, owner, &json::to_string(value));
         let mut inner = self.lock();
         Self::check_wedged(&inner)?;
-        if inner.active_len > SEGMENT_MAGIC.len() as u64
+        if inner.active_len > FIRST_FRAME
             && inner.active_len + frame.len() as u64 > self.options.segment_bytes
         {
             if let Err(e) = self.rotate(&mut inner) {
@@ -644,9 +918,11 @@ impl SegmentStore {
             return Err(EngineError::Store(format!("frame append failed: {e}")));
         }
         let segment = *inner.segments.last().expect("at least one segment");
-        inner.active_len += frame.len() as u64;
-        inner.bytes_on_disk += frame.len() as u64;
-        inner.index.insert((kind, key), Slot { segment, offset, len: frame.len() as u32 });
+        let len = frame.len() as u32;
+        inner.active_len += u64::from(len);
+        inner.bytes_on_disk += u64::from(len);
+        inner.index.insert((kind, key), Slot { segment, offset, len });
+        inner.hint.pending.push(hint::Entry { kind: Some(kind), key, offset, len });
         inner.frames_on_disk += 1;
         inner.appends += 1;
         inner.pending_sync = true;
@@ -662,7 +938,9 @@ impl SegmentStore {
             .sync(&inner.active)
             .map_err(|e| EngineError::Store(format!("sealing segment failed: {e}")))?;
         inner.pending_sync = false;
-        let id = inner.segments.last().expect("at least one segment") + 1;
+        let sealed = *inner.segments.last().expect("at least one segment");
+        inner.hint.flush(&*self.fs, &self.dir, sealed);
+        let id = sealed + 1;
         let file = create_segment(&*self.fs, &self.dir, id)?;
         let mut segments = inner.segments.clone();
         segments.push(id);
@@ -670,62 +948,99 @@ impl SegmentStore {
         inner.generation += 1;
         inner.segments = segments;
         inner.active = file;
-        inner.active_len = SEGMENT_MAGIC.len() as u64;
-        inner.bytes_on_disk += SEGMENT_MAGIC.len() as u64;
+        inner.active_len = FIRST_FRAME;
+        inner.hint = HintLog::fresh();
+        inner.bytes_on_disk += FIRST_FRAME;
         self.telemetry.count("store.rotations", 1);
         Ok(())
     }
 
     /// Fsyncs pending appends — the commit point for everything appended
-    /// since the last sync. Cheap when nothing is pending.
+    /// since the last sync — then hints the committed frames. Cheap when
+    /// nothing is pending.
     ///
     /// # Errors
     ///
     /// [`EngineError::Store`] on fsync failure (the store wedges).
     pub fn sync(&self) -> Result<()> {
-        let mut inner = self.lock();
-        Self::check_wedged(&inner)?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        Self::check_wedged(inner)?;
         if inner.pending_sync {
             if let Err(e) = self.fs.sync(&inner.active) {
                 inner.wedged = Some(e.to_string());
                 return Err(EngineError::Store(format!("fsync failed: {e}")));
             }
             inner.pending_sync = false;
+            let active = *inner.segments.last().expect("at least one segment");
+            inner.hint.flush(&*self.fs, &self.dir, active);
         }
         Ok(())
     }
 
-    fn read_slot(&self, slot: &Slot) -> std::result::Result<frame::FrameBody, String> {
-        let path = self.dir.join(segment_name(slot.segment));
-        let mut file = File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        file.seek(SeekFrom::Start(slot.offset)).map_err(|e| e.to_string())?;
-        let mut buf = vec![0u8; slot.len as usize];
-        file.read_exact(&mut buf).map_err(|e| e.to_string())?;
-        frame::decode(&buf)
+    /// The shared read handle of `segment`, opened on first use.
+    fn reader(&self, inner: &mut Inner, segment: u64) -> std::io::Result<Arc<File>> {
+        if let Some(file) = inner.readers.get(&segment) {
+            return Ok(Arc::clone(file));
+        }
+        let file = Arc::new(File::open(self.dir.join(segment_name(segment)))?);
+        inner.readers.insert(segment, Arc::clone(&file));
+        Ok(file)
     }
 
-    /// Fetches one artefact, re-verifying its frame checksum on the way
-    /// (the lazy-parse point read). A frame that rotted since open is
-    /// quarantined from the index and reads as a miss — the artefact
+    /// Fetches one artefact, re-verifying its frame on the way (the
+    /// lazy-parse point read): checksum, shape, and that the frame holds
+    /// this very `(kind, key)`. The lock covers only the index lookup; the
+    /// read and the parse run outside it. A frame that fails verification
+    /// is quarantined from the index and reads as a miss — the artefact
     /// recomputes; the store never serves bytes that fail verification.
     pub fn get(&self, kind: ArtifactKind, key: Fingerprint) -> Option<(String, Value)> {
-        let mut inner = self.lock();
-        let slot = *inner.index.get(&(kind, key))?;
-        let decoded = self.read_slot(&slot).and_then(|body| {
-            json::parse(&body.value_json)
-                .map(|value| (body.owner, value))
+        let (slot, file) = {
+            let mut inner = self.lock();
+            let slot = *inner.index.get(&(kind, key))?;
+            (slot, self.reader(&mut inner, slot.segment))
+        };
+        let read = file.map_err(|e| e.to_string()).and_then(|file| read_slot(&file, &slot));
+        let bytes = read.as_deref().unwrap_or_default();
+        let decoded = read.as_ref().map_err(String::clone).and_then(|_| {
+            let body = verify(bytes, kind, key)?;
+            json::parse(body.value_json)
+                .map(|value| (body.owner.to_owned(), value))
                 .map_err(|e| format!("stored value unparsable: {e}"))
         });
         match decoded {
             Ok(hit) => Some(hit),
-            Err(_reason) => {
-                inner.index.remove(&(kind, key));
-                inner.quarantined_frames += 1;
-                self.telemetry.count("store.quarantined_frames", 1);
-                self.telemetry.count("store.read_rot", 1);
+            Err(reason) => {
+                self.quarantine_rot(kind, key, slot, &reason, bytes);
                 None
             }
         }
+    }
+
+    /// Drops a frame that failed verification on read from the index and
+    /// records it in the quarantine file.
+    fn quarantine_rot(
+        &self,
+        kind: ArtifactKind,
+        key: Fingerprint,
+        slot: Slot,
+        reason: &str,
+        bytes: &[u8],
+    ) {
+        let mut inner = self.lock();
+        // Only the slot that was read goes: a concurrent append may have
+        // superseded it meanwhile.
+        if inner.index.get(&(kind, key)) != Some(&slot) {
+            return;
+        }
+        inner.index.remove(&(kind, key));
+        inner.quarantined_frames += 1;
+        self.telemetry.count("store.quarantined_frames", 1);
+        self.telemetry.count("store.read_rot", 1);
+        write_quarantine(
+            &self.dir,
+            vec![quarantine_item(slot.segment, slot.offset, reason, bytes)],
+        );
     }
 
     /// Rewrites all live frames into fresh segments and atomically swaps
@@ -741,8 +1056,9 @@ impl SegmentStore {
     /// new segments are orphans the next open removes.
     pub fn compact(&self) -> Result<CompactionSummary> {
         let started = Instant::now();
-        let mut inner = self.lock();
-        Self::check_wedged(&inner)?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        Self::check_wedged(inner)?;
 
         let frames_before = inner.frames_on_disk;
         let bytes_before = inner.bytes_on_disk;
@@ -755,50 +1071,75 @@ impl SegmentStore {
 
         let first_id = inner.segments.last().expect("at least one segment") + 1;
         let mut new_segments: Vec<u64> = Vec::new();
-        let mut new_index: HashMap<(ArtifactKind, Fingerprint), Slot> = HashMap::new();
+        let mut new_index = Index::default();
         let mut active: Option<File> = None;
         let mut active_len = 0u64;
         let mut new_bytes = 0u64;
-        for (key, slot) in live {
+        // Each new segment gets its hint log once it is synced.
+        let mut hints: Vec<hint::Entry> = Vec::new();
+        let seal_hint = |id: u64, hints: &mut Vec<hint::Entry>| {
+            let mut log = None;
+            let written = !hints.is_empty()
+                && append_hint(&*self.fs, &self.dir, id, &mut log, &hint::encode_batch(hints));
+            hints.clear();
+            log.filter(|_| written)
+        };
+        for ((kind, key), slot) in live {
             // Re-read through the verifying decoder: rot discovered during
             // compaction is dropped, never copied forward.
-            let Ok(body) = self.read_slot(&slot) else {
+            let read = self.reader(inner, slot.segment).map_err(|e| e.to_string());
+            let Ok(bytes) = read.and_then(|file| read_slot(&file, &slot)) else {
                 inner.quarantined_frames += 1;
                 self.telemetry.count("store.quarantined_frames", 1);
                 continue;
             };
-            let bytes = frame::encode(body.kind, body.key, &body.owner, &body.value_json);
+            if verify(&bytes, kind, key).is_err() {
+                inner.quarantined_frames += 1;
+                self.telemetry.count("store.quarantined_frames", 1);
+                continue;
+            }
             if active.is_none()
-                || (active_len > SEGMENT_MAGIC.len() as u64
+                || (active_len > FIRST_FRAME
                     && active_len + bytes.len() as u64 > self.options.segment_bytes)
             {
                 if let Some(file) = &active {
                     self.fs.sync(file).map_err(|e| EngineError::Store(e.to_string()))?;
+                    seal_hint(*new_segments.last().expect("segment exists"), &mut hints);
                 }
                 let id = first_id + new_segments.len() as u64;
                 active = Some(create_segment(&*self.fs, &self.dir, id)?);
                 new_segments.push(id);
-                active_len = SEGMENT_MAGIC.len() as u64;
-                new_bytes += SEGMENT_MAGIC.len() as u64;
+                active_len = FIRST_FRAME;
+                new_bytes += FIRST_FRAME;
             }
             let file = active.as_mut().expect("segment just ensured");
             self.fs
                 .append(file, &bytes)
                 .map_err(|e| EngineError::Store(format!("compaction copy failed: {e}")))?;
             let segment = *new_segments.last().expect("segment just ensured");
-            new_index.insert(key, Slot { segment, offset: active_len, len: bytes.len() as u32 });
-            active_len += bytes.len() as u64;
-            new_bytes += bytes.len() as u64;
+            let len = bytes.len() as u32;
+            new_index.insert((kind, key), Slot { segment, offset: active_len, len });
+            hints.push(hint::Entry { kind: Some(kind), key, offset: active_len, len });
+            active_len += u64::from(len);
+            new_bytes += u64::from(len);
         }
         if active.is_none() {
             let id = first_id;
             active = Some(create_segment(&*self.fs, &self.dir, id)?);
             new_segments.push(id);
-            active_len = SEGMENT_MAGIC.len() as u64;
-            new_bytes += SEGMENT_MAGIC.len() as u64;
+            active_len = FIRST_FRAME;
+            new_bytes += FIRST_FRAME;
         }
         let file = active.expect("active segment exists");
         self.fs.sync(&file).map_err(|e| EngineError::Store(e.to_string()))?;
+        let last = *new_segments.last().expect("segment exists");
+        let hint = match seal_hint(last, &mut hints) {
+            Some(log) => {
+                HintLog { file: Some(log), covered: active_len, pending: Vec::new(), enabled: true }
+            }
+            None if active_len == FIRST_FRAME => HintLog::fresh(),
+            None => HintLog { enabled: false, ..HintLog::fresh() },
+        };
 
         // The commit point: after this rename, the new segments are the
         // store. Everything beyond it is best-effort cleanup.
@@ -810,10 +1151,15 @@ impl SegmentStore {
         inner.index = new_index;
         inner.active = file;
         inner.active_len = active_len;
+        inner.hint = hint;
         inner.bytes_on_disk = new_bytes;
         inner.pending_sync = false;
+        // Reads in flight keep their handles; an unlinked segment stays
+        // readable through them.
+        inner.readers.clear();
         for id in old_segments {
             self.fs.remove(&self.dir.join(segment_name(id))).ok();
+            self.fs.remove(&self.dir.join(hint::hint_name(id))).ok();
         }
 
         let summary = CompactionSummary {
@@ -999,11 +1345,82 @@ mod tests {
         bytes[SEGMENT_MAGIC.len() + 6] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
 
+        // The hint covers both frames, so open does not read them: the
+        // rot is caught when the frame is served, and quarantined there.
+        let (store, recovery) = open(&dir, StoreOptions::default());
+        assert!(recovery.is_clean(), "{recovery:?}");
+        assert_eq!(recovery.scanned_bytes, 0);
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_some());
+        assert_eq!(store.health().quarantined_frames, 1);
+        assert_eq!(store.len(), 1);
+        assert!(dir.join(STORE_QUARANTINE_FILE).exists(), "read rot kept for post-mortem");
+        drop(store);
+
+        // Without the hint, open scans the segment and finds it there.
+        std::fs::remove_file(dir.join(hint::hint_name(1))).unwrap();
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert_eq!(recovery.quarantined_frames, 1);
         assert_eq!(recovery.live_frames, 1, "scan resynced past the corrupt frame");
         assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
         assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_slot_holding_another_key_reads_as_a_miss_never_the_wrong_value() {
+        let dir = scratch("wrongkey");
+        let (store, _) = open(&dir, StoreOptions::default());
+        put(&store, 1, "one");
+        put(&store, 2, "two");
+        store.sync().unwrap();
+        drop(store);
+
+        // A valid hint that swaps the two (equal-sized) frames' keys: it
+        // tiles and checksums, but each slot locates the other frame.
+        let len = frame::encode(ArtifactKind::GraphRow, Fingerprint(1), "D1", "\"one\"").len();
+        let entry = |key, offset| hint::Entry {
+            kind: Some(ArtifactKind::GraphRow),
+            key: Fingerprint(key),
+            offset,
+            len: len as u32,
+        };
+        let mut log = hint::HINT_MAGIC.to_vec();
+        log.extend(hint::encode_batch(&[
+            entry(2, FIRST_FRAME),
+            entry(1, FIRST_FRAME + len as u64),
+        ]));
+        std::fs::write(dir.join(hint::hint_name(1)), log).unwrap();
+
+        let (store, recovery) = open(&dir, StoreOptions::default());
+        assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (1, 0));
+        assert_eq!(store.len(), 2);
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_none());
+        assert_eq!(store.health().quarantined_frames, 2, "both mismatches are read rot");
+        assert!(store.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_clean_reopen_is_indexed_from_hints_alone() {
+        let dir = scratch("hinted");
+        let (store, recovery) = open(&dir, small());
+        assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (0, 0));
+        for i in 0..32 {
+            put(&store, i, &format!("value-{i}"));
+        }
+        store.sync().unwrap();
+        let segments = store.health().segments;
+        drop(store);
+
+        let (store, recovery) = open(&dir, small());
+        assert!(recovery.is_clean(), "{recovery:?}");
+        assert_eq!(recovery.scanned_bytes, 0, "every synced byte is hinted");
+        assert_eq!(recovery.hinted_segments, segments);
+        assert_eq!(store.len(), 32);
+        let (_, value) = store.get(ArtifactKind::GraphRow, Fingerprint(31)).unwrap();
+        assert_eq!(value, Value::from("value-31"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,8 +19,13 @@
 //! dry-run with a counting filesystem discovers how many operations the
 //! workload performs), and proptest then varies the workload shape,
 //! crash point and fault mode together.
+//!
+//! Each segment's hint log (`seg-NNNNNN.hint`) lets open index the
+//! segment without reading it. Hints are advisory, so a hinted open must
+//! equal a full-scan open of the same directory, crash or no crash, and
+//! every way a hint log can be damaged must fall back to scanning.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -173,6 +178,82 @@ fn count_ops(appends: u64, keys: u64, sync_every: u64) -> u64 {
     counter.ops_performed()
 }
 
+/// A passthrough [`StoreFs`] that counts every operation and, apart, the
+/// operations on hint logs (told apart by the path each file was created
+/// under, through its descriptor).
+#[cfg(unix)]
+mod hint_ops {
+    use std::collections::HashSet;
+    use std::fs::File;
+    use std::io;
+    use std::os::unix::io::AsRawFd;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+
+    use decisive_engine::store::{RealFs, StoreFs};
+
+    #[derive(Debug, Default)]
+    pub struct HintCountingFs {
+        pub ops: AtomicU64,
+        pub hint_ops: AtomicU64,
+        hint_fds: Mutex<HashSet<i32>>,
+    }
+
+    impl HintCountingFs {
+        fn tick(&self, hint: bool) {
+            self.ops.fetch_add(1, Ordering::SeqCst);
+            if hint {
+                self.hint_ops.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        fn is_hint(&self, file: &File) -> bool {
+            self.hint_fds.lock().unwrap().contains(&file.as_raw_fd())
+        }
+    }
+
+    impl StoreFs for HintCountingFs {
+        fn create(&self, path: &Path) -> io::Result<File> {
+            let hint = path.extension().is_some_and(|e| e == "hint");
+            self.tick(hint);
+            let file = RealFs.create(path)?;
+            let mut fds = self.hint_fds.lock().unwrap();
+            if hint {
+                fds.insert(file.as_raw_fd());
+            } else {
+                fds.remove(&file.as_raw_fd());
+            }
+            Ok(file)
+        }
+
+        fn append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+            self.tick(self.is_hint(file));
+            RealFs.append(file, bytes)
+        }
+
+        fn sync(&self, file: &File) -> io::Result<()> {
+            self.tick(self.is_hint(file));
+            RealFs.sync(file)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.tick(false);
+            RealFs.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.tick(path.extension().is_some_and(|e| e == "hint"));
+            RealFs.remove(path)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.tick(false);
+            RealFs.sync_dir(dir)
+        }
+    }
+}
+
 /// Exhaustive: a crash at *every* filesystem operation of a fixed
 /// rotating workload, for each fault mode, recovers to a store that
 /// satisfies the invariants. This is the acceptance criterion's
@@ -184,6 +265,20 @@ fn every_crash_point_recovers_committed_data() {
     const SYNC_EVERY: u64 = 4;
     let total_ops = count_ops(APPENDS, KEYS, SYNC_EVERY);
     assert!(total_ops > APPENDS, "the workload rotates segments: {total_ops} ops");
+    // Hint-log writes go through the seam, so the sweep crashes inside
+    // them too: every sync that commits frames appends one batch.
+    #[cfg(unix)]
+    {
+        let dir = TempDir::new("hintops");
+        let fs = Arc::new(hint_ops::HintCountingFs::default());
+        let (store, _) = open_with(dir.path(), fs.clone()).expect("counting open");
+        run_workload(&store, APPENDS, KEYS, SYNC_EVERY);
+        drop(store);
+        let hint_ops = fs.hint_ops.load(Ordering::SeqCst);
+        let ops = fs.ops.load(Ordering::SeqCst);
+        assert_eq!(ops, total_ops, "the sweep covers every seam operation");
+        assert!(hint_ops >= APPENDS / SYNC_EVERY, "{hint_ops} hint op(s) in {total_ops}");
+    }
     let faults = [
         WriteFault::DropWrite,
         WriteFault::Torn { keep: 3 },
@@ -320,9 +415,18 @@ fn retired_mc_trial_frames_open_clean_and_compact_away() {
     assert!(recovery.is_clean(), "retired frames are not damage: {recovery:?}");
     assert_eq!(recovery.quarantined_frames, 0);
     assert_eq!(recovery.live_frames, 4, "only the live kinds are indexed");
+    assert!(recovery.scanned_bytes > 0, "the unhinted legacy frames were scanned");
     assert!(!dir.path().join(STORE_QUARANTINE_FILE).exists());
     let health = store.health();
     assert_eq!(health.dead_frames, 3, "the retired frames are dead weight");
+    drop(store);
+
+    // That open hinted them as dead frames: the next one reads no
+    // segment bytes and still counts them.
+    let (store, recovery) = open();
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!((recovery.scanned_bytes, recovery.live_frames), (0, 4));
+    assert_eq!(store.health().dead_frames, 3, "dead through the hint log");
 
     let summary = store.compact().expect("compaction");
     assert_eq!(summary.dropped_frames, 3);
@@ -336,8 +440,307 @@ fn retired_mc_trial_frames_open_clean_and_compact_away() {
     }
 }
 
+fn hint_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("seg-{id:06}.hint"))
+}
+
+fn segment_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("seg-{id:06}.seg"))
+}
+
+/// Segment bytes past the magic, summed over the listed segments.
+fn frame_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("store dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .map(|p| std::fs::metadata(p).expect("segment").len() - 8)
+        .sum()
+}
+
+/// The key → version map a store serves, with its live and dead frame
+/// counts and what its open quarantined.
+fn served(dir: &Path) -> (BTreeMap<u64, u64>, usize, usize, usize, StoreRecovery) {
+    let (store, recovery) = reopen(dir);
+    let map: BTreeMap<u64, u64> = store
+        .keys_of_kind(ArtifactKind::GraphRow)
+        .into_iter()
+        .filter_map(|key| {
+            store.get(ArtifactKind::GraphRow, key).map(|(_, v)| (key.0, version_of(&v)))
+        })
+        .collect();
+    let health = store.health();
+    (map, health.live_frames, health.dead_frames, recovery.quarantined_frames, recovery)
+}
+
+/// Copies the store directory without its hint logs: what a store
+/// written before hint logs existed looks like.
+fn copy_without_hints(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).expect("store dir").flatten() {
+        let path = entry.path();
+        if path.is_file() && path.extension().is_none_or(|e| e != "hint") {
+            std::fs::copy(&path, to.join(entry.file_name())).expect("copy store file");
+        }
+    }
+}
+
+/// Writes three syncs' worth of frames into one segment: three hint
+/// batches. Returns the served map.
+fn three_batches(dir: &Path) -> BTreeMap<u64, u64> {
+    let (store, _) =
+        SegmentStore::open(dir, StoreOptions::default(), Telemetry::noop()).expect("fresh store");
+    let mut expected = BTreeMap::new();
+    for batch in 0..3u64 {
+        for key in 0..4u64 {
+            let id = batch * 4 + key;
+            store
+                .append(ArtifactKind::GraphRow, Fingerprint(id), "D1", &payload(id, id))
+                .expect("append");
+            expected.insert(id, id);
+        }
+        store.sync().expect("sync");
+    }
+    expected
+}
+
+fn open_default(dir: &Path) -> (SegmentStore, StoreRecovery) {
+    SegmentStore::open(dir, StoreOptions::default(), Telemetry::noop()).expect("store opens")
+}
+
+fn versions(store: &SegmentStore) -> BTreeMap<u64, u64> {
+    store
+        .keys_of_kind(ArtifactKind::GraphRow)
+        .into_iter()
+        .map(|key| {
+            let (_, value) = store.get(ArtifactKind::GraphRow, key).expect("indexed key serves");
+            (key.0, version_of(&value))
+        })
+        .collect()
+}
+
+/// Byte offsets of each batch in a hint log: `[magic_end, b1_end, …]`.
+fn batch_ends(log: &[u8]) -> Vec<usize> {
+    let mut ends = vec![8];
+    let mut at = 8;
+    while at + 4 <= log.len() {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        at += 4 + len + 8;
+        ends.push(at);
+    }
+    ends
+}
+
+/// A torn final hint batch: open uses the batches before it, scans only
+/// the range the torn one covered, and rewrites the log so the next open
+/// scans nothing.
+#[test]
+fn a_torn_hint_tail_scans_only_its_range() {
+    let dir = TempDir::new("torn-hint");
+    let expected = three_batches(dir.path());
+    let log = std::fs::read(hint_path(dir.path(), 1)).expect("hint log");
+    let ends = batch_ends(&log);
+    assert_eq!(ends.len(), 4, "magic and three batches");
+    std::fs::write(hint_path(dir.path(), 1), &log[..ends[3] - 5]).expect("tear");
+
+    let (store, recovery) = open_default(dir.path());
+    assert!(recovery.is_clean(), "a torn hint is not damage: {recovery:?}");
+    assert_eq!(recovery.hinted_segments, 1);
+    let segment = std::fs::metadata(segment_path(dir.path(), 1)).unwrap().len();
+    assert!(recovery.scanned_bytes > 0 && recovery.scanned_bytes < segment - 8, "{recovery:?}");
+    assert_eq!(versions(&store), expected);
+    drop(store);
+    let (store, recovery) = open_default(dir.path());
+    assert_eq!(recovery.scanned_bytes, 0, "the scanned range was hinted");
+    assert_eq!(versions(&store), expected);
+}
+
+/// A bit flipped in the first hint batch invalidates it and every batch
+/// after it: open scans the whole segment, serves everything, and
+/// rewrites the log.
+#[test]
+fn a_flipped_hint_batch_falls_back_to_a_scan() {
+    let dir = TempDir::new("flip-hint");
+    let expected = three_batches(dir.path());
+    let mut log = std::fs::read(hint_path(dir.path(), 1)).expect("hint log");
+    log[20] ^= 0x10;
+    std::fs::write(hint_path(dir.path(), 1), &log).expect("flip");
+
+    let (store, recovery) = open_default(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!(recovery.hinted_segments, 0);
+    assert_eq!(recovery.scanned_bytes, frame_bytes(dir.path()));
+    assert_eq!(versions(&store), expected);
+    drop(store);
+    let (_, recovery) = open_default(dir.path());
+    assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (1, 0));
+}
+
+/// A hint batch that claims bytes past the segment's end (the segment
+/// lost its tail after the hint was written) is invalid; open scans from
+/// the previous batch, and cuts the stale batch out of the log so it can
+/// never turn valid once the segment grows back past it.
+#[test]
+fn a_hint_beyond_the_segment_end_is_ignored_and_dropped() {
+    let dir = TempDir::new("beyond-hint");
+    three_batches(dir.path());
+    let log = std::fs::read(hint_path(dir.path(), 1)).expect("hint log");
+    let ends = batch_ends(&log);
+    // The last batch starts where the second ended: cut the segment back
+    // to the first frame of the third sync.
+    let third_start = u64::from_le_bytes(log[ends[2] + 4..ends[2] + 12].try_into().unwrap());
+    let segment = segment_path(dir.path(), 1);
+    let bytes = std::fs::read(&segment).unwrap();
+    std::fs::write(&segment, &bytes[..third_start as usize]).unwrap();
+
+    let (store, recovery) = open_default(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (1, 0));
+    assert_eq!(store.len(), 8, "the two surviving syncs' frames");
+    // Grow the segment past the stale batch's end with other frames.
+    for key in 0..8u64 {
+        store
+            .append(ArtifactKind::GraphRow, Fingerprint(100 + key), "D1", &payload(key, 100 + key))
+            .unwrap();
+    }
+    store.sync().unwrap();
+    let expected = versions(&store);
+    drop(store);
+    let (store, recovery) = open_default(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!(recovery.scanned_bytes, 0);
+    assert_eq!(versions(&store), expected);
+    assert_eq!(store.health().quarantined_frames, 0, "no slot points at a wrong frame");
+}
+
+/// A hint log whose segment is gone (an interrupted compaction or
+/// rotation) is removed by open, and is no repair.
+#[test]
+fn an_orphan_hint_log_is_removed() {
+    let dir = TempDir::new("orphan-hint");
+    let expected = three_batches(dir.path());
+    std::fs::copy(hint_path(dir.path(), 1), hint_path(dir.path(), 7)).expect("orphan");
+    let (store, recovery) = open_default(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert!(!hint_path(dir.path(), 7).exists());
+    assert_eq!(versions(&store), expected);
+}
+
+/// A store written before hint logs existed has the same segments and
+/// frames: its first open scans everything and writes the hints, and
+/// every later open scans nothing.
+#[test]
+fn a_pre_hint_store_is_scanned_once_then_hinted() {
+    let written = TempDir::new("pre-hint-src");
+    let dir = TempDir::new("pre-hint");
+    {
+        let (store, _) = reopen(written.path());
+        run_workload(&store, 40, 7, 3);
+    }
+    copy_without_hints(written.path(), dir.path());
+    let segments = std::fs::read_dir(dir.path())
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "seg"))
+        .count();
+    assert!(segments > 1, "the workload rotated");
+
+    let (store, recovery) = reopen(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!(recovery.hinted_segments, 0);
+    assert_eq!(recovery.scanned_bytes, frame_bytes(dir.path()));
+    let first = (versions(&store), store.health().dead_frames);
+    drop(store);
+    let (store, recovery) = reopen(dir.path());
+    assert!(recovery.is_clean(), "{recovery:?}");
+    assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (segments, 0));
+    assert_eq!((versions(&store), store.health().dead_frames), first);
+}
+
+/// One operation of a random store workload.
+#[derive(Debug, Clone)]
+enum Op {
+    Append(u64),
+    Sync,
+    Compact,
+}
+
+/// Appends two thirds of the time (over six keys), syncs two ninths and
+/// compacts one ninth.
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u64..9).prop_map(|n| match n {
+        0..=5 => Op::Append(n),
+        6 | 7 => Op::Sync,
+        _ => Op::Compact,
+    })
+}
+
+/// Runs `ops` (the version of an append is its position), stopping at the
+/// first error as a crashed process would.
+fn run_ops(store: &SegmentStore, ops: &[Op]) {
+    for (version, op) in ops.iter().enumerate() {
+        let result = match op {
+            Op::Append(key) => store.append(
+                ArtifactKind::GraphRow,
+                Fingerprint(*key),
+                "D1",
+                &payload(*key, version as u64),
+            ),
+            Op::Sync => store.sync(),
+            Op::Compact => store.compact().map(|_| ()),
+        };
+        if result.is_err() {
+            return;
+        }
+    }
+    store.sync().ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A hinted open serves exactly what a full-scan open of the same
+    /// directory serves — the same key → value map, the same live and
+    /// dead frame counts, the same quarantine — over random append, sync,
+    /// rotate and compact workloads, with and without a crash.
+    #[test]
+    fn a_hinted_open_equals_a_full_scan_open(
+        ops in proptest::collection::vec(arb_op(), 1..40),
+        crashes in any::<bool>(),
+        crash_seed in 0u64..10_000,
+        fault in prop_oneof![
+            Just(WriteFault::DropWrite),
+            (0usize..128).prop_map(|keep| WriteFault::Torn { keep }),
+            (0usize..4096).prop_map(|bit| WriteFault::BitFlip { bit }),
+        ],
+    ) {
+        let dir = TempDir::new("equiv");
+        let fs: Arc<dyn StoreFs> = match crashes.then_some((crash_seed, fault)) {
+            Some((seed, fault)) => {
+                let count = TempDir::new("equiv-count");
+                let counter = Arc::new(FailpointFs::counting());
+                let (store, _) = open_with(count.path(), counter.clone()).expect("counting open");
+                run_ops(&store, &ops);
+                drop(store);
+                Arc::new(FailpointFs::new(seed % counter.ops_performed().max(1), fault))
+            }
+            None => Arc::new(RealFs),
+        };
+        if let Ok((store, _)) = open_with(dir.path(), fs) {
+            run_ops(&store, &ops);
+        }
+        let scanned = TempDir::new("equiv-scan");
+        copy_without_hints(dir.path(), scanned.path());
+        let (map, live, dead, quarantined, hinted) = served(dir.path());
+        let (scan_map, scan_live, scan_dead, scan_quarantined, full) = served(scanned.path());
+        prop_assert_eq!(&map, &scan_map);
+        prop_assert_eq!((live, dead, quarantined), (scan_live, scan_dead, scan_quarantined));
+        prop_assert!(hinted.scanned_bytes <= full.scanned_bytes, "{:?} vs {:?}", hinted, full);
+        if !crashes {
+            // A clean close leaves every synced byte hinted.
+            prop_assert_eq!(hinted.scanned_bytes, 0);
+        }
+    }
 
     /// Random workload shape × random crash point × random fault mode:
     /// the recovery invariants hold. The crash point is taken modulo the
