@@ -142,7 +142,8 @@ pub fn ssam_model() -> (SsamModel, Idx<Component>) {
 }
 
 /// Builds the Table I example: a Phase Locked Loop with three failure
-/// modes, their impact classification modelled as [`FailureEffect`]s
+/// modes, their impact classification modelled as
+/// [`FailureEffect`](decisive_ssam::architecture::FailureEffect)s
 /// (lower frequency DVF, higher frequency IVF, jitter DVF), and the two
 /// safety mechanisms of the table (time-out watchdog 70 % on lower
 /// frequency, dual-core lockstep 99 % on jitter).

@@ -34,14 +34,12 @@ use std::sync::Arc;
 
 use decisive::core::fmea::graph::{self, GraphAlgorithm, GraphConfig};
 use decisive::core::monitor::RuntimeMonitor;
-use decisive::core::reliability::ReliabilityDb;
 use decisive::core::request::{AnalysisOp, AnalysisRequest, RunSpec};
 use decisive::core::{case_study, metrics, persist};
-use decisive::engine::Engine;
+use decisive::engine::{Engine, EngineError, OpArtifact, OpOutput};
 use decisive::obs::{RecordingSink, Telemetry};
-use decisive::output::{
-    self, AnalyzeOutput, MonteCarloOutput, PassesOutput, PipelineOutput, RecommendOutput,
-};
+use decisive::output::{self, PassesOutput};
+use decisive::ssam::id::Idx;
 use decisive::ssam::model::SsamModel;
 
 /// CLI failures, split by who got it wrong: `Usage` is the caller's
@@ -248,15 +246,8 @@ fn load(path: &str) -> Result<SsamModel, CliError> {
     persist::load_model(path).map_err(|e| CliError::Failure(e.to_string()))
 }
 
-fn top_of(
-    model: &SsamModel,
-) -> Result<decisive::ssam::id::Idx<decisive::ssam::architecture::Component>, CliError> {
-    model
-        .components
-        .iter()
-        .find(|(_, c)| c.parent.is_none())
-        .map(|(i, _)| i)
-        .ok_or_else(|| CliError::Failure("model has no top-level component".to_owned()))
+fn top_of(model: &SsamModel) -> Result<Idx<decisive::ssam::architecture::Component>, CliError> {
+    decisive::engine::execute::top_of(model).map_err(|e| CliError::Failure(e.to_string()))
 }
 
 fn cmd_import(args: &[String]) -> Result<(), CliError> {
@@ -333,53 +324,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--metrics",
         ],
     )?;
-    let format = output_format(args)?;
-    let request = analysis_request(AnalysisOp::Analyze, "analyze", args)?;
-    if request.path.ends_with(".bd") {
-        return analyze_diagram(&request, args);
-    }
-    let model = load(&request.path)?;
-    let top = top_of(&model)?;
-    let (mut engine, sink) = engine_from_flags(args)?;
-    install_interrupt_flush(args, sink.as_ref());
-    // The trace is flushed even when the analysis fails — that is when
-    // the spans are most interesting.
-    let result = (|| {
-        let table = engine.analyze_graph(&model, top).map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
-        match format {
-            OutputFormat::Text => {
-                print_table(&table, args)?;
-                print!("{}", engine.stats().render());
-                print!("{}", engine.degraded_report().render());
-            }
-            OutputFormat::Json => {
-                write_table_files(&table, args, true)?;
-                println!(
-                    "{}",
-                    output::to_json_string(&AnalyzeOutput::new(table, &engine))
-                        .map_err(CliError::Failure)?
-                );
-            }
-        }
-        enforce_strict(request.spec.strict, &engine)
-    })();
-    finish_observability(args, sink)?;
-    result
-}
-
-/// Builds the verb's [`AnalysisRequest`]: the one positional path plus the
-/// unified run spec parsed out of the flag list.
-fn analysis_request(
-    op: AnalysisOp,
-    command: &str,
-    args: &[String],
-) -> Result<AnalysisRequest, CliError> {
-    let path = one_path(command, args)?;
-    let spec = RunSpec::from_args(args).map_err(CliError::usage)?;
-    Ok(AnalysisRequest::new(op, path, spec))
+    run_verb(AnalysisOp::Analyze, args)
 }
 
 /// `decisive pipeline`: one full DECISIVE iteration through the pass
@@ -406,112 +351,167 @@ fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
             "--metrics",
         ],
     )?;
+    run_verb(AnalysisOp::Pipeline, args)
+}
+
+/// Flag set shared by `montecarlo` and `recommend` (the `montecarlo`-only
+/// `--trials`/`--seed` flags are harmless aliases of spec defaults for
+/// `recommend`, so both verbs accept the full unified-request set).
+const STOCHASTIC_FLAGS: [&str; 11] = [
+    "--cache",
+    "--jobs",
+    "--deadline-ms",
+    "--reliability",
+    "--solver",
+    "--strict",
+    "--trials",
+    "--seed",
+    "--format",
+    "--trace-out",
+    "--metrics",
+];
+
+/// `decisive montecarlo`: a stochastic injection campaign — `--trials`
+/// perturbed reliability annexes (lognormal FIT noise, jittered
+/// distribution shares) re-weighting the verdicts of one supervised
+/// injection sweep, and the three architecture metrics reported as mean
+/// ± 95 % CI. The sweep's campaign health is what `--strict` checks.
+/// Seeded by `--seed`; the report is bitwise identical for a given seed
+/// regardless of `--jobs` or cache warmth.
+fn cmd_montecarlo(args: &[String]) -> Result<(), CliError> {
+    check_flags("montecarlo", args, &STOCHASTIC_FLAGS)?;
+    run_verb(AnalysisOp::MonteCarlo, args)
+}
+
+/// `decisive recommend`: match the safety-pattern catalog (comparison
+/// monitor, redundant channel, watchdog, range check) against every
+/// uncovered failure mode of the analysed design, score the candidate
+/// deployments with the Pareto search, and print the ranked table with
+/// projected SPFM/LFM/PMHF deltas.
+fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
+    check_flags("recommend", args, &STOCHASTIC_FLAGS)?;
+    run_verb(AnalysisOp::Recommend, args)
+}
+
+/// An analysis verb after its flag check: the one positional path plus
+/// the unified run spec parsed out of the flag list, executed.
+fn run_verb(op: AnalysisOp, args: &[String]) -> Result<(), CliError> {
     let format = output_format(args)?;
-    let request = analysis_request(AnalysisOp::Pipeline, "pipeline", args)?;
+    let path = one_path(op.name(), args)?;
+    let spec = RunSpec::from_args(args).map_err(CliError::usage)?;
+    run_request(&AnalysisRequest::new(op, path, spec), format, args)
+}
+
+/// Executes `request` on an engine built from the flags and renders the
+/// run. The trace is flushed even when the analysis fails — that is when
+/// the spans are most interesting.
+fn run_request(
+    request: &AnalysisRequest,
+    format: OutputFormat,
+    args: &[String],
+) -> Result<(), CliError> {
     let (mut engine, sink) = engine_from_flags(args)?;
     install_interrupt_flush(args, sink.as_ref());
-    let result = run_pipeline_verb(&request, args, format, &mut engine);
+    let result = execute_and_render(request, format, args, &mut engine);
     finish_observability(args, sink)?;
     result
 }
 
-/// The `pipeline` body proper, split out so `cmd_pipeline` can flush the
-/// trace regardless of how the run ends.
-fn run_pipeline_verb(
+/// Executes, persists and prints one request, then applies `--strict`.
+fn execute_and_render(
     request: &AnalysisRequest,
-    args: &[String],
     format: OutputFormat,
+    args: &[String],
     engine: &mut Engine,
 ) -> Result<(), CliError> {
-    let path = request.path.as_str();
-    let spec = &request.spec;
-    let mission_hours = spec.mission_hours_or_default();
-    // Both arms keep the loaded data alive for the borrow-carrying input.
-    let diagram;
-    let reliability;
-    let model;
-    let (pipeline, input) = if path.ends_with(".bd") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        diagram = decisive::blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-        reliability = load_reliability(spec, engine)?;
-        let mut ssam = decisive::blocks::to_ssam(&diagram);
-        reliability.aggregate_into(&mut ssam);
-        model = ssam;
-        let top = top_of(&model)?;
-        let input = decisive::engine::PipelineInput::for_model(&model, top)
-            .with_diagram(&diagram, &reliability)
-            .with_injection_config(spec.injection_config())
-            .with_mission_hours(mission_hours);
-        (decisive::engine::Pipeline::standard(true), input)
-    } else {
-        model = load(path)?;
-        let top = top_of(&model)?;
-        let input = decisive::engine::PipelineInput::for_model(&model, top)
-            .with_mission_hours(mission_hours);
-        (decisive::engine::Pipeline::standard(false), input)
-    };
-
-    let run = match engine.run_pipeline(&pipeline, &input) {
-        Ok(run) => run,
+    let output = match engine.execute(request) {
+        Ok(output) => output,
         Err(e) => {
             // The campaign breaker (and any other pass failure) still
-            // leaves health, stats and degradation behind — print them,
-            // the operator needs the failed-case list most on failure.
-            if let Some(health) = engine.campaign_health() {
-                print!("{}", health.render());
+            // leaves health and degradation behind. `analyze` and
+            // `pipeline` print them: the operator needs the failed-case
+            // list most on failure.
+            if matches!(request.op, AnalysisOp::Analyze | AnalysisOp::Pipeline) {
+                if let Some(health) = engine.campaign_health() {
+                    print!("{}", health.render());
+                }
             }
-            print!("{}", engine.degraded_report().render());
-            return Err(CliError::Failure(e.to_string()));
+            if request.op == AnalysisOp::Pipeline {
+                print!("{}", engine.degraded_report().render());
+            }
+            return Err(cli_error(e));
         }
     };
     if let Some(dir) = flag_value(args, "--cache") {
         engine.save_cache(dir).map_err(|e| e.to_string())?;
     }
-    if format == OutputFormat::Json {
-        if let Some(table) = run.fmea() {
-            write_table_files(table, args, true)?;
+    match format {
+        OutputFormat::Json => {
+            if let Some(table) = output.fmea() {
+                write_table_files(table, args, true)?;
+            }
+            let document = output::document(output, engine).map_err(CliError::Failure)?;
+            println!("{}", decisive::federation::json::to_string(&document));
         }
-        println!(
-            "{}",
-            output::to_json_string(&PipelineOutput::new(&run, engine))
-                .map_err(CliError::Failure)?
-        );
-        return enforce_strict(spec.strict, engine);
+        OutputFormat::Text => print_run(&output, engine, args)?,
     }
-    if let Some(table) = run.fmea() {
-        print_table(table, args)?;
+    engine.enforce_strict(request.spec.strict).map_err(cli_error)
+}
+
+/// An engine error as a CLI error: asking `montecarlo` or `recommend` of
+/// a non-`.bd` path is the caller's mistake, everything else a failure.
+fn cli_error(error: EngineError) -> CliError {
+    match error {
+        EngineError::NotADiagram { .. } => CliError::Usage(error.to_string()),
+        other => CliError::Failure(other.to_string()),
     }
-    if let Some(subtrees) = run.fta() {
-        for summary in subtrees {
-            if summary.analysable {
-                println!(
-                    "# fta {}: top probability {:.3e}, {} single point(s), {} cut set(s)",
-                    summary.container,
-                    summary.top_probability,
-                    summary.single_points.len(),
-                    summary.minimal_cut_sets.len(),
-                );
+}
+
+/// The text rendering of a finished run: the table or report, then the
+/// campaign health (whose render includes the absorbed degraded-mode
+/// report) or the degraded-mode report alone, and the phase stats.
+fn print_run(output: &OpOutput, engine: &Engine, args: &[String]) -> Result<(), CliError> {
+    let stats = engine.stats().render();
+    let degraded = engine.degraded_report().render();
+    let health = engine.campaign_health().map(|health| health.render());
+    match &output.artifact {
+        OpArtifact::Fmea(table) => {
+            print_table(table, args)?;
+            match health {
+                Some(health) => print!("{health}{stats}"),
+                None => print!("{stats}{degraded}"),
             }
         }
+        OpArtifact::Pipeline(run) => {
+            if let Some(table) = run.fmea() {
+                print_table(table, args)?;
+            }
+            for summary in run.fta().unwrap_or_default() {
+                if summary.analysable {
+                    println!(
+                        "# fta {}: top probability {:.3e}, {} single point(s), {} cut set(s)",
+                        summary.container,
+                        summary.top_probability,
+                        summary.single_points.len(),
+                        summary.minimal_cut_sets.len(),
+                    );
+                }
+            }
+            if let Some(monitor) = run.monitor() {
+                println!("# monitors: {} runtime check(s)", monitor.checks().len());
+            }
+            if let Some(risk) = run.risk_log() {
+                print!("{}", risk.render());
+            }
+            if let Some(assurance) = run.assurance() {
+                print!("{}", assurance.render());
+            }
+            print!("{}{stats}", health.unwrap_or(degraded));
+        }
+        OpArtifact::MonteCarlo(report) => print!("{}{degraded}{stats}", report.render()),
+        OpArtifact::Recommend(report) => print!("{}{degraded}{stats}", report.render()),
     }
-    if let Some(monitor) = run.monitor() {
-        println!("# monitors: {} runtime check(s)", monitor.checks().len());
-    }
-    if let Some(risk) = run.risk_log() {
-        print!("{}", risk.render());
-    }
-    if let Some(assurance) = run.assurance() {
-        print!("{}", assurance.render());
-    }
-    // The campaign-health render includes the absorbed degraded-mode
-    // report, so it is not printed separately here.
-    if let Some(health) = engine.campaign_health() {
-        print!("{}", health.render());
-    } else {
-        print!("{}", engine.degraded_report().render());
-    }
-    print!("{}", engine.stats().render());
-    enforce_strict(spec.strict, engine)
+    Ok(())
 }
 
 /// `decisive passes`: the pass DAG in topological order, with each pass's
@@ -582,7 +582,7 @@ fn cmd_rerun(args: &[String]) -> Result<(), CliError> {
         // The injection cache is content-addressed by the whole circuit:
         // rows of an unchanged diagram are pure hits, any edit misses.
         let request = AnalysisRequest::new(AnalysisOp::Analyze, new_path, spec);
-        return analyze_diagram(&request, args);
+        return run_request(&request, output_format(args)?, args);
     }
     let old_model = load(old_path)?;
     let new_model = load(new_path)?;
@@ -599,242 +599,10 @@ fn cmd_rerun(args: &[String]) -> Result<(), CliError> {
         print_table(&table, args)?;
         print!("{}", engine.stats().render());
         print!("{}", engine.degraded_report().render());
-        enforce_strict(spec.strict, &engine)
+        engine.enforce_strict(spec.strict).map_err(cli_error)
     })();
     finish_observability(args, sink)?;
     result
-}
-
-/// The block-diagram arm of `analyze`/`rerun`: a supervised fault-injection
-/// campaign through the incremental engine, with the campaign-health report
-/// printed after the table — even when the campaign breaker aborts the run,
-/// since that is exactly when the failed-case list matters.
-fn analyze_diagram(request: &AnalysisRequest, args: &[String]) -> Result<(), CliError> {
-    let path = request.path.as_str();
-    let spec = &request.spec;
-    let format = output_format(args)?;
-    let (mut engine, sink) = engine_from_flags(args)?;
-    install_interrupt_flush(args, sink.as_ref());
-    let result = (|| {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let diagram = decisive::blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-        let reliability = load_reliability(spec, &mut engine)?;
-        let table = match engine.analyze_injection(&diagram, &reliability, &spec.injection_config())
-        {
-            Ok(table) => table,
-            Err(e) => {
-                if let Some(health) = engine.campaign_health() {
-                    print!("{}", health.render());
-                }
-                return Err(CliError::Failure(e.to_string()));
-            }
-        };
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
-        if format == OutputFormat::Json {
-            write_table_files(&table, args, true)?;
-            println!(
-                "{}",
-                output::to_json_string(&AnalyzeOutput::new(table, &engine))
-                    .map_err(CliError::Failure)?
-            );
-            return enforce_strict(spec.strict, &engine);
-        }
-        print_table(&table, args)?;
-        // The campaign-health render includes the absorbed degraded-mode
-        // report, so it is not printed separately here.
-        if let Some(health) = engine.campaign_health() {
-            print!("{}", health.render());
-        } else {
-            print!("{}", engine.degraded_report().render());
-        }
-        print!("{}", engine.stats().render());
-        enforce_strict(spec.strict, &engine)
-    })();
-    finish_observability(args, sink)?;
-    result
-}
-
-/// Flag set shared by `montecarlo` and `recommend` (the `montecarlo`-only
-/// `--trials`/`--seed` flags are harmless aliases of spec defaults for
-/// `recommend`, so both verbs accept the full unified-request set).
-const STOCHASTIC_FLAGS: [&str; 11] = [
-    "--cache",
-    "--jobs",
-    "--deadline-ms",
-    "--reliability",
-    "--solver",
-    "--strict",
-    "--trials",
-    "--seed",
-    "--format",
-    "--trace-out",
-    "--metrics",
-];
-
-/// Loads the `.bd` diagram a stochastic/recommendation verb applies to;
-/// the SSAM graph path has no injection campaign to sample or cover, so
-/// anything else is a usage error.
-fn load_diagram(request: &AnalysisRequest) -> Result<decisive::blocks::BlockDiagram, CliError> {
-    let path = request.path.as_str();
-    if !path.ends_with(".bd") {
-        return Err(CliError::usage(format!(
-            "`decisive {}` needs a `.bd` block-diagram path, got `{path}`",
-            request.op.name()
-        )));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    decisive::blocks::text::from_text(&text).map_err(|e| CliError::Failure(e.to_string()))
-}
-
-/// `decisive montecarlo`: a stochastic injection campaign — `--trials`
-/// perturbed reliability annexes (lognormal FIT noise, jittered
-/// distribution shares) re-weighting the verdicts of one supervised
-/// injection sweep, and the three architecture metrics reported as mean
-/// ± 95 % CI. The sweep's campaign health is what `--strict` checks.
-/// Seeded by `--seed`; the report is bitwise identical for a given seed
-/// regardless of `--jobs` or cache warmth.
-fn cmd_montecarlo(args: &[String]) -> Result<(), CliError> {
-    check_flags("montecarlo", args, &STOCHASTIC_FLAGS)?;
-    let format = output_format(args)?;
-    let request = analysis_request(AnalysisOp::MonteCarlo, "montecarlo", args)?;
-    let spec = &request.spec;
-    let (mut engine, sink) = engine_from_flags(args)?;
-    install_interrupt_flush(args, sink.as_ref());
-    let result = (|| {
-        let diagram = load_diagram(&request)?;
-        let reliability = load_reliability(spec, &mut engine)?;
-        let report = engine
-            .analyze_montecarlo(
-                &diagram,
-                &reliability,
-                &spec.injection_config(),
-                spec.trials,
-                spec.seed,
-            )
-            .map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
-        match format {
-            OutputFormat::Text => {
-                print!("{}", report.render());
-                print!("{}", engine.degraded_report().render());
-                print!("{}", engine.stats().render());
-            }
-            OutputFormat::Json => {
-                println!(
-                    "{}",
-                    output::to_json_string(&MonteCarloOutput::new(report, &engine))
-                        .map_err(CliError::Failure)?
-                );
-            }
-        }
-        enforce_strict(spec.strict, &engine)
-    })();
-    finish_observability(args, sink)?;
-    result
-}
-
-/// `decisive recommend`: match the safety-pattern catalog (comparison
-/// monitor, redundant channel, watchdog, range check) against every
-/// uncovered failure mode of the analysed design, score the candidate
-/// deployments with the Pareto search, and print the ranked table with
-/// projected SPFM/LFM/PMHF deltas.
-fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
-    check_flags("recommend", args, &STOCHASTIC_FLAGS)?;
-    let format = output_format(args)?;
-    let request = analysis_request(AnalysisOp::Recommend, "recommend", args)?;
-    let spec = &request.spec;
-    let (mut engine, sink) = engine_from_flags(args)?;
-    install_interrupt_flush(args, sink.as_ref());
-    let result = (|| {
-        let diagram = load_diagram(&request)?;
-        let reliability = load_reliability(spec, &mut engine)?;
-        let report = engine
-            .analyze_recommend(&diagram, &reliability, &spec.injection_config())
-            .map_err(|e| e.to_string())?;
-        if let Some(dir) = flag_value(args, "--cache") {
-            engine.save_cache(dir).map_err(|e| e.to_string())?;
-        }
-        match format {
-            OutputFormat::Text => {
-                print!("{}", report.render());
-                print!("{}", engine.degraded_report().render());
-                print!("{}", engine.stats().render());
-            }
-            OutputFormat::Json => {
-                println!(
-                    "{}",
-                    output::to_json_string(&RecommendOutput::new(report, &engine))
-                        .map_err(CliError::Failure)?
-                );
-            }
-        }
-        enforce_strict(spec.strict, &engine)
-    })();
-    finish_observability(args, sink)?;
-    result
-}
-
-/// Resolves the spec's reliability override. Without `strict` the file is
-/// loaded leniently: malformed rows degrade per the MIL-HDBK-338B defaults
-/// (one provenance warning each), and a missing file falls back to the
-/// paper's Table II with an unresolved-reference entry — all recorded in
-/// the engine's degraded-mode report. Under `strict` any defect is an
-/// immediate failure.
-fn load_reliability(spec: &RunSpec, engine: &mut Engine) -> Result<ReliabilityDb, CliError> {
-    let strict = spec.strict;
-    let Some(csv) = spec.reliability.as_deref() else {
-        return Ok(ReliabilityDb::paper_table_ii());
-    };
-    match std::fs::read_to_string(csv) {
-        Ok(text) if strict => ReliabilityDb::from_csv_str(&text).map_err(|e| e.to_string().into()),
-        Ok(text) => {
-            let load = ReliabilityDb::from_csv_str_lenient(&text, csv);
-            let degraded = engine.degraded_report_mut();
-            degraded.substituted_fits.extend(load.substitutions);
-            degraded.notes.extend(load.diagnostics.iter().map(ToString::to_string));
-            Ok(load.db)
-        }
-        Err(e) if strict => Err(CliError::Failure(format!("{csv}: {e}"))),
-        Err(e) => {
-            engine
-                .degraded_report_mut()
-                .unresolved_references
-                .push(format!("{csv}: {e}; used paper Table II defaults"));
-            Ok(ReliabilityDb::paper_table_ii())
-        }
-    }
-}
-
-/// Applies `--strict`: any unsolvable or panicked campaign case fails the
-/// invocation even though its row was conservatively classified, and any
-/// degradation (quarantined cache entries, substituted FITs, unresolved
-/// references, timed-out jobs) is promoted to a failure. A pristine run
-/// without campaign health (the SSAM graph path) passes vacuously.
-fn enforce_strict(strict: bool, engine: &Engine) -> Result<(), CliError> {
-    if !strict {
-        return Ok(());
-    }
-    if let Some(health) = engine.campaign_health() {
-        let failed = health.unsolvable + health.panicked;
-        if failed > 0 {
-            return Err(CliError::Failure(format!(
-                "--strict: {failed} campaign case(s) unsolvable or panicked: {}",
-                health.failed_cases.join(", ")
-            )));
-        }
-    }
-    let degraded = engine.degraded_report();
-    if degraded.is_degraded() {
-        return Err(CliError::Failure(format!(
-            "--strict: run degraded in {} way(s) (see degraded-mode report above)",
-            degraded.degradation_count()
-        )));
-    }
-    Ok(())
 }
 
 /// Builds an [`Engine`] through [`Engine::builder`] from

@@ -7,7 +7,8 @@
 //! Each analysis is an [`crate::pass::AnalysisPass`]; the `analyze_*`
 //! methods below are thin wrappers that run one pass on its own, while
 //! [`Engine::run_pipeline`] (in [`crate::pipeline`]) executes the whole
-//! DAG with cross-pass parallelism.
+//! DAG with cross-pass parallelism. Front ends run the four analysis ops
+//! through [`Engine::execute`] (in [`crate::execute`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -84,14 +85,6 @@ impl EngineConfig {
         self
     }
 }
-
-/// File name of the persisted campaign-health report inside a cache
-/// directory, written next to [`crate::cache::CACHE_FILE`].
-pub const CAMPAIGN_FILE: &str = "campaign.json";
-
-/// Quarantine destination of a malformed [`CAMPAIGN_FILE`]: the bytes are
-/// preserved for post-mortem and the report restarts cold.
-pub const CAMPAIGN_QUARANTINE_FILE: &str = "campaign.quarantine.json";
 
 /// Quantified fault subtree of one container (see `Engine::analyze_fta`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -205,9 +198,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Loads the persisted cache (and campaign report) from `dir` at
-    /// [`EngineBuilder::build`] time — the builder equivalent of
-    /// [`Engine::load_cache`]. Overrides [`EngineBuilder::cache`].
+    /// Opens the durable store under `dir` at [`EngineBuilder::build`]
+    /// time. Overrides [`EngineBuilder::cache`]; cannot be combined with
+    /// [`EngineBuilder::shared_store`].
     pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -230,14 +223,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, loading the persisted cache when
+    /// Builds the engine, opening the durable store when
     /// [`EngineBuilder::cache_dir`] was set.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Cache`] when the cache directory exists but
-    /// cannot be read (corruption is quarantined, not fatal — see
-    /// [`Engine::load_cache`]).
+    /// [`EngineError::ConflictingStores`] when both a cache directory and
+    /// a shared store were set; otherwise the store's error when the
+    /// cache directory exists but cannot be opened (corruption is
+    /// quarantined, not fatal).
     pub fn build(self) -> Result<Engine> {
         let mut engine = Engine::with_cache(self.config, self.cache.unwrap_or_default());
         engine.telemetry = self.telemetry;
@@ -256,17 +250,9 @@ impl EngineBuilder {
                 engine.stats.quarantined_entries += recovery.quarantined_frames;
                 engine.degraded.quarantined_cache_entries += recovery.quarantined_frames;
                 engine.degraded.notes.extend(recovery.notes.iter().cloned());
-                engine.load_campaign(&dir)?;
                 engine.cache.attach_shared(shared);
             }
-            (Some(dir), Some(shared)) => {
-                // An explicit shared layer supplies its own persistence;
-                // the cache dir then loads the legacy wholesale JSON.
-                // Attached last: `load_cache` replaces the store
-                // wholesale, which would detach the shared layer.
-                engine.load_cache(&dir)?;
-                engine.cache.attach_shared(shared);
-            }
+            (Some(_), Some(_)) => return Err(EngineError::ConflictingStores),
             (None, Some(shared)) => engine.cache.attach_shared(shared),
             (None, None) => {}
         }
@@ -341,8 +327,9 @@ impl Engine {
     }
 
     /// The health report of the most recent supervised injection campaign
-    /// ([`Engine::analyze_injection`]), whether it ran cold, warm, or was
-    /// restored by [`Engine::load_cache`]. `None` before any campaign.
+    /// ([`Engine::analyze_injection`]), cold or warm: cached injection
+    /// rows carry their outcomes, so a warm run rebuilds the same report.
+    /// `None` before any campaign.
     pub fn campaign_health(&self) -> Option<&CampaignHealth> {
         self.last_campaign.as_ref()
     }
@@ -351,13 +338,6 @@ impl Engine {
     /// far instead of failing. Empty for pristine runs.
     pub fn degraded_report(&self) -> &DegradedModeReport {
         &self.degraded
-    }
-
-    /// Mutable access to the degraded-mode report, for callers (like the
-    /// CLI) that degrade on the engine's behalf — e.g. a reliability file
-    /// loaded leniently.
-    pub fn degraded_report_mut(&mut self) -> &mut DegradedModeReport {
-        &mut self.degraded
     }
 
     /// Frames the durable store behind this engine has quarantined so
@@ -383,14 +363,11 @@ impl Engine {
         }
     }
 
-    /// Loads the cache persisted in `dir` (empty when absent), restoring
-    /// the campaign-health report persisted next to it when present.
+    /// Loads the v3 JSON cache persisted in `dir` (empty when absent).
     ///
     /// Corruption is not fatal: cache entries failing validation are
-    /// quarantined and recomputed ([`CacheStore::load_with_report`]), and
-    /// a malformed campaign report is moved to
-    /// [`CAMPAIGN_QUARANTINE_FILE`]. Both are recorded in
-    /// [`Engine::degraded_report`] and the engine stats.
+    /// quarantined and recomputed ([`CacheStore::load_with_report`]),
+    /// recorded in [`Engine::degraded_report`] and the engine stats.
     ///
     /// # Errors
     ///
@@ -403,45 +380,13 @@ impl Engine {
         self.stats.quarantined_entries += report.quarantined;
         self.degraded.quarantined_cache_entries += report.quarantined;
         self.degraded.notes.extend(report.reasons);
-        self.load_campaign(dir)
-    }
-
-    /// Restores the campaign-health report persisted in `dir`, if any. A
-    /// malformed report is quarantined (earlier quarantine evidence is
-    /// rotated aside, never clobbered), not fatal: like the cache itself,
-    /// campaign history may be cold but never wrong.
-    fn load_campaign(&mut self, dir: &std::path::Path) -> Result<()> {
-        let file = dir.join(CAMPAIGN_FILE);
-        if file.exists() {
-            let bytes = std::fs::read(&file)
-                .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
-            let restored: Option<CampaignHealth> = String::from_utf8(bytes.clone())
-                .ok()
-                .and_then(|text| decisive_federation::json::parse(&text).ok())
-                .and_then(|value| decisive_federation::serde_bridge::from_value(&value).ok());
-            match restored {
-                Some(health) => self.last_campaign = Some(health),
-                None => {
-                    let quarantine = dir.join(CAMPAIGN_QUARANTINE_FILE);
-                    crate::cache::rotate_quarantine(&quarantine);
-                    if std::fs::rename(&file, &quarantine).is_err() {
-                        let _ = std::fs::write(&quarantine, &bytes);
-                        let _ = std::fs::remove_file(&file);
-                    }
-                    self.degraded.notes.push(format!(
-                        "campaign report `{}` was malformed; moved to `{CAMPAIGN_QUARANTINE_FILE}`",
-                        file.display()
-                    ));
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Persists the cache into `dir`, along with the latest campaign-health
-    /// report (as [`CAMPAIGN_FILE`]) when an injection campaign has run.
-    /// Both files are written atomically (temp file + fsync + rename), so
-    /// a crash mid-save leaves the previous files intact.
+    /// Persists the cache into `dir`. A durable engine only fsyncs its
+    /// store; any other engine writes the v3 JSON cache atomically (temp
+    /// file + fsync + rename), so a crash mid-save leaves the previous
+    /// file intact.
     ///
     /// # Errors
     ///
@@ -456,13 +401,6 @@ impl Engine {
             self.cache.sync_durable()?;
         } else {
             self.cache.save(dir)?;
-        }
-        if let Some(health) = &self.last_campaign {
-            let value = decisive_federation::serde_bridge::to_value(health)
-                .map_err(|e| EngineError::Cache(format!("unserialisable campaign report: {e}")))?;
-            let file = dir.join(CAMPAIGN_FILE);
-            crate::cache::atomic_write(&file, &decisive_federation::json::to_string(&value))
-                .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
         }
         Ok(())
     }
@@ -737,6 +675,14 @@ mod tests {
         assert_eq!(second.stats().jobs_executed(), 0, "second engine is pure shared hits");
         assert_eq!(second.stats().cache_misses(), 0);
         assert!(shared.shared_hits() > 0);
+    }
+
+    #[test]
+    fn a_cache_dir_and_a_shared_store_do_not_combine() {
+        let dir = std::env::temp_dir().join(format!("decisive_engine_both_{}", std::process::id()));
+        let built = Engine::builder().cache_dir(&dir).shared_store(SharedStore::new()).build();
+        assert!(matches!(built, Err(EngineError::ConflictingStores)), "{built:?}");
+        assert!(!dir.exists(), "nothing is opened on the way to the error");
     }
 
     #[test]

@@ -37,6 +37,25 @@ pub enum EngineError {
         /// The missing pass it depends on.
         dependency: String,
     },
+    /// A request's model or reliability annex could not be read or
+    /// parsed (see [`Engine::execute`](crate::Engine::execute)).
+    Input(String),
+    /// `montecarlo` or `recommend` was asked of a model that is not a
+    /// `.bd` block diagram: only a diagram has an injection campaign to
+    /// sample or cover.
+    NotADiagram {
+        /// The op's name.
+        op: &'static str,
+        /// The model's path (or name, for a model already in memory).
+        path: String,
+    },
+    /// A `strict` run left campaign cases unsolved or degraded (see
+    /// [`Engine::enforce_strict`](crate::Engine::enforce_strict)).
+    Strict(String),
+    /// The builder was given both a cache directory and a shared store. A
+    /// cache directory opens a durable shared store of its own, so the
+    /// two cannot be combined.
+    ConflictingStores,
 }
 
 impl std::fmt::Display for EngineError {
@@ -55,6 +74,13 @@ impl std::fmt::Display for EngineError {
             EngineError::Pipeline(message) => write!(f, "pipeline: {message}"),
             EngineError::UnknownDependency { pass, dependency } => {
                 write!(f, "pipeline: pass `{pass}` depends on unknown pass `{dependency}`")
+            }
+            EngineError::Input(message) | EngineError::Strict(message) => f.write_str(message),
+            EngineError::NotADiagram { op, path } => {
+                write!(f, "`{op}` needs a `.bd` block-diagram path, got `{path}`")
+            }
+            EngineError::ConflictingStores => {
+                write!(f, "engine builder: `cache_dir` and `shared_store` cannot be combined")
             }
         }
     }

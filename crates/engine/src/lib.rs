@@ -25,11 +25,14 @@
 //! - [`engine`] — the [`Engine`] gluing it all together, with
 //!   [`Engine::verify_against_full`] and
 //!   [`Engine::verify_pipeline_against_full`] as the soundness escape
-//!   hatches.
+//!   hatches;
+//! - [`execute`] — [`Engine::execute`], the one executor for the four
+//!   analysis ops the CLI, the daemon and the fleet worker share.
 
 pub mod cache;
 pub mod engine;
 pub mod error;
+pub mod execute;
 pub mod fingerprint;
 pub mod model_fp;
 pub mod pass;
@@ -39,7 +42,8 @@ pub mod stats;
 pub mod store;
 
 pub use cache::{atomic_write, ArtifactKind, CacheStore, SharedStore};
-pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary, CAMPAIGN_FILE};
+pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary};
+pub use execute::{OpArtifact, OpOutput};
 
 /// The telemetry substrate, re-exported so engine users configure
 /// [`EngineBuilder::telemetry`] without a separate dependency.

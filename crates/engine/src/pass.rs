@@ -3,7 +3,7 @@
 //! logging, assurance-case evaluation — is an [`AnalysisPass`] producing a
 //! [`PassArtifact`] from content-addressed inputs. The incremental cache,
 //! per-job deadlines, campaign health and degraded-mode reporting live in
-//! **one** code path ([`PassContext::run_keyed`]) instead of one copy per
+//! **one** code path (`PassContext::run_keyed`) instead of one copy per
 //! analysis.
 //!
 //! Passes declare their dependencies by id ([`AnalysisPass::depends_on`]);
@@ -455,7 +455,7 @@ impl<'a> PassContext<'a> {
 
     /// Like [`PassContext::dep`], but hands out the shared handle so the
     /// artefact can outlive a later mutable borrow of the context (e.g.
-    /// across a [`PassContext::run_keyed`] call).
+    /// across a `PassContext::run_keyed` call).
     pub fn dep_arc(&self, id: &str) -> Result<Arc<PassArtifact>> {
         self.deps.get(id).cloned().ok_or_else(|| {
             EngineError::Pipeline(format!("dependency artefact `{id}` is not available"))

@@ -24,7 +24,7 @@
 //! torn tail is truncated and quarantined; everything before it is served.
 //!
 //! Opening the store costs O(frames), not O(bytes): each segment's hint
-//! log ([`hint`]) lists the frames of its synced prefix, so open builds
+//! log (`hint.rs`) lists the frames of its synced prefix, so open builds
 //! the in-memory `(kind, key) → (segment, offset)` index from the hints
 //! and reads and verifies only the bytes past each segment's last valid
 //! hint batch — nothing, after a clean close. Values are parsed lazily on

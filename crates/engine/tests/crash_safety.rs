@@ -10,9 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use decisive_core::campaign::{CampaignHealth, CaseOutcome, CaseReport};
 use decisive_engine::cache::QUARANTINE_FILE;
-use decisive_engine::{Engine, EngineConfig, CAMPAIGN_FILE};
+use decisive_engine::{Engine, EngineConfig};
 use decisive_workload::sets::chain_model;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -119,35 +118,6 @@ proptest! {
         }
     }
 
-    /// Corrupting `campaign.json` never panics and never fails the load:
-    /// the report is either restored intact or quarantined.
-    #[test]
-    fn corrupted_campaign_report_is_quarantined(corruption in arb_corruption()) {
-        let dir = TempDir::new("campaign");
-        seed_cache(dir.path());
-        let health = CampaignHealth::from_reports(&[CaseReport {
-            case: "D1/Open".to_owned(),
-            outcome: CaseOutcome::Converged,
-            iterations: 3,
-            wall_ms: 1.0,
-        }]);
-        let value = decisive_federation::serde_bridge::to_value(&health).expect("serialise");
-        let text = decisive_federation::json::to_string(&value);
-        let file = dir.path().join(CAMPAIGN_FILE);
-        std::fs::write(&file, corruption.apply(text.as_bytes())).expect("corrupt");
-
-        let mut engine = Engine::new(EngineConfig::with_jobs(1));
-        engine.load_cache(dir.path()).expect("corruption is never fatal");
-        match engine.campaign_health() {
-            Some(restored) => prop_assert_eq!(restored.total, 1),
-            None => {
-                // The malformed bytes were moved aside and noted.
-                prop_assert!(dir.path().join("campaign.quarantine.json").exists());
-                prop_assert!(engine.degraded_report().is_degraded());
-            }
-        }
-    }
-
     /// A stale temp file from a killed save never shadows or destroys the
     /// committed state, and the next save still lands atomically.
     #[test]
@@ -155,7 +125,6 @@ proptest! {
         let dir = TempDir::new("tmp");
         let expected = seed_cache(dir.path());
         std::fs::write(dir.path().join("cache.json.tmp"), &junk).expect("stale tmp");
-        std::fs::write(dir.path().join("campaign.json.tmp"), &junk).expect("stale tmp");
 
         let (model, top) = chain_model(4);
         let mut engine = Engine::new(EngineConfig::with_jobs(1));

@@ -12,9 +12,10 @@
 //!   and a *content* fingerprint, discovered from disk or generated
 //!   deterministically from a workload set.
 //! - [`worker`]: the process boundary — `decisive fleet-worker` reads task
-//!   lines on stdin and answers row lines on stdout, converting every
-//!   deterministic failure (bad model, pipeline error, panic) into a typed
-//!   `failed` row.
+//!   lines on stdin, runs each through
+//!   [`decisive_engine::Engine::execute`] and answers row lines on
+//!   stdout, converting every deterministic failure (bad model, pipeline
+//!   error, panic) into a typed `failed` row.
 //! - [`supervisor`]: the campaign — shards tasks over worker processes,
 //!   kills and respawns on deadline or death, retries with exponential
 //!   backoff, quarantines poison models, and journals every terminal row

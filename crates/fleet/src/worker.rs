@@ -14,14 +14,10 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use decisive_core::reliability::ReliabilityDb;
-use decisive_core::request::{AnalysisOp, RunSpec};
-use decisive_core::{metrics, persist};
-use decisive_engine::{Engine, Pipeline, PipelineInput, SharedStore};
+use decisive_core::metrics;
+use decisive_core::request::{AnalysisOp, AnalysisRequest, RunSpec};
+use decisive_engine::{Engine, OpArtifact, SharedStore};
 use decisive_federation::json;
-use decisive_ssam::architecture::Component;
-use decisive_ssam::id::Idx;
-use decisive_ssam::model::SsamModel;
 use decisive_workload::sets;
 
 use crate::report::{status, FleetRow};
@@ -49,32 +45,12 @@ fn env_matches(var: &str, id: &str) -> bool {
     std::env::var(var).map(|needle| !needle.is_empty() && id.contains(&needle)).unwrap_or(false)
 }
 
-fn top_of(model: &SsamModel) -> Result<Idx<Component>, String> {
-    model
-        .components
-        .iter()
-        .find(|(_, c)| c.parent.is_none())
-        .map(|(i, _)| i)
-        .ok_or_else(|| "model has no top-level component".to_owned())
-}
-
-/// The reliability annex a task's spec asks for: the override CSV when
-/// one is named (strictly parsed — a fleet row must not silently degrade),
-/// the paper's Table II otherwise.
-fn reliability_of(spec: &RunSpec) -> Result<ReliabilityDb, String> {
-    match spec.reliability.as_deref() {
-        None => Ok(ReliabilityDb::paper_table_ii()),
-        Some(csv) => {
-            let text = std::fs::read_to_string(csv).map_err(|e| format!("{csv}: {e}"))?;
-            ReliabilityDb::from_csv_str(&text).map_err(|e| e.to_string())
-        }
-    }
-}
-
 /// Analyses one task and reports the worker-side row fields (identity
 /// subset plus wall time and cache traffic; the supervisor owns attempts
 /// and shard). `op` selects the analysis: the full standard pipeline, or
-/// a seeded Monte-Carlo campaign for `.bd` tasks.
+/// a seeded Monte-Carlo campaign for `.bd` tasks. The spec's reliability
+/// annex parses strictly — a fleet row must not silently degrade — and no
+/// post-run `strict` check runs.
 ///
 /// # Errors
 ///
@@ -85,99 +61,40 @@ fn analyze(
     spec: &RunSpec,
     store: &SharedStore,
 ) -> Result<FleetRow, String> {
+    let op = match op {
+        AnalysisOp::Analyze | AnalysisOp::Pipeline => AnalysisOp::Pipeline,
+        AnalysisOp::MonteCarlo => AnalysisOp::MonteCarlo,
+        AnalysisOp::Recommend => {
+            return Err(format!("op `{}` is not a fleet operation", op.name()));
+        }
+    };
+    let spec = RunSpec { strict: true, ..spec.clone() };
     let mut engine =
         Engine::builder().jobs(1).shared_store(store.clone()).build().map_err(|e| e.to_string())?;
     let started = Instant::now();
-    let mission_hours = spec.mission_hours_or_default();
-
-    if op == AnalysisOp::MonteCarlo {
-        // A stochastic campaign needs an injection campaign to perturb;
-        // only `.bd` designs have one (workload sets generate SSAM
-        // graphs), so anything else is a typed failure row.
-        let TaskSource::File(path) = &task.source else {
-            return Err("montecarlo needs a `.bd` design; workload sets have no campaign".into());
-        };
-        if path.extension().is_none_or(|e| e != "bd") {
-            return Err(format!("montecarlo needs a `.bd` design, got `{}`", path.display()));
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let diagram = decisive_blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-        let reliability = reliability_of(spec)?;
-        let report = engine
-            .analyze_montecarlo(
-                &diagram,
-                &reliability,
-                &spec.injection_config(),
-                spec.trials,
-                spec.seed,
-            )
-            .map_err(|e| e.to_string())?;
-        let model = decisive_blocks::to_ssam(&diagram);
-        return Ok(FleetRow {
-            id: task.id.clone(),
-            content_fp: task.content_fp,
-            status: status::OK.to_owned(),
-            spfm: Some(report.spfm.mean),
-            spfm_half_width: Some(report.spfm.half_width),
-            asil: Some(metrics::achieved_asil(report.spfm.mean).to_string()),
-            elements: model.element_count() as u64,
-            error: None,
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            attempts: 0,
-            shard: 0,
-            cache_hits: engine.stats().cache_hits() as u64,
-            cache_misses: engine.stats().cache_misses() as u64,
-        });
-    }
-    if op != AnalysisOp::Pipeline && op != AnalysisOp::Analyze {
-        return Err(format!("op `{}` is not a fleet operation", op.name()));
-    }
-
-    // Both arms keep the loaded data alive for the borrow-carrying input.
-    let diagram;
-    let reliability;
-    let model;
-    let (pipeline, input) = match &task.source {
-        TaskSource::File(path) if path.extension().is_some_and(|e| e == "bd") => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            diagram = decisive_blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-            reliability = reliability_of(spec)?;
-            let mut ssam = decisive_blocks::to_ssam(&diagram);
-            reliability.aggregate_into(&mut ssam);
-            model = ssam;
-            let top = top_of(&model)?;
-            let input = PipelineInput::for_model(&model, top)
-                .with_diagram(&diagram, &reliability)
-                .with_injection_config(spec.injection_config())
-                .with_mission_hours(mission_hours);
-            (Pipeline::standard(true), input)
-        }
+    let output = match &task.source {
         TaskSource::File(path) => {
-            model = persist::load_model(path).map_err(|e| e.to_string())?;
-            let top = top_of(&model)?;
-            let input = PipelineInput::for_model(&model, top).with_mission_hours(mission_hours);
-            (Pipeline::standard(false), input)
+            engine.execute(&AnalysisRequest::new(op, path.to_string_lossy(), spec))
         }
         TaskSource::Workload { set, instance, seed } => {
             let set = sets::set_by_name(set).ok_or_else(|| format!("unknown set `{set}`"))?;
-            let (m, top) = sets::instance_model(&set, *instance, *seed);
-            model = m;
-            let input = PipelineInput::for_model(&model, top).with_mission_hours(mission_hours);
-            (Pipeline::standard(false), input)
+            let (model, _) = sets::instance_model(&set, *instance, *seed);
+            engine.execute_model(op, &model, &task.id, &spec)
         }
+    }
+    .map_err(|e| e.to_string())?;
+    let (spfm, spfm_half_width) = match &output.artifact {
+        OpArtifact::MonteCarlo(report) => (Some(report.spfm.mean), Some(report.spfm.half_width)),
+        _ => (output.fmea().map(|table| table.spfm()), None),
     };
-
-    let run = engine.run_pipeline(&pipeline, &input).map_err(|e| e.to_string())?;
-    let m = run.fmea().map(metrics::compute);
     Ok(FleetRow {
         id: task.id.clone(),
         content_fp: task.content_fp,
         status: status::OK.to_owned(),
-        spfm: m.as_ref().map(|m| m.spfm),
-        spfm_half_width: None,
-        asil: m.as_ref().map(|m| m.achieved_asil.to_string()),
-        elements: model.element_count() as u64,
+        spfm,
+        spfm_half_width,
+        asil: spfm.map(|spfm| metrics::achieved_asil(spfm).to_string()),
+        elements: output.elements() as u64,
         error: None,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         attempts: 0,

@@ -16,18 +16,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use decisive_core::persist;
-use decisive_core::reliability::ReliabilityDb;
-use decisive_core::request::RunSpec;
-use decisive_engine::{Engine, Pipeline, PipelineInput, SharedStore, StoreOptions, StoreRecovery};
-use decisive_federation::{json, serde_bridge, Value};
+use decisive_core::request::AnalysisRequest;
+use decisive_engine::{SharedStore, StoreOptions, StoreRecovery};
+use decisive_federation::{json, Value};
 use decisive_obs::Telemetry;
-use decisive_ssam::architecture::Component;
-use decisive_ssam::id::Idx;
-use decisive_ssam::model::SsamModel;
 
 use crate::interrupt;
-use crate::output::{AnalyzeOutput, MonteCarloOutput, PipelineOutput, RecommendOutput};
+use crate::output;
 use crate::protocol::{self, Request, RequestMeta, PROTOCOL_VERSION};
 use crate::session::{Session, SessionRegistry};
 
@@ -90,19 +85,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_owned()
     }
-}
-
-fn top_of(model: &SsamModel) -> Result<Idx<Component>, String> {
-    model
-        .components
-        .iter()
-        .find(|(_, c)| c.parent.is_none())
-        .map(|(i, _)| i)
-        .ok_or_else(|| "model has no top-level component".to_owned())
-}
-
-fn to_result<T: serde::Serialize>(document: &T) -> Result<Value, String> {
-    serde_bridge::to_value(document).map_err(|e| e.to_string())
 }
 
 impl Daemon {
@@ -237,10 +219,7 @@ impl Daemon {
 
     fn dispatch(&self, request: &Request) -> Result<Value, String> {
         match request {
-            Request::Analyze { meta, path, spec } => self.run_analyze(meta, path, spec),
-            Request::Pipeline { meta, path, spec } => self.run_pipeline(meta, path, spec),
-            Request::MonteCarlo { meta, path, spec } => self.run_montecarlo(meta, path, spec),
-            Request::Recommend { meta, path, spec } => self.run_recommend(meta, path, spec),
+            Request::Analysis { meta, request } => self.execute(meta, request),
             Request::Status { .. } => Ok(self.status_value()),
             Request::Shutdown { .. } => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -250,33 +229,11 @@ impl Daemon {
         }
     }
 
-    /// Resolves the effective reliability database: the request override,
-    /// else the daemon default, else the paper's Table II. Files load
-    /// leniently — defects degrade into the session's report, exactly as
-    /// the non-`--strict` CLI does.
-    fn load_reliability(&self, override_csv: Option<&str>, engine: &mut Engine) -> ReliabilityDb {
-        let Some(csv) = override_csv.or(self.options.reliability.as_deref()) else {
-            return ReliabilityDb::paper_table_ii();
-        };
-        match std::fs::read_to_string(csv) {
-            Ok(text) => {
-                let load = ReliabilityDb::from_csv_str_lenient(&text, csv);
-                let degraded = engine.degraded_report_mut();
-                degraded.substituted_fits.extend(load.substitutions);
-                degraded.notes.extend(load.diagnostics.iter().map(ToString::to_string));
-                load.db
-            }
-            Err(e) => {
-                engine
-                    .degraded_report_mut()
-                    .unresolved_references
-                    .push(format!("{csv}: {e}; used paper Table II defaults"));
-                ReliabilityDb::paper_table_ii()
-            }
-        }
-    }
-
-    fn run_analyze(&self, meta: &RequestMeta, path: &str, spec: &RunSpec) -> Result<Value, String> {
+    /// Runs one analysis op in the addressed session, as the CLI verb of
+    /// the same name would, with the daemon's reliability annex and
+    /// mission time standing in for those the request leaves unset. The
+    /// `strict` verdict is checked before answering.
+    fn execute(&self, meta: &RequestMeta, request: &AnalysisRequest) -> Result<Value, String> {
         let session = self.registry.get_or_create(&meta.session)?;
         let mut session = lock_session(&session);
         session.requests += 1;
@@ -284,114 +241,13 @@ impl Daemon {
         // Each response reports exactly its own run, as a fresh CLI
         // invocation would; the cache overlay stays warm.
         engine.reset_run_state();
-        let table = if path.ends_with(".bd") {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let diagram = decisive_blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-            let reliability = self.load_reliability(spec.reliability.as_deref(), engine);
-            engine
-                .analyze_injection(&diagram, &reliability, &spec.injection_config())
-                .map_err(|e| e.to_string())?
-        } else {
-            let model = persist::load_model(path).map_err(|e| e.to_string())?;
-            let top = top_of(&model)?;
-            engine.analyze_graph(&model, top).map_err(|e| e.to_string())?
-        };
-        to_result(&AnalyzeOutput::new(table, engine))
-    }
-
-    fn run_pipeline(
-        &self,
-        meta: &RequestMeta,
-        path: &str,
-        spec: &RunSpec,
-    ) -> Result<Value, String> {
-        let session = self.registry.get_or_create(&meta.session)?;
-        let mut session = lock_session(&session);
-        session.requests += 1;
-        let engine = &mut session.engine;
-        engine.reset_run_state();
-        let mission_hours = spec.mission_hours.or(self.options.mission_hours).unwrap_or(10_000.0);
-        // Both arms keep the loaded data alive for the borrow-carrying
-        // input, the same shape as the CLI's pipeline verb.
-        let diagram;
-        let reliability_db;
-        let model;
-        let (pipeline, input) = if path.ends_with(".bd") {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            diagram = decisive_blocks::text::from_text(&text).map_err(|e| e.to_string())?;
-            reliability_db = self.load_reliability(spec.reliability.as_deref(), engine);
-            let mut ssam = decisive_blocks::to_ssam(&diagram);
-            reliability_db.aggregate_into(&mut ssam);
-            model = ssam;
-            let top = top_of(&model)?;
-            let input = PipelineInput::for_model(&model, top)
-                .with_diagram(&diagram, &reliability_db)
-                .with_injection_config(spec.injection_config())
-                .with_mission_hours(mission_hours);
-            (Pipeline::standard(true), input)
-        } else {
-            model = persist::load_model(path).map_err(|e| e.to_string())?;
-            let top = top_of(&model)?;
-            let input = PipelineInput::for_model(&model, top).with_mission_hours(mission_hours);
-            (Pipeline::standard(false), input)
-        };
-        let run = engine.run_pipeline(&pipeline, &input).map_err(|e| e.to_string())?;
-        to_result(&PipelineOutput::new(&run, engine))
-    }
-
-    /// Loads the `.bd` diagram a stochastic/recommendation op applies to;
-    /// the graph-side SSAM path has no injection campaign to sample or
-    /// cover, so anything else is a typed error.
-    fn load_diagram(op: &str, path: &str) -> Result<decisive_blocks::BlockDiagram, String> {
-        if !path.ends_with(".bd") {
-            return Err(format!("`{op}` needs a `.bd` block-diagram path, got `{path}`"));
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        decisive_blocks::text::from_text(&text).map_err(|e| e.to_string())
-    }
-
-    fn run_montecarlo(
-        &self,
-        meta: &RequestMeta,
-        path: &str,
-        spec: &RunSpec,
-    ) -> Result<Value, String> {
-        let diagram = Self::load_diagram("montecarlo", path)?;
-        let session = self.registry.get_or_create(&meta.session)?;
-        let mut session = lock_session(&session);
-        session.requests += 1;
-        let engine = &mut session.engine;
-        engine.reset_run_state();
-        let reliability = self.load_reliability(spec.reliability.as_deref(), engine);
-        let report = engine
-            .analyze_montecarlo(
-                &diagram,
-                &reliability,
-                &spec.injection_config(),
-                spec.trials,
-                spec.seed,
-            )
-            .map_err(|e| e.to_string())?;
-        to_result(&MonteCarloOutput::new(report, engine))
-    }
-
-    fn run_recommend(
-        &self,
-        meta: &RequestMeta,
-        path: &str,
-        spec: &RunSpec,
-    ) -> Result<Value, String> {
-        let diagram = Self::load_diagram("recommend", path)?;
-        let session = self.registry.get_or_create(&meta.session)?;
-        let mut session = lock_session(&session);
-        session.requests += 1;
-        let engine = &mut session.engine;
-        engine.reset_run_state();
-        let reliability = self.load_reliability(spec.reliability.as_deref(), engine);
-        let report = engine
-            .analyze_recommend(&diagram, &reliability, &spec.injection_config())
-            .map_err(|e| e.to_string())?;
-        to_result(&RecommendOutput::new(report, engine))
+        let mut request = request.clone();
+        let spec = &mut request.spec;
+        spec.reliability = spec.reliability.take().or_else(|| self.options.reliability.clone());
+        spec.mission_hours = spec.mission_hours.or(self.options.mission_hours);
+        let output = engine.execute(&request).map_err(|e| e.to_string())?;
+        engine.enforce_strict(request.spec.strict).map_err(|e| e.to_string())?;
+        output::document(output, engine)
     }
 
     fn status_value(&self) -> Value {
@@ -575,6 +431,7 @@ fn serve_connection(daemon: &Daemon, mut stream: std::os::unix::net::UnixStream)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decisive_core::persist;
     use decisive_federation::json;
 
     fn daemon() -> Daemon {
@@ -765,6 +622,62 @@ mod tests {
         assert!(parsed.get("error").and_then(Value::as_str).unwrap().contains(".bd"));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&model_path).ok();
+    }
+
+    fn data(file: &str) -> String {
+        format!("{}/../../data/{file}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// Answers one request and returns `(ok, error, result)`.
+    fn answer(daemon: &Daemon, line: &str) -> (bool, Option<String>, Option<Value>) {
+        let response = json::parse(&daemon.handle_line(line).unwrap()).unwrap();
+        let ok = response.get("ok").and_then(Value::as_bool).unwrap();
+        let error = response.get("error").and_then(Value::as_str).map(str::to_owned);
+        (ok, error, response.get("result").cloned())
+    }
+
+    #[test]
+    fn strict_requests_fail_on_a_malformed_reliability_annex() {
+        let daemon = daemon();
+        let csv =
+            std::env::temp_dir().join(format!("decisive_serve_{}_banana.csv", std::process::id()));
+        std::fs::write(
+            &csv,
+            "Component,FIT,Failure_Mode,Distribution\nResistor,5,Drift,1\nMC,banana,RAM Failure,1\n",
+        )
+        .unwrap();
+        let request = |strict: &str| {
+            format!(
+                r#"{{"op":"analyze","path":"{}","reliability":"{}"{strict}}}"#,
+                data("brownout_threshold.bd"),
+                csv.display()
+            )
+        };
+        let (ok, error, _) = answer(&daemon, &request(r#","strict":true"#));
+        assert!(!ok);
+        assert_eq!(
+            error.as_deref(),
+            Some("invalid parameter: reliability row 1: `FIT` must be numeric"),
+            "the error `decisive analyze --strict` prints"
+        );
+        let (ok, error, result) = answer(&daemon, &request(""));
+        assert!(ok, "{error:?}");
+        let degraded = result.unwrap().get("degraded").cloned().unwrap();
+        let Some(Value::List(substituted)) = degraded.get("substituted_fits") else {
+            panic!("substituted_fits in {degraded:?}");
+        };
+        assert_eq!(substituted.len(), 1, "the lenient run substitutes the FIT");
+        std::fs::remove_file(&csv).ok();
+    }
+
+    #[test]
+    fn strict_requests_pass_on_a_healthy_campaign() {
+        let daemon = daemon();
+        let line =
+            format!(r#"{{"op":"analyze","path":"{}","strict":true}}"#, data("power_supply.bd"));
+        let (ok, error, result) = answer(&daemon, &line);
+        assert!(ok, "{error:?}");
+        assert!(result.unwrap().get("campaign").is_some_and(|c| !matches!(c, Value::Null)));
     }
 
     #[test]

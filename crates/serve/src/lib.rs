@@ -14,15 +14,18 @@
 //! Layering:
 //!
 //! - [`output`] — the typed result documents (`AnalyzeOutput`,
-//!   `PipelineOutput`, …) shared with the CLI's `--format json` mode;
-//!   on the wire they are the `result` field of a response;
+//!   `PipelineOutput`, …) shared with the CLI's `--format json` mode,
+//!   and [`output::document`], the one mapping from an executed request
+//!   to its document; on the wire they are the `result` field of a
+//!   response;
 //! - [`protocol`] — request parsing and response framing: one JSON value
 //!   per line, every input line answered by exactly one output line;
 //! - [`session`] — the session registry: named sessions, each a warm
 //!   [`decisive_engine::Engine`] layered over the shared store;
 //! - [`daemon`] — the request loop: panic-isolated dispatch
-//!   ([`daemon::Daemon::handle_line`]), the stdio loop and the unix-socket
-//!   accept loop;
+//!   ([`daemon::Daemon::handle_line`]) of analysis ops to
+//!   [`decisive_engine::Engine::execute`], the stdio loop and the
+//!   unix-socket accept loop;
 //! - [`watch`] — `--watch`: re-runs the pipeline on model-file mtime
 //!   change and streams the (incrementally computed) results;
 //! - [`interrupt`] — SIGINT/SIGTERM handling: a process-wide flag the

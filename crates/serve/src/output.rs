@@ -1,10 +1,11 @@
 //! Shared serde structs behind the CLI's `--format json` output *and* the
 //! daemon wire protocol: one document shape per operation (`analyze`,
-//! `pipeline`, `passes`), so scripts parse a stable schema instead of
-//! scraping the text rendering and a daemon response carries exactly what
-//! the equivalent CLI invocation would print. Serialised through the
-//! federation JSON layer ([`to_json_string`]); library users can embed
-//! them in their own reports.
+//! `pipeline`, `montecarlo`, `recommend`, `passes`), so scripts parse a
+//! stable schema instead of scraping the text rendering. [`document`] is
+//! the one mapping from an executed request to its document, so a daemon
+//! response carries exactly what the equivalent CLI invocation prints.
+//! Serialised through the federation JSON layer ([`to_json_string`]);
+//! library users can embed them in their own reports.
 
 use serde::Serialize;
 
@@ -15,7 +16,10 @@ use decisive_core::fmea::FmeaTable;
 use decisive_core::metrics;
 use decisive_core::montecarlo::MonteCarloReport;
 use decisive_core::patterns::RecommendationReport;
-use decisive_engine::{Engine, EngineStats, FtaSubtreeSummary, PassStatus, PipelineRun};
+use decisive_engine::{
+    Engine, EngineStats, FtaSubtreeSummary, OpArtifact, OpOutput, PassStatus, PipelineRun,
+};
+use decisive_federation::{serde_bridge, Value};
 use decisive_hara::RiskLog;
 
 /// FMEA metric summary shared by the analyze and pipeline documents (the
@@ -200,6 +204,27 @@ impl PassesOutput {
     }
 }
 
+/// The document of one executed request, with `engine`'s account of the
+/// run: what `--format json` prints and what the daemon answers under
+/// `result`.
+///
+/// # Errors
+///
+/// As [`to_json_string`].
+pub fn document(output: OpOutput, engine: &Engine) -> Result<Value, String> {
+    match output.artifact {
+        OpArtifact::Fmea(table) => serde_bridge::to_value(&AnalyzeOutput::new(table, engine)),
+        OpArtifact::Pipeline(run) => serde_bridge::to_value(&PipelineOutput::new(&run, engine)),
+        OpArtifact::MonteCarlo(report) => {
+            serde_bridge::to_value(&MonteCarloOutput::new(report, engine))
+        }
+        OpArtifact::Recommend(report) => {
+            serde_bridge::to_value(&RecommendOutput::new(report, engine))
+        }
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// Serialises one of the output documents to a single-line JSON string
 /// through the federation bridge.
 ///
@@ -209,7 +234,7 @@ impl PassesOutput {
 /// federation [`decisive_federation::Value`] (practically unreachable for
 /// the types above).
 pub fn to_json_string<T: Serialize>(output: &T) -> Result<String, String> {
-    let value = decisive_federation::serde_bridge::to_value(output).map_err(|e| e.to_string())?;
+    let value = serde_bridge::to_value(output).map_err(|e| e.to_string())?;
     Ok(decisive_federation::json::to_string(&value))
 }
 

@@ -31,7 +31,7 @@
 //! line — junk bytes, a truncated frame, an unknown op — is answered by
 //! exactly one `error` response and never terminates the daemon.
 
-use decisive_core::request::RunSpec;
+use decisive_core::request::{AnalysisOp, AnalysisRequest, RunSpec};
 use decisive_federation::{json, Value};
 
 /// The wire protocol version this daemon speaks: stamped on every
@@ -55,45 +55,14 @@ pub struct RequestMeta {
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Run the FMEA of one model (`.json` SSAM graph path, `.bd`
-    /// fault-injection campaign) — the daemon form of `decisive analyze`.
-    Analyze {
+    /// Run one analysis op (`analyze`, `pipeline`, `montecarlo`,
+    /// `recommend`) — the daemon form of the CLI verb of the same name.
+    Analysis {
         /// Correlation id and session.
         meta: RequestMeta,
-        /// Model path (`.json` or `.bd`).
-        path: String,
-        /// Run configuration parsed off the request record.
-        spec: RunSpec,
-    },
-    /// Run the full pass pipeline — the daemon form of `decisive
-    /// pipeline`.
-    Pipeline {
-        /// Correlation id and session.
-        meta: RequestMeta,
-        /// Model path (`.json` or `.bd`).
-        path: String,
-        /// Run configuration parsed off the request record.
-        spec: RunSpec,
-    },
-    /// Run a stochastic injection campaign — the daemon form of
-    /// `decisive montecarlo` (`.bd` designs only).
-    MonteCarlo {
-        /// Correlation id and session.
-        meta: RequestMeta,
-        /// Model path (must be `.bd`).
-        path: String,
-        /// Run configuration (trials/seed live here).
-        spec: RunSpec,
-    },
-    /// Rank safety-pattern deployments for uncovered failure modes — the
-    /// daemon form of `decisive recommend` (`.bd` designs only).
-    Recommend {
-        /// Correlation id and session.
-        meta: RequestMeta,
-        /// Model path (must be `.bd`).
-        path: String,
-        /// Run configuration.
-        spec: RunSpec,
+        /// The op, the model path and the run configuration parsed off
+        /// the request record.
+        request: AnalysisRequest,
     },
     /// Report daemon state: sessions, shared-store size, dedup hits.
     Status {
@@ -111,10 +80,7 @@ impl Request {
     /// The request's common fields.
     pub fn meta(&self) -> &RequestMeta {
         match self {
-            Request::Analyze { meta, .. }
-            | Request::Pipeline { meta, .. }
-            | Request::MonteCarlo { meta, .. }
-            | Request::Recommend { meta, .. }
+            Request::Analysis { meta, .. }
             | Request::Status { meta }
             | Request::Shutdown { meta } => meta,
         }
@@ -123,10 +89,7 @@ impl Request {
     /// The operation name, as it appears in `op`.
     pub fn op(&self) -> &'static str {
         match self {
-            Request::Analyze { .. } => "analyze",
-            Request::Pipeline { .. } => "pipeline",
-            Request::MonteCarlo { .. } => "montecarlo",
-            Request::Recommend { .. } => "recommend",
+            Request::Analysis { request, .. } => request.op.name(),
             Request::Status { .. } => "status",
             Request::Shutdown { .. } => "shutdown",
         }
@@ -201,23 +164,23 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         Some(_) => return Err(err("bad request: `op` must be a string".to_owned())),
         None => return Err(err("bad request: missing `op`".to_owned())),
     };
-    let path = || match value.get("path") {
-        Some(Value::Str(path)) if !path.is_empty() => Ok(path.clone()),
-        Some(_) => Err(err(format!("bad request: `{op}` wants a string `path`"))),
-        None => Err(err(format!("bad request: `{op}` needs a `path`"))),
-    };
-    let spec = || RunSpec::from_value(&value).map_err(|e| err(format!("bad request: {e}")));
     match op.as_str() {
-        "analyze" => Ok(Request::Analyze { meta, path: path()?, spec: spec()? }),
-        "pipeline" => Ok(Request::Pipeline { meta, path: path()?, spec: spec()? }),
-        "montecarlo" => Ok(Request::MonteCarlo { meta, path: path()?, spec: spec()? }),
-        "recommend" => Ok(Request::Recommend { meta, path: path()?, spec: spec()? }),
-        "status" => Ok(Request::Status { meta }),
-        "shutdown" => Ok(Request::Shutdown { meta }),
-        other => Err(err(format!(
-            "unknown op `{other}` (analyze|pipeline|montecarlo|recommend|status|shutdown)"
-        ))),
+        "status" => return Ok(Request::Status { meta }),
+        "shutdown" => return Ok(Request::Shutdown { meta }),
+        _ => {}
     }
+    let Some(analysis) = AnalysisOp::parse(&op) else {
+        return Err(err(format!(
+            "unknown op `{op}` (analyze|pipeline|montecarlo|recommend|status|shutdown)"
+        )));
+    };
+    let path = match value.get("path") {
+        Some(Value::Str(path)) if !path.is_empty() => path.clone(),
+        Some(_) => return Err(err(format!("bad request: `{op}` wants a string `path`"))),
+        None => return Err(err(format!("bad request: `{op}` needs a `path`"))),
+    };
+    let spec = RunSpec::from_value(&value).map_err(|e| err(format!("bad request: {e}")))?;
+    Ok(Request::Analysis { meta, request: AnalysisRequest::new(analysis, path, spec) })
 }
 
 /// Frames a successful response: the echoed correlation fields, the
@@ -261,12 +224,13 @@ mod tests {
         )
         .unwrap();
         match req {
-            Request::Pipeline { meta, path, spec } => {
+            Request::Analysis { meta, request } => {
                 assert_eq!(meta.id, Some(Value::Int(7)));
                 assert_eq!(meta.session, "alice");
-                assert_eq!(path, "d.bd");
-                assert_eq!(spec.reliability.as_deref(), Some("f.csv"));
-                assert_eq!(spec.mission_hours, Some(5000.0));
+                assert_eq!(request.op, AnalysisOp::Pipeline);
+                assert_eq!(request.path, "d.bd");
+                assert_eq!(request.spec.reliability.as_deref(), Some("f.csv"));
+                assert_eq!(request.spec.mission_hours, Some(5000.0));
             }
             other => panic!("wrong request: {other:?}"),
         }
@@ -277,10 +241,11 @@ mod tests {
         let req =
             parse_request(r#"{"op":"montecarlo","path":"d.bd","trials":256,"seed":9}"#).unwrap();
         match req {
-            Request::MonteCarlo { spec, path, .. } => {
-                assert_eq!(path, "d.bd");
-                assert_eq!(spec.trials, 256);
-                assert_eq!(spec.seed, 9);
+            Request::Analysis { request, .. } => {
+                assert_eq!(request.op, AnalysisOp::MonteCarlo);
+                assert_eq!(request.path, "d.bd");
+                assert_eq!(request.spec.trials, 256);
+                assert_eq!(request.spec.seed, 9);
             }
             other => panic!("wrong request: {other:?}"),
         }

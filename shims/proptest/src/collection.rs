@@ -5,7 +5,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,

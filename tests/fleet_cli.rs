@@ -128,6 +128,74 @@ fn directory_sweep_reports_every_model_exactly_once() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fleet row reports what the CLI reports for the same file: the
+/// pipeline's SPFM and ASIL for a directory sweep, the campaign's SPFM
+/// mean and CI half-width under `--montecarlo`.
+#[test]
+fn fleet_rows_match_cli_json_output() {
+    let dir = scratch("cli-equal");
+    let models = dir.join("models");
+    std::fs::create_dir_all(&models).unwrap();
+    let supply = models.join("supply.bd");
+    std::fs::copy(data("power_supply.bd"), &supply).unwrap();
+    let brownout = models.join("brownout.bd");
+    std::fs::copy(data("brownout_threshold.bd"), &brownout).unwrap();
+    let demo = models.join("nested/demo.json");
+    std::fs::create_dir_all(demo.parent().unwrap()).unwrap();
+    assert_eq!(run(&["demo", demo.to_str().unwrap()]).status.code(), Some(0));
+    let cli = |args: &[&str]| {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("CLI JSON parses")
+    };
+    let row = |report: &Value, path: &Path| {
+        let id = path.display().to_string();
+        rows_of(report)
+            .iter()
+            .find(|r| r.get("id").and_then(Value::as_str) == Some(id.as_str()))
+            .cloned()
+            .unwrap_or_else(|| panic!("no row for {id}"))
+    };
+
+    let journal = dir.join("sweep");
+    let sweep = fleet_json(
+        &[models.to_str().unwrap(), "--workers", "1", "--journal", journal.to_str().unwrap()],
+        &[],
+    );
+    for path in [&supply, &brownout, &demo] {
+        let document = cli(&["pipeline", path.to_str().unwrap(), "--format", "json"]);
+        let metrics = document.get("metrics").expect("pipeline metrics");
+        let row = row(&sweep, path);
+        assert_eq!(row.get("spfm"), metrics.get("spfm"), "{}", path.display());
+        assert_eq!(row.get("asil"), metrics.get("achieved_asil"), "{}", path.display());
+    }
+
+    std::fs::remove_file(&demo).unwrap();
+    let journal = dir.join("montecarlo");
+    let campaign = ["--montecarlo", "--trials", "16", "--seed", "3"];
+    let mut args = vec![models.to_str().unwrap(), "--workers", "1"];
+    args.extend_from_slice(&["--journal", journal.to_str().unwrap()]);
+    args.extend_from_slice(&campaign);
+    let sweep = fleet_json(&args, &[]);
+    for path in [&supply, &brownout] {
+        let document = cli(&[
+            "montecarlo",
+            path.to_str().unwrap(),
+            "--trials",
+            "16",
+            "--seed",
+            "3",
+            "--format",
+            "json",
+        ]);
+        let spfm = document.get("report").and_then(|r| r.get("spfm")).expect("report spfm");
+        let row = row(&sweep, path);
+        assert_eq!(row.get("spfm"), spfm.get("mean"), "{}", path.display());
+        assert_eq!(row.get("spfm_half_width"), spfm.get("half_width"), "{}", path.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A worker that aborts once on a chosen model (simulated segfault) is
 /// respawned, the model retried — and the final report is identical to an
 /// undisturbed campaign.

@@ -7,7 +7,7 @@ use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
 use decisive::core::{case_study, metrics};
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput};
 use decisive::ssam::architecture::Fit;
 use decisive::workload::sets::{chain_model, ladder_model};
 
@@ -121,8 +121,8 @@ fn injection_rows_cache_and_match_direct_run() {
 }
 
 /// Campaign health covers cache hits and misses alike: a warm engine that
-/// simulates nothing still reports the full outcome classification, and
-/// the report itself is persisted next to the cache and restored on load.
+/// simulates nothing still reports the full outcome classification,
+/// rebuilt from the outcomes cached with the injection rows.
 #[test]
 fn campaign_health_survives_cache_round_trips() {
     let dir = TempCacheDir::new("campaign");
@@ -136,11 +136,9 @@ fn campaign_health_survives_cache_round_trips() {
     assert_eq!(cold_health.total, 9);
     assert_eq!(cold_health.unsolvable + cold_health.panicked, 0, "healthy design");
     engine.save_cache(dir.path()).expect("save");
-    assert!(dir.path().join(decisive::engine::CAMPAIGN_FILE).exists());
 
     let mut warm = Engine::new(EngineConfig::with_jobs(2));
     warm.load_cache(dir.path()).expect("load");
-    assert_eq!(warm.campaign_health(), Some(&cold_health), "health restored from disk");
     warm.analyze_injection(&diagram, &db, &config).expect("warm");
     let phase = warm.stats().phase("injection-rows").expect("phase");
     assert_eq!(phase.cache_misses, 0, "warm pass simulates nothing");
@@ -148,6 +146,29 @@ fn campaign_health_survives_cache_round_trips() {
     assert_eq!(warm_health.total, cold_health.total);
     assert_eq!(warm_health.converged, cold_health.converged);
     assert_eq!(warm_health.strategy_histogram, cold_health.strategy_histogram);
+}
+
+/// A cache directory carries no campaign report from one run into the
+/// next: a graph-only pipeline in a directory where an injection campaign
+/// ran reports no campaign health, as it does in a fresh directory.
+#[test]
+fn graph_pipeline_reports_no_campaign_left_by_an_earlier_run() {
+    let dir = TempCacheDir::new("stale_campaign");
+    let (diagram, _) = decisive::blocks::gallery::sensor_power_supply();
+    let mut injection = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("open");
+    injection
+        .analyze_injection(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default())
+        .expect("campaign");
+    assert!(injection.campaign_health().is_some());
+    injection.save_cache(dir.path()).expect("save");
+    drop(injection);
+
+    let (model, top) = case_study::ssam_model();
+    let mut graph = Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("reopen");
+    graph
+        .run_pipeline(&Pipeline::standard(false), &PipelineInput::for_model(&model, top))
+        .expect("pipeline");
+    assert_eq!(graph.campaign_health(), None, "no campaign ran in this engine");
 }
 
 /// The campaign circuit breaker trips through the engine path too: a

@@ -129,25 +129,49 @@ fn strip_timing(value: Value) -> Value {
     }
 }
 
-/// The daemon speaks exactly the `--format json` documents: a served
-/// pipeline result equals a one-shot CLI run on the same model.
+/// The daemon speaks exactly the `--format json` documents: every served
+/// analysis op equals a one-shot CLI run of the same request.
 #[test]
 fn served_pipeline_matches_cli_json_output() {
-    let model = data("brownout_threshold.bd");
-    let model_arg = model.display().to_string();
-    let out = run(&["pipeline", &model_arg, "--format", "json"]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let cli = json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("CLI JSON parses");
+    let dir = scratch("ops");
+    let demo = dir.join("model.json").display().to_string();
+    assert_eq!(run(&["demo", &demo]).status.code(), Some(0));
+    let brownout = data("brownout_threshold.bd").display().to_string();
+    let supply = data("power_supply.bd").display().to_string();
+    let montecarlo: (&[&str], &str) =
+        (&["--trials", "16", "--seed", "3"], r#","trials":16,"seed":3"#);
+    let cases = [
+        ("analyze", &brownout, (&[][..], "")),
+        ("pipeline", &brownout, (&[], "")),
+        ("analyze", &demo, (&[], "")),
+        ("pipeline", &demo, (&[], "")),
+        ("montecarlo", &supply, montecarlo),
+        ("recommend", &supply, (&[], "")),
+    ];
 
     let mut serve = spawn_serve(&[]);
-    let response =
-        serve.request(&format!(r#"{{"op":"pipeline","session":"cli","path":"{model_arg}"}}"#));
-    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
-    let served = response.get("result").cloned().expect("served result");
+    for (op, path, (flags, fields)) in cases {
+        let mut args = vec![op, path.as_str(), "--format", "json"];
+        args.extend_from_slice(flags);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{op} {path}: stderr: {stderr}");
+        let cli =
+            json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("CLI JSON parses");
+
+        let response =
+            serve.request(&format!(r#"{{"op":"{op}","session":"cli","path":"{path}"{fields}}}"#));
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true), "{op} {path}");
+        let served = response.get("result").cloned().expect("served result");
+        assert_eq!(
+            strip_timing(served),
+            strip_timing(cli),
+            "{op} {path}: wire protocol IS the CLI JSON output"
+        );
+    }
     serve.request(r#"{"op":"shutdown"}"#);
     serve.child.wait().expect("serve exits");
-
-    assert_eq!(strip_timing(served), strip_timing(cli), "wire protocol IS the CLI JSON output");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// SIGINT mid-serve still flushes a valid trace file and exits through
