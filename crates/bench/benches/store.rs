@@ -1,13 +1,13 @@
-//! Bench: warm start through the segmented store versus the wholesale
-//! v3 JSON load (ISSUE 7).
+//! Bench: warm start through the segmented store versus a wholesale v3
+//! JSON snapshot load.
 //!
 //! The store's promise is O(touched-artifacts) warm start: opening is
 //! one checksummed index scan (no JSON parsing of values), and values
-//! decode lazily on first hit. The old path parsed and validated the
-//! entire `cache.json` before the first artefact could be served. This
-//! harness builds the same 10k-artifact corpus in both formats and
-//! measures, for each, the time from cold process to "the first hundred
-//! artefacts are served".
+//! decode lazily on first hit. A JSON cache has to read, parse and
+//! validate the entire v3 snapshot before the first artefact can be
+//! served. This harness builds the same 10k-artifact corpus in both
+//! formats and measures, for each, the time from cold process to "the
+//! first hundred artefacts are served".
 //!
 //! A second case reopens a store shaped like the one the design loop
 //! leaves behind — about 40k frames of about 450 B across several
@@ -55,7 +55,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("decisive-bench-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let json_dir = dir.join("json");
+    let snapshot = dir.join("snapshot.json");
     let store_dir = dir.join("store");
 
     // One corpus, persisted both ways.
@@ -63,7 +63,7 @@ fn main() {
     for i in 0..ARTIFACTS {
         cache.put(ArtifactKind::GraphRow, key(i), "bench", &row(i)).expect("seed put");
     }
-    cache.save(&json_dir).expect("json save");
+    std::fs::write(&snapshot, json::to_string(&cache.to_value())).expect("snapshot write");
     {
         let (log, _) = SegmentStore::open(&store_dir, StoreOptions::default(), Telemetry::noop())
             .expect("store open");
@@ -71,11 +71,15 @@ fn main() {
         assert_eq!(imported as u64, ARTIFACTS);
     }
 
-    // Old path: parse the whole cache.json, then read TOUCHED entries.
+    // JSON path: read, parse and verify the whole snapshot, then read
+    // TOUCHED entries.
     let mut json_ms = f64::INFINITY;
     for _ in 0..ITERS {
         let t = Instant::now();
-        let loaded = CacheStore::load(&json_dir).expect("json load");
+        let text = String::from_utf8(std::fs::read(&snapshot).expect("snapshot read"))
+            .expect("snapshot is UTF-8");
+        let value = json::parse(&text).expect("snapshot parses");
+        let (loaded, skipped) = CacheStore::from_value_audited(&value).expect("v3 snapshot");
         for i in 0..TOUCHED {
             assert!(
                 loaded.get::<Vec<f64>>(ArtifactKind::GraphRow, key(i)).is_some(),
@@ -83,6 +87,7 @@ fn main() {
             );
         }
         json_ms = json_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        assert!(skipped.is_empty(), "{skipped:?}");
         assert_eq!(loaded.len() as u64, ARTIFACTS);
     }
 

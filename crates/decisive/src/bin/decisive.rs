@@ -1042,15 +1042,14 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
 ///   quarantine counter, last compaction);
 /// - `compact`: force a compaction regardless of the dead-frame
 ///   thresholds and report what it reclaimed;
-/// - `export <snapshot.json>`: write the live entries as a portable v3
-///   `cache.json` document (the pre-store wholesale format);
-/// - `import <snapshot.json>`: append a v3 document's entries into the
-///   log (invalid entries are audited and skipped, like the engine's
-///   lenient load).
+/// - `export <snapshot.json>`: atomically write the live entries as a
+///   portable v3 snapshot;
+/// - `import <snapshot.json>`: append a v3 snapshot's entries into the
+///   log (entries failing their checksum are skipped and listed on
+///   stderr; a document that is not a v3 snapshot fails).
 ///
 /// Opening the store performs the same recovery the engine does: torn
-/// tails truncate, corrupt frames quarantine, a legacy `cache.json` in
-/// the directory migrates into the log once.
+/// tails truncate and corrupt frames quarantine.
 fn cmd_store(args: &[String]) -> Result<(), CliError> {
     check_flags("store", args, &["--cache", "--format"])?;
     let format = output_format(args)?;
@@ -1060,13 +1059,12 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
     };
     let dir = flag_value(args, "--cache")
         .ok_or_else(|| CliError::usage("`decisive store` needs --cache <dir>"))?;
-    let (shared, recovery) = decisive::engine::SharedStore::open_durable(
-        std::path::Path::new(dir),
+    let (log, recovery) = decisive::engine::SegmentStore::open(
+        std::path::Path::new(dir).join(decisive::engine::STORE_DIR),
         decisive::engine::StoreOptions::default(),
         Telemetry::noop(),
     )
     .map_err(|e| CliError::Failure(e.to_string()))?;
-    let log = shared.durable().expect("open_durable always attaches a log").clone();
     let snapshot_path = |what: &str| match rest {
         [path] => Ok(*path),
         _ => Err(CliError::usage(format!(
@@ -1104,12 +1102,11 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
                         if recovery.is_clean() { "clean" } else { "repaired" },
                         format_args!(
                             " ({} quarantined frame(s), {} truncated byte(s), \
-                             {} orphan segment(s) removed, {} legacy entr(ies) migrated, \
+                             {} orphan segment(s) removed, \
                              {} hinted segment(s), {} byte(s) scanned)",
                             recovery.quarantined_frames,
                             recovery.truncated_bytes,
                             recovery.removed_orphan_segments,
-                            recovery.migrated_entries,
                             recovery.hinted_segments,
                             recovery.scanned_bytes,
                         ),
@@ -1151,8 +1148,11 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
             let out = snapshot_path("export")?;
             let snapshot = log.export();
             let entries = snapshot.len();
-            std::fs::write(out, json::to_string(&snapshot.to_value()))
-                .map_err(|e| CliError::Failure(format!("{out}: {e}")))?;
+            decisive::engine::atomic_write(
+                std::path::Path::new(out),
+                &json::to_string(&snapshot.to_value()),
+            )
+            .map_err(|e| CliError::Failure(format!("{out}: {e}")))?;
             println!("# exported {entries} entr(ies) to {out}");
         }
         "import" => {
@@ -1161,10 +1161,11 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
             let value =
                 json::parse(&text).map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
-            let (snapshot, report, _) = decisive::engine::CacheStore::from_value_audited(&value);
+            let (snapshot, skipped) = decisive::engine::CacheStore::from_value_audited(&value)
+                .map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
             let imported = log.import(&snapshot).map_err(|e| CliError::Failure(e.to_string()))?;
             println!("# imported {imported} entr(ies) from {source}");
-            for reason in &report.reasons {
+            for reason in &skipped {
                 eprintln!("# skipped: {reason}");
             }
         }

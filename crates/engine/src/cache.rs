@@ -8,32 +8,21 @@
 //! [`CacheStore::invalidate_owner`] pass exists to *garbage-collect* stale
 //! entries and to report how many keys a change dirtied.
 //!
-//! The store persists through the federation layer (`serde_bridge` +
-//! `json`) as a single `cache.json` in the cache directory, so warm caches
-//! survive CLI invocations — or, preferred since the segmented store
-//! landed, through a durable [`SharedStore`] backed by the append-only
-//! log of [`crate::store`] (see [`SharedStore::open_durable`]), which
-//! makes every completed pass durable immediately and warm starts
-//! O(touched artifacts). The v3 JSON format remains the portable
-//! interchange format (`decisive store import`/`export`).
+//! This module holds artefacts in memory only. Persistence is the durable
+//! [`SharedStore`] (see [`SharedStore::open_durable`]), backed by the
+//! crash-safe append-only log of [`crate::store`]: every completed pass is
+//! durable immediately and a warm start costs O(touched artifacts).
 //!
-//! ## Crash safety (format v3)
+//! ## Snapshot format (v3)
 //!
-//! A killed run must never poison the next one, so persistence is built
-//! around two mechanisms:
-//!
-//! * **Atomic writes** — the store is written to a temp file, fsynced,
-//!   and renamed over `cache.json`, so readers only ever see the old or
-//!   the new file, never a torn one.
-//! * **Checksummed quarantine loads** — every persisted entry carries a
-//!   fingerprint checksum and the header a whole-file checksum. On load,
-//!   entries failing checksum or shape validation are moved to
-//!   [`QUARANTINE_FILE`] and simply recomputed (a cache may always be
-//!   cold, never wrong); an unparsable file is quarantined wholesale.
-//!   [`CacheStore::load_with_report`] surfaces what was dropped.
+//! [`CacheStore::to_value`] and [`CacheStore::from_value_audited`] are the
+//! portable snapshot codec behind `decisive store export` and `import`.
+//! Every entry carries a fingerprint checksum and the header a whole-file
+//! checksum; decoding skips (and reports) entries failing checksum or shape
+//! validation, and rejects a document that is not a v3 snapshot at all.
 
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,8 +32,7 @@ use decisive_obs::Telemetry;
 use crate::error::{EngineError, Result};
 use crate::fingerprint::{Fingerprint, Hasher};
 use crate::store::{
-    CompactionSummary, SegmentStore, StoreHealth, StoreOptions, StoreRecovery, MANIFEST_FILE,
-    STORE_DIR,
+    CompactionSummary, SegmentStore, StoreHealth, StoreOptions, StoreRecovery, STORE_DIR,
 };
 
 /// Which analysis produced a cached artefact. Kinds namespace the key
@@ -123,14 +111,14 @@ struct CacheEntry {
     value: Value,
 }
 
-/// An in-memory artefact store keyed by `(kind, fingerprint)`, optionally
-/// persisted to a cache directory.
+/// An in-memory artefact store keyed by `(kind, fingerprint)`.
 ///
 /// A store may be layered over a [`SharedStore`]: its own entries then act
 /// as a private *overlay* — lookups fall back to the shared layer on a
 /// local miss, and stores write through to it — so many stores (one per
 /// daemon session) deduplicate artefacts across sessions while keeping
-/// invalidation and persistence local. See [`CacheStore::attach_shared`].
+/// invalidation local, and a durable shared layer persists them. See
+/// [`CacheStore::attach_shared`].
 #[derive(Debug, Clone, Default)]
 pub struct CacheStore {
     entries: HashMap<(ArtifactKind, Fingerprint), CacheEntry>,
@@ -144,16 +132,14 @@ pub struct CacheStore {
 /// key commits to *all* inputs of its artefact, so an entry computed by one
 /// session is, by construction, the entry every other session would compute
 /// for that key. The shared layer therefore only ever grows during a run
-/// (overlays garbage-collect their private entries; the shared layer is
-/// rebuilt from a persisted snapshot on daemon start).
+/// (overlays garbage-collect their private entries).
 ///
-/// A shared layer is either purely in-memory (the historical behaviour)
-/// or *durable*: backed by the crash-safe segmented log of
-/// [`crate::store`], opened with [`SharedStore::open_durable`]. A durable
-/// layer writes every entry through to the log (committed on
-/// [`SharedStore::sync_durable`]) and serves memory misses from the log's
-/// index, so a restarted process pays O(touched artifacts) to get warm,
-/// not O(history).
+/// A shared layer is either purely in-memory or *durable*: backed by the
+/// crash-safe segmented log of [`crate::store`], opened with
+/// [`SharedStore::open_durable`]. A durable layer writes every entry
+/// through to the log (committed on [`SharedStore::sync_durable`]) and
+/// serves memory misses from the log's index, so a restarted process pays
+/// O(touched artifacts) to get warm, not O(history).
 ///
 /// Clones are handles onto the same underlying map (and log).
 #[derive(Debug, Clone, Default)]
@@ -170,11 +156,7 @@ impl SharedStore {
     }
 
     /// Opens a shared layer durably persisted in `dir/store/` as a
-    /// segmented append-only log, running crash recovery. On the *first*
-    /// durable open of a directory still holding a legacy v3 `cache.json`,
-    /// its verified entries are migrated into the log and the file is
-    /// retired as `cache.json.imported` (recoverable any time via
-    /// `decisive store import`).
+    /// segmented append-only log, running crash recovery.
     ///
     /// # Errors
     ///
@@ -186,20 +168,8 @@ impl SharedStore {
         options: StoreOptions,
         telemetry: Telemetry,
     ) -> Result<(SharedStore, StoreRecovery)> {
-        let dir = dir.as_ref();
-        let store_dir = dir.join(STORE_DIR);
-        let fresh = !store_dir.join(MANIFEST_FILE).exists();
-        let (log, mut recovery) = SegmentStore::open(&store_dir, options, telemetry)?;
-        let log = Arc::new(log);
-        if fresh && dir.join(CACHE_FILE).exists() {
-            let (legacy, report) = CacheStore::load_with_report(dir)?;
-            recovery.migrated_entries = log.import(&legacy)?;
-            recovery.quarantined_frames += report.quarantined;
-            recovery.notes.extend(report.reasons);
-            std::fs::rename(dir.join(CACHE_FILE), dir.join(format!("{CACHE_FILE}.imported"))).ok();
-        }
-        let shared = SharedStore { log: Some(log), ..SharedStore::default() };
-        Ok((shared, recovery))
+        let (log, recovery) = SegmentStore::open(dir.as_ref().join(STORE_DIR), options, telemetry)?;
+        Ok((SharedStore { log: Some(Arc::new(log)), ..SharedStore::default() }, recovery))
     }
 
     /// The segmented log backing this layer, when opened durable.
@@ -281,41 +251,6 @@ impl SharedStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Bulk-imports every entry of `store` (an overlay or a persisted
-    /// snapshot) into the shared layer; returns how many were added. On a
-    /// durable layer newly absorbed entries are also appended to the log
-    /// best-effort (bulk imports should prefer `decisive store import`,
-    /// which surfaces append errors).
-    pub fn absorb(&self, store: &CacheStore) -> usize {
-        let mut entries = self.entries.lock().expect("shared store poisoned");
-        let before = entries.len();
-        for (key, entry) in &store.entries {
-            if let std::collections::hash_map::Entry::Vacant(vacant) = entries.entry(*key) {
-                if let Some(log) = &self.log {
-                    log.append(key.0, key.1, &entry.owner, &entry.value).ok();
-                }
-                vacant.insert(entry.clone());
-            }
-        }
-        entries.len() - before
-    }
-
-    /// A plain [`CacheStore`] copy of the shared contents (shared layer
-    /// detached), for persistence via [`CacheStore::save`]. On a durable
-    /// layer this materialises the full log — the export path, not the
-    /// shutdown path (durable layers persist incrementally).
-    pub fn snapshot(&self) -> CacheStore {
-        let mut snapshot = match &self.log {
-            Some(log) => log.export(),
-            None => CacheStore::new(),
-        };
-        for (key, entry) in self.entries.lock().expect("shared store poisoned").iter() {
-            snapshot.entries.insert(*key, entry.clone());
-        }
-        snapshot.shared = None;
-        snapshot
-    }
-
     fn get_entry(&self, kind: ArtifactKind, key: Fingerprint) -> Option<CacheEntry> {
         if let Some(entry) =
             self.entries.lock().expect("shared store poisoned").get(&(kind, key)).cloned()
@@ -344,77 +279,12 @@ impl SharedStore {
     }
 }
 
-/// File name of the persisted store inside a cache directory.
-pub const CACHE_FILE: &str = "cache.json";
-
-/// File name corrupt cache content is moved to inside a cache directory,
-/// for post-mortem inspection. A later corruption event rotates an
-/// existing file aside as `cache.quarantine.json.1`, `.2`, … (capped at
-/// [`QUARANTINE_KEEP`]) instead of clobbering it.
-pub const QUARANTINE_FILE: &str = "cache.quarantine.json";
-
-/// How many rotated quarantine copies are retained per base name before
-/// the oldest are pruned.
-pub const QUARANTINE_KEEP: usize = 5;
-
-/// Shifts an existing quarantine file aside as `<name>.<n>` (n counting
-/// up) so new quarantine content can land at the base name without
-/// destroying earlier evidence, pruning all but the newest
-/// [`QUARANTINE_KEEP`] rotated copies. Best-effort: rotation failure must
-/// never block the load that triggered it.
-pub(crate) fn rotate_quarantine(path: &Path) {
-    if !path.exists() {
-        return;
-    }
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else { return };
-    let Some(parent) = path.parent() else { return };
-    let parent = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-    let Ok(entries) = std::fs::read_dir(parent) else { return };
-    let mut indices: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| {
-            let file = e.file_name();
-            let file = file.to_str()?;
-            file.strip_prefix(name)?.strip_prefix('.')?.parse::<u64>().ok()
-        })
-        .collect();
-    let next = indices.iter().max().map_or(1, |m| m + 1);
-    if std::fs::rename(path, parent.join(format!("{name}.{next}"))).is_err() {
-        return;
-    }
-    indices.push(next);
-    indices.sort_unstable();
-    while indices.len() > QUARANTINE_KEEP {
-        let oldest = indices.remove(0);
-        std::fs::remove_file(parent.join(format!("{name}.{oldest}"))).ok();
-    }
-}
-
-/// Version stamp of the persisted format; mismatches load as empty.
+/// Version stamp of the snapshot format; other versions are rejected.
 /// Version 2: injection rows carry their campaign outcome
 /// (`InjectionArtifact`) instead of a bare `FmeaRow`.
 /// Version 3: per-entry `sum` and whole-file `checksum` fields, verified
-/// on load with a quarantine path for entries that fail.
+/// on decode; entries that fail are skipped.
 const FORMAT_VERSION: i64 = 3;
-
-/// What a [`CacheStore::load_with_report`] had to drop to produce a
-/// usable store. A clean load has zero quarantined items and no notes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheLoadReport {
-    /// Entries (or, for an unparsable file, the whole file counted as
-    /// one item) moved to [`QUARANTINE_FILE`] and scheduled for
-    /// recomputation.
-    pub quarantined: usize,
-    /// One human-readable reason per dropped or suspicious item.
-    pub reasons: Vec<String>,
-}
-
-impl CacheLoadReport {
-    /// `true` when nothing was dropped and nothing looked suspicious.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined == 0 && self.reasons.is_empty()
-    }
-}
 
 /// Checksum of one persisted entry, covering everything that round-trips:
 /// kind tag, key, owner, and the serialized artefact value.
@@ -436,32 +306,6 @@ fn file_sum(sums: &[Fingerprint]) -> Fingerprint {
         h.write_fingerprint(*s);
     }
     h.finish()
-}
-
-/// Writes `contents` to `path` atomically: temp file in the same
-/// directory, fsync, rename over the target, then fsync the directory so
-/// the rename itself is durable. Readers see the old file or the new
-/// one — never a torn mix.
-pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
-    let tmp = path.with_file_name(format!("{name}.tmp"));
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    if let Some(parent) = path.parent() {
-        // Best-effort: directory fsync is not supported everywhere.
-        if let Ok(dir) = std::fs::File::open(parent) {
-            dir.sync_all().ok();
-        }
-    }
-    Ok(())
 }
 
 impl CacheStore {
@@ -495,8 +339,8 @@ impl CacheStore {
     /// Layers this store over `shared`: lookups missing the local entries
     /// fall back to the shared layer (counted by
     /// [`SharedStore::shared_hits`]) and stores write through to it.
-    /// Persistence ([`CacheStore::to_value`], [`CacheStore::save`]) and
-    /// invalidation stay strictly local.
+    /// Snapshots ([`CacheStore::to_value`]) and invalidation stay strictly
+    /// local.
     pub fn attach_shared(&mut self, shared: SharedStore) {
         self.shared = Some(shared);
     }
@@ -544,8 +388,8 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Inserts an already-serialised entry (the store export/import and
-    /// legacy-migration path, which must not re-encode values).
+    /// Inserts an already-serialised entry (the store export path, which
+    /// must not re-encode values).
     pub(crate) fn insert_value(
         &mut self,
         kind: ArtifactKind,
@@ -590,11 +434,11 @@ impl CacheStore {
         before - self.entries.len()
     }
 
-    /// Serialises the whole store as a federation [`Value`] in format v3:
-    /// a versioned header with a whole-file checksum, and one `sum`
-    /// checksum per entry.
+    /// Serialises the store's own entries as a v3 snapshot (a federation
+    /// [`Value`]): a versioned header with a whole-file checksum, and one
+    /// `sum` checksum per entry.
     pub fn to_value(&self) -> Value {
-        // Deterministic entry order, so persisted caches diff cleanly.
+        // Deterministic entry order, so exported snapshots diff cleanly.
         let mut keys: Vec<&(ArtifactKind, Fingerprint)> = self.entries.keys().collect();
         keys.sort_by_key(|(kind, fp)| (kind.tag(), *fp));
         let mut sums = Vec::with_capacity(keys.len());
@@ -620,43 +464,32 @@ impl CacheStore {
         ])
     }
 
-    /// Rebuilds a store from [`CacheStore::to_value`] output, dropping
+    /// Rebuilds a store from a [`CacheStore::to_value`] snapshot, skipping
     /// anything that fails validation — a cache may always be cold, never
-    /// wrong. See [`CacheStore::from_value_audited`] for what exactly is
-    /// checked.
-    pub fn from_value(value: &Value) -> CacheStore {
-        Self::from_value_audited(value).0
-    }
-
-    /// Rebuilds a store, returning the load report and the raw rejected
-    /// entries alongside it.
+    /// wrong. Returns one note per skipped entry (plus one when the
+    /// whole-file checksum disagrees), empty for a clean snapshot.
     ///
     /// Validation per entry: known kind tag, parsable key, string owner,
     /// present value, and a `sum` matching the recomputed entry checksum.
-    /// Entries of a retired kind (such as `mc-trial`) are skipped without
-    /// quarantine.
-    /// Rejected entries land in the returned list (for quarantining) with
-    /// one reason each in the report. A version mismatch yields an empty
-    /// store with a note but quarantines nothing (an old format is stale,
-    /// not corrupt); a whole-file checksum mismatch over individually
+    /// Entries of a retired kind (such as `mc-trial`) are skipped silently:
+    /// stale, not corrupt. A whole-file checksum mismatch over individually
     /// valid entries is noted but keeps the entries.
-    pub fn from_value_audited(value: &Value) -> (CacheStore, CacheLoadReport, Vec<Value>) {
-        let mut store = CacheStore::new();
-        let mut report = CacheLoadReport::default();
-        let mut rejected = Vec::new();
-        let version = value.get("version").and_then(Value::as_i64);
-        if version != Some(FORMAT_VERSION) {
-            report.reasons.push(format!(
-                "cache format version {} does not match expected {FORMAT_VERSION}; starting cold",
-                version.map(|v| v.to_string()).unwrap_or_else(|| "<missing>".to_owned())
-            ));
-            return (store, report, rejected);
-        }
-        let Some(Value::List(entries)) = value.get("entries") else {
-            report.quarantined = 1;
-            report.reasons.push("cache header has no `entries` list".to_owned());
-            return (store, report, rejected);
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cache`] when `value` is not a v3 snapshot: another
+    /// `version`, or no `entries` list.
+    pub fn from_value_audited(value: &Value) -> Result<(CacheStore, Vec<String>)> {
+        let not_a_snapshot =
+            |found: String| EngineError::Cache(format!("expected a v3 snapshot, found {found}"));
+        let entries = match (value.get("version").and_then(Value::as_i64), value.get("entries")) {
+            (Some(FORMAT_VERSION), Some(Value::List(entries))) => entries,
+            (Some(FORMAT_VERSION), _) => return Err(not_a_snapshot("no `entries` list".into())),
+            (Some(version), _) => return Err(not_a_snapshot(format!("format version {version}"))),
+            (None, _) => return Err(not_a_snapshot("no `version`".into())),
         };
+        let mut store = CacheStore::new();
+        let mut notes = Vec::new();
         let mut sums = Vec::with_capacity(entries.len());
         for (idx, entry) in entries.iter().enumerate() {
             let tag = entry.get("kind").and_then(Value::as_str);
@@ -674,19 +507,14 @@ impl CacheStore {
             let (Some(kind), Some(key), Some(owner), Some(sum), Some(value)) =
                 (kind, key, owner, stored_sum, entry.get("value"))
             else {
-                report.quarantined += 1;
-                report.reasons.push(format!("entry {idx}: malformed shape"));
-                rejected.push(entry.clone());
+                notes.push(format!("entry {idx}: malformed shape"));
                 continue;
             };
-            let expected = entry_sum(kind, key, owner, value);
-            if expected != sum {
-                report.quarantined += 1;
-                report.reasons.push(format!(
+            if entry_sum(kind, key, owner, value) != sum {
+                notes.push(format!(
                     "entry {idx} ({} {key}, owner `{owner}`): checksum mismatch",
                     kind.tag()
                 ));
-                rejected.push(entry.clone());
                 continue;
             }
             sums.push(sum);
@@ -695,112 +523,12 @@ impl CacheStore {
                 .insert((kind, key), CacheEntry { owner: owner.to_owned(), value: value.clone() });
         }
         let stored_file_sum = value.get("checksum").and_then(Value::as_str);
-        if report.quarantined == 0 && stored_file_sum != Some(file_sum(&sums).to_string().as_str())
-        {
-            report.reasons.push(
+        if notes.is_empty() && stored_file_sum != Some(file_sum(&sums).to_string().as_str()) {
+            notes.push(
                 "whole-file checksum mismatch; kept the individually verified entries".to_owned(),
             );
         }
-        (store, report, rejected)
-    }
-
-    fn file_of(dir: &Path) -> PathBuf {
-        dir.join(CACHE_FILE)
-    }
-
-    /// Loads the store persisted in `dir`, or an empty store when no cache
-    /// file exists yet, quarantining corrupt content. Convenience wrapper
-    /// over [`CacheStore::load_with_report`] that drops the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] only when the file cannot be *read*
-    /// (an environment problem). Corrupt content never errors: it is
-    /// moved to [`QUARANTINE_FILE`] and the affected entries recompute.
-    pub fn load(dir: impl AsRef<Path>) -> Result<CacheStore> {
-        Self::load_with_report(dir).map(|(store, _)| store)
-    }
-
-    /// Loads the store persisted in `dir`, reporting everything that had
-    /// to be quarantined to produce it.
-    ///
-    /// An unparsable `cache.json` is renamed wholesale to
-    /// [`QUARANTINE_FILE`] (counting as one quarantined item); a parsable
-    /// file with invalid entries has just those entries written there.
-    /// Either way the returned store contains only verified entries and
-    /// the run proceeds, recomputing what was dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] when the file exists but cannot be
-    /// read.
-    pub fn load_with_report(dir: impl AsRef<Path>) -> Result<(CacheStore, CacheLoadReport)> {
-        let dir = dir.as_ref();
-        let file = Self::file_of(dir);
-        if !file.exists() {
-            return Ok((CacheStore::new(), CacheLoadReport::default()));
-        }
-        let bytes = std::fs::read(&file)
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))?;
-        // Invalid UTF-8 is corruption (a torn write or flipped bit), not
-        // an environmental failure — quarantine, like unparsable JSON.
-        let parsed = String::from_utf8(bytes)
-            .map_err(|e| e.to_string())
-            .and_then(|text| json::parse(&text).map_err(|e| e.to_string()));
-        let value = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                // The file is not even JSON: preserve the bytes for
-                // post-mortem and start cold.
-                let quarantine = dir.join(QUARANTINE_FILE);
-                rotate_quarantine(&quarantine);
-                if std::fs::rename(&file, &quarantine).is_err() {
-                    if let Ok(bytes) = std::fs::read(&file) {
-                        std::fs::write(&quarantine, bytes).ok();
-                    }
-                    std::fs::remove_file(&file).ok();
-                }
-                let report = CacheLoadReport {
-                    quarantined: 1,
-                    reasons: vec![format!(
-                        "{}: {e}; whole file moved to {QUARANTINE_FILE}",
-                        file.display()
-                    )],
-                };
-                return Ok((CacheStore::new(), report));
-            }
-        };
-        let (store, report, rejected) = Self::from_value_audited(&value);
-        if !rejected.is_empty() {
-            let quarantine = Value::record([
-                ("version", Value::Int(FORMAT_VERSION)),
-                (
-                    "reasons",
-                    Value::List(report.reasons.iter().map(|r| Value::from(r.as_str())).collect()),
-                ),
-                ("entries", Value::List(rejected)),
-            ]);
-            let target = dir.join(QUARANTINE_FILE);
-            rotate_quarantine(&target);
-            atomic_write(&target, &json::to_string(&quarantine)).ok();
-        }
-        Ok((store, report))
-    }
-
-    /// Persists the store into `dir` (created if missing) with an atomic
-    /// temp-file + fsync + rename write: a crash mid-save leaves the
-    /// previous cache intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] on I/O failure.
-    pub fn save(&self, dir: impl AsRef<Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", dir.display())))?;
-        let file = Self::file_of(dir);
-        atomic_write(&file, &json::to_string(&self.to_value()))
-            .map_err(|e| EngineError::Cache(format!("{}: {e}", file.display())))
+        Ok((store, notes))
     }
 }
 
@@ -808,9 +536,45 @@ impl CacheStore {
 mod tests {
     use super::*;
     use crate::fingerprint::Hasher;
+    use crate::store::{MANIFEST_FILE, STORE_QUARANTINE_FILE};
 
     fn fp(text: &str) -> Fingerprint {
         Hasher::new().write_str(text).finish()
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("decisive_cache_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn open(dir: &Path) -> (SharedStore, StoreRecovery) {
+        SharedStore::open_durable(dir, StoreOptions::default(), Telemetry::noop()).unwrap()
+    }
+
+    /// A durable shared layer holding one committed `GraphRow` under
+    /// `fp("a")`, closed again.
+    fn seed(dir: &Path, artefact: &[f64]) {
+        let (shared, _) = open(dir);
+        let mut overlay = CacheStore::new();
+        overlay.attach_shared(shared);
+        overlay.put(ArtifactKind::GraphRow, fp("a"), "D1", &artefact.to_vec()).unwrap();
+        overlay.sync_durable().unwrap();
+    }
+
+    /// The store's first segment file.
+    fn first_segment(dir: &Path) -> std::path::PathBuf {
+        dir.join(STORE_DIR).join("seg-000001.seg")
+    }
+
+    fn set_entry_field(value: &mut Value, field: &str, to: Value) {
+        let Value::Record(fields) = value else { panic!("snapshot is a record") };
+        let Some((_, Value::List(entries))) = fields.iter_mut().find(|(k, _)| k == "entries")
+        else {
+            panic!("snapshot has entries")
+        };
+        let Value::Record(entry) = &mut entries[0] else { panic!("entry is a record") };
+        entry.iter_mut().find(|(k, _)| k == field).expect("entry field").1 = to;
     }
 
     #[test]
@@ -818,22 +582,29 @@ mod tests {
         let mut store = CacheStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.5f64, 2.5]).unwrap();
         store.put(ArtifactKind::GraphFacts, fp("b"), "top", &"facts".to_owned()).unwrap();
-        let back = CacheStore::from_value(&store.to_value());
+        let (back, notes) = CacheStore::from_value_audited(&store.to_value()).unwrap();
+        assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(back.len(), 2);
         assert_eq!(back.get::<Vec<f64>>(ArtifactKind::GraphRow, fp("a")), Some(vec![1.5, 2.5]));
         assert_eq!(back.get::<String>(ArtifactKind::GraphFacts, fp("b")), Some("facts".into()));
 
-        let dir = std::env::temp_dir().join(format!("decisive_cache_{}", std::process::id()));
-        store.save(&dir).unwrap();
-        let loaded = CacheStore::load(&dir).unwrap();
-        assert_eq!(loaded.len(), 2);
+        // Imported into the durable store and exported after a reopen,
+        // the snapshot comes back byte for byte.
+        let dir = scratch("disk");
+        open(&dir).0.durable().unwrap().import(&back).unwrap();
+        let exported = open(&dir).0.durable().unwrap().export();
+        assert_eq!(json::to_string(&exported.to_value()), json::to_string(&store.to_value()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_directory_loads_empty() {
-        let store = CacheStore::load("/definitely/not/here").unwrap();
-        assert!(store.is_empty());
+        let dir = scratch("missing");
+        let (shared, recovery) = open(&dir);
+        assert!(shared.is_empty());
+        assert!(recovery.is_clean(), "{recovery:?}");
+        assert!(dir.join(STORE_DIR).join(MANIFEST_FILE).exists(), "opening creates the store");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -858,28 +629,29 @@ mod tests {
     }
 
     #[test]
-    fn version_mismatch_loads_empty() {
+    fn a_document_that_is_not_a_v3_snapshot_is_rejected() {
         let mut store = CacheStore::new();
         store.put(ArtifactKind::MonitorSet, fp("m"), "model", &0i64).unwrap();
         let mut value = store.to_value();
         if let Value::Record(fields) = &mut value {
             fields[0].1 = Value::Int(999);
         }
-        assert!(CacheStore::from_value(&value).is_empty());
-        let (_, report, rejected) = CacheStore::from_value_audited(&value);
-        assert_eq!(report.quarantined, 0, "stale format is cold, not corrupt");
-        assert!(!report.is_clean(), "but the report notes it");
-        assert!(rejected.is_empty());
+        let other = [value, Value::record([("version", Value::Int(3))]), Value::Record(Vec::new())];
+        for doc in other {
+            let Err(EngineError::Cache(message)) = CacheStore::from_value_audited(&doc) else {
+                panic!("{doc:?} decoded as a snapshot");
+            };
+            assert!(message.contains("expected a v3 snapshot"), "{message}");
+        }
     }
 
     #[test]
     fn clean_roundtrip_report_is_clean() {
         let mut store = CacheStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        let (back, report, rejected) = CacheStore::from_value_audited(&store.to_value());
+        let (back, notes) = CacheStore::from_value_audited(&store.to_value()).unwrap();
         assert_eq!(back.len(), 1);
-        assert!(report.is_clean(), "{report:?}");
-        assert!(rejected.is_empty());
+        assert!(notes.is_empty(), "{notes:?}");
     }
 
     #[test]
@@ -888,28 +660,12 @@ mod tests {
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
         store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
         let mut value = store.to_value();
-        // Flip one entry's payload without updating its checksum.
-        if let Value::Record(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k != "entries" {
-                    continue;
-                }
-                if let Value::List(entries) = v {
-                    if let Value::Record(efields) = &mut entries[0] {
-                        for (ek, ev) in efields.iter_mut() {
-                            if ek == "value" {
-                                *ev = Value::Int(999);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let (back, report, rejected) = CacheStore::from_value_audited(&value);
+        // Change one entry's payload without updating its checksum.
+        set_entry_field(&mut value, "value", Value::Int(999));
+        let (back, notes) = CacheStore::from_value_audited(&value).unwrap();
         assert_eq!(back.len(), 1, "the intact entry survives");
-        assert_eq!(report.quarantined, 1);
-        assert_eq!(rejected.len(), 1);
-        assert!(report.reasons[0].contains("checksum mismatch"), "{:?}", report.reasons);
+        assert_eq!(notes.len(), 1, "{notes:?}");
+        assert!(notes[0].contains("checksum mismatch"), "{notes:?}");
     }
 
     #[test]
@@ -919,56 +675,43 @@ mod tests {
         store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
         let mut value = store.to_value();
         // Re-tag the first entry as an older build's `mc-trial` artefact.
-        if let Value::Record(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if let (true, Value::List(entries)) = (k == "entries", v) {
-                    if let Value::Record(efields) = &mut entries[0] {
-                        for (ek, ev) in efields.iter_mut() {
-                            if ek == "kind" {
-                                *ev = Value::from("mc-trial");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let (back, report, rejected) = CacheStore::from_value_audited(&value);
+        set_entry_field(&mut value, "kind", Value::from("mc-trial"));
+        let (back, notes) = CacheStore::from_value_audited(&value).unwrap();
         assert_eq!(back.len(), 1, "the retired entry is not loaded");
-        assert!(report.is_clean(), "stale, not corrupt: {report:?}");
-        assert!(rejected.is_empty());
+        assert!(notes.is_empty(), "stale, not corrupt: {notes:?}");
     }
 
     #[test]
     fn unparsable_file_quarantines_wholesale_and_loads_cold() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_q_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(CACHE_FILE), "{definitely not json").unwrap();
-        let (store, report) = CacheStore::load_with_report(&dir).unwrap();
-        assert!(store.is_empty());
-        assert_eq!(report.quarantined, 1);
-        assert!(dir.join(QUARANTINE_FILE).exists(), "bytes preserved for post-mortem");
-        assert!(!dir.join(CACHE_FILE).exists(), "corrupt original moved away");
+        let dir = scratch("garbage");
+        seed(&dir, &[1.0]);
+        std::fs::write(first_segment(&dir), "{definitely not a segment").unwrap();
+        let (shared, recovery) = open(&dir);
+        assert!(shared.is_empty());
+        assert_eq!(recovery.quarantined_frames, 1);
+        let quarantined = dir.join(STORE_DIR).join("seg-000001.seg.quarantined");
+        assert!(quarantined.exists(), "bytes preserved for post-mortem");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_file_quarantines_and_next_save_recovers() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_t_{}", std::process::id()));
-        let mut store = CacheStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.0f64]).unwrap();
-        store.save(&dir).unwrap();
-        let full = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
-        std::fs::write(dir.join(CACHE_FILE), &full[..full.len() / 2]).unwrap();
+        let dir = scratch("truncated");
+        let artefact = vec![0.5f64; 64];
+        seed(&dir, &artefact);
+        let full = std::fs::read(first_segment(&dir)).unwrap();
+        std::fs::write(first_segment(&dir), &full[..full.len() / 2]).unwrap();
 
-        let (cold, report) = CacheStore::load_with_report(&dir).unwrap();
+        let (cold, recovery) = open(&dir);
         assert!(cold.is_empty());
-        assert!(!report.is_clean());
+        assert!(!recovery.is_clean());
+        drop(cold);
 
-        // A fresh save over the quarantined state loads cleanly again.
-        store.save(&dir).unwrap();
-        let (warm, report) = CacheStore::load_with_report(&dir).unwrap();
+        // A fresh commit over the repaired store reopens cleanly again.
+        seed(&dir, &artefact);
+        let (warm, recovery) = open(&dir);
         assert_eq!(warm.len(), 1);
-        assert!(report.is_clean(), "{report:?}");
+        assert!(recovery.is_clean(), "{recovery:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1006,54 +749,39 @@ mod tests {
         // addressing: same key, same artefact).
         assert_eq!(overlay.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(1));
 
-        // to_value persists only the overlay's own entries.
-        let persisted = CacheStore::from_value(&overlay.to_value());
+        // to_value snapshots only the overlay's own entries.
+        let (persisted, _) = CacheStore::from_value_audited(&overlay.to_value()).unwrap();
         assert_eq!(persisted.len(), 1);
     }
 
     #[test]
-    fn snapshot_and_absorb_round_trip_the_shared_layer() {
-        let shared = SharedStore::new();
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared.clone());
-        overlay.put(ArtifactKind::MonitorSet, fp("m"), "model", &7i64).unwrap();
-
-        let snapshot = shared.snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert!(snapshot.shared().is_none(), "snapshots are detached");
-
-        let rebuilt = SharedStore::new();
-        assert_eq!(rebuilt.absorb(&snapshot), 1);
-        assert_eq!(rebuilt.absorb(&snapshot), 0, "absorb is idempotent");
-        let mut fresh = CacheStore::new();
-        fresh.attach_shared(rebuilt);
-        assert_eq!(fresh.get::<i64>(ArtifactKind::MonitorSet, fp("m")), Some(7));
-    }
-
-    #[test]
     fn repeated_quarantines_rotate_and_cap_instead_of_clobbering() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_rot_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("rot");
+        seed(&dir, &[1.0]);
+        let hex = |text: &str| text.bytes().map(|b| format!("{b:02x}")).collect::<String>();
         for round in 0..8 {
-            std::fs::write(dir.join(CACHE_FILE), format!("{{corrupt event {round}")).unwrap();
-            let (_, report) = CacheStore::load_with_report(&dir).unwrap();
-            assert_eq!(report.quarantined, 1, "round {round}");
+            // A torn append: recovery truncates it and records its bytes.
+            let mut bytes = std::fs::read(first_segment(&dir)).unwrap();
+            bytes.extend_from_slice(format!("corrupt event {round}").as_bytes());
+            std::fs::write(first_segment(&dir), bytes).unwrap();
+            let (shared, recovery) = open(&dir);
+            assert_eq!(recovery.quarantined_frames, 1, "round {round}");
+            assert_eq!(shared.len(), 1, "round {round}: the committed frame survives");
         }
-        let base = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
-        assert!(base.contains("event 7"), "base name holds the newest evidence");
-        let rotated: Vec<u64> =
-            (1..=7).filter(|n| dir.join(format!("{QUARANTINE_FILE}.{n}")).exists()).collect();
+        let quarantine = dir.join(STORE_DIR).join(STORE_QUARANTINE_FILE);
+        let base = std::fs::read_to_string(&quarantine).unwrap();
+        assert!(base.contains(&hex("event 7")), "base name holds the newest evidence");
+        let rotated: Vec<u64> = (1..=7)
+            .filter(|n| dir.join(STORE_DIR).join(format!("{STORE_QUARANTINE_FILE}.{n}")).exists())
+            .collect();
         assert_eq!(rotated, vec![3, 4, 5, 6, 7], "oldest copies pruned, newest kept");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn durable_shared_layer_round_trips_across_opens() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_dur_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        let dir = scratch("dur");
+        let (shared, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert!(shared.is_durable());
         let mut overlay = CacheStore::new();
@@ -1062,8 +790,7 @@ mod tests {
         overlay.sync_durable().unwrap();
         drop((overlay, shared));
 
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
+        let (shared, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(shared.len(), 1);
         let mut fresh = CacheStore::new();
@@ -1075,51 +802,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_cache_json_migrates_into_the_log_exactly_once() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_mig_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut legacy = CacheStore::new();
-        legacy.put(ArtifactKind::MonitorSet, fp("m"), "model", &7i64).unwrap();
-        legacy.save(&dir).unwrap();
-
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
-        assert_eq!(recovery.migrated_entries, 1);
-        assert!(recovery.is_clean(), "clean migration is routine, not degraded: {recovery:?}");
-        assert!(!dir.join(CACHE_FILE).exists(), "legacy file retired");
-        assert!(dir.join(format!("{CACHE_FILE}.imported")).exists());
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared);
-        assert_eq!(overlay.get::<i64>(ArtifactKind::MonitorSet, fp("m")), Some(7));
-
-        // Once the manifest exists, a stray cache.json is never
-        // re-imported — the log is authoritative.
-        let mut stray = CacheStore::new();
-        stray.put(ArtifactKind::MonitorSet, fp("other"), "model", &9i64).unwrap();
-        stray.save(&dir).unwrap();
-        let (shared, recovery) =
-            SharedStore::open_durable(&dir, StoreOptions::default(), Telemetry::noop()).unwrap();
-        assert_eq!(recovery.migrated_entries, 0);
-        assert_eq!(shared.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn save_leaves_no_temp_file_behind() {
-        let dir = std::env::temp_dir().join(format!("decisive_cache_a_{}", std::process::id()));
-        let mut store = CacheStore::new();
-        store.put(ArtifactKind::GraphFacts, fp("x"), "top", &"facts".to_owned()).unwrap();
-        store.save(&dir).unwrap();
-        assert!(dir.join(CACHE_FILE).exists());
-        assert!(!dir.join(format!("{CACHE_FILE}.tmp")).exists());
-        // A stale temp file from a killed run does not disturb loads and
-        // is replaced by the next save.
-        std::fs::write(dir.join(format!("{CACHE_FILE}.tmp")), "torn half-write").unwrap();
-        let (loaded, report) = CacheStore::load_with_report(&dir).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(report.is_clean());
-        store.save(&dir).unwrap();
-        assert!(!dir.join(format!("{CACHE_FILE}.tmp")).exists());
+        let dir = scratch("tmp");
+        let store_dir = dir.join(STORE_DIR);
+        let temps = || {
+            let names = std::fs::read_dir(&store_dir).unwrap().flatten().map(|e| e.file_name());
+            names.filter(|n| n.to_string_lossy().ends_with(".tmp")).count()
+        };
+        seed(&dir, &[1.0]);
+        assert_eq!(temps(), 0);
+        // A stale manifest temp file from a killed swap does not disturb
+        // the next open, which removes it.
+        std::fs::write(store_dir.join(format!("{MANIFEST_FILE}.tmp")), "torn half-write").unwrap();
+        let (shared, recovery) = open(&dir);
+        assert_eq!(shared.len(), 1);
+        assert!(recovery.is_clean(), "{recovery:?}");
+        assert_eq!(temps(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

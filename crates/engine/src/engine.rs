@@ -129,8 +129,7 @@ pub struct Engine {
 }
 
 /// Step-by-step [`Engine`] construction — the documented way to configure
-/// an engine. `Engine::new` / `Engine::with_cache` remain as thin
-/// shortcuts for the no-frills cases.
+/// an engine. `Engine::new` remains a shortcut for an in-memory engine.
 ///
 /// # Examples
 ///
@@ -153,7 +152,6 @@ pub struct Engine {
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
     config: EngineConfig,
-    cache: Option<CacheStore>,
     cache_dir: Option<std::path::PathBuf>,
     shared: Option<SharedStore>,
     telemetry: Telemetry,
@@ -192,14 +190,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Starts from a hand-built cache instead of an empty one.
-    pub fn cache(mut self, cache: CacheStore) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Opens the durable store under `dir` at [`EngineBuilder::build`]
-    /// time. Overrides [`EngineBuilder::cache`]; cannot be combined with
+    /// time — the engine's persistence. Cannot be combined with
     /// [`EngineBuilder::shared_store`].
     pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -233,15 +225,13 @@ impl EngineBuilder {
     /// cache directory exists but cannot be opened (corruption is
     /// quarantined, not fatal).
     pub fn build(self) -> Result<Engine> {
-        let mut engine = Engine::with_cache(self.config, self.cache.unwrap_or_default());
+        let mut engine = Engine::new(self.config);
         engine.telemetry = self.telemetry;
         match (self.cache_dir, self.shared) {
             (Some(dir), None) => {
-                // The durable path: persistence lives in the segmented
-                // append-only store under `dir/store/`, recovered by one
-                // index scan (values load lazily on first hit) instead of
-                // a wholesale JSON parse. A legacy `cache.json` migrates
-                // into the log on the first such open.
+                // Persistence lives in the segmented append-only store
+                // under `dir/store/`, recovered by one index scan (values
+                // load lazily on first hit).
                 let (shared, recovery) = SharedStore::open_durable(
                     &dir,
                     crate::store::StoreOptions::default(),
@@ -267,22 +257,10 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// An engine with an empty cache (shortcut over [`Engine::builder`]).
+    /// An engine with an empty in-memory cache (shortcut over
+    /// [`Engine::builder`]).
     pub fn new(config: EngineConfig) -> Self {
-        Engine::with_cache(config, CacheStore::new())
-    }
-
-    /// An engine starting from a previously persisted (or hand-built)
-    /// cache (shortcut over [`Engine::builder`]).
-    pub fn with_cache(config: EngineConfig, cache: CacheStore) -> Self {
-        Engine {
-            config,
-            cache,
-            stats: EngineStats::default(),
-            last_campaign: None,
-            degraded: DegradedModeReport::new(),
-            telemetry: Telemetry::noop(),
-        }
+        Engine { config, ..Engine::default() }
     }
 
     /// The engine's configuration.
@@ -363,46 +341,20 @@ impl Engine {
         }
     }
 
-    /// Loads the v3 JSON cache persisted in `dir` (empty when absent).
-    ///
-    /// Corruption is not fatal: cache entries failing validation are
-    /// quarantined and recomputed ([`CacheStore::load_with_report`]),
-    /// recorded in [`Engine::degraded_report`] and the engine stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Cache`] only on unreadable files (I/O
-    /// failures, not corruption).
-    pub fn load_cache(&mut self, dir: impl AsRef<std::path::Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        let (cache, report) = CacheStore::load_with_report(dir)?;
-        self.cache = cache;
-        self.stats.quarantined_entries += report.quarantined;
-        self.degraded.quarantined_cache_entries += report.quarantined;
-        self.degraded.notes.extend(report.reasons);
-        Ok(())
-    }
-
-    /// Persists the cache into `dir`. A durable engine only fsyncs its
-    /// store; any other engine writes the v3 JSON cache atomically (temp
-    /// file + fsync + rename), so a crash mid-save leaves the previous
-    /// file intact.
+    /// Commits the durable store: fsyncs whatever the passes appended
+    /// since their last commit (every completed pass already commits its
+    /// own artefacts). `dir` is not consulted — the store commits where
+    /// [`EngineBuilder::cache_dir`] opened it.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Cache`] on I/O failure.
-    pub fn save_cache(&self, dir: impl AsRef<std::path::Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        if self.cache.shared().is_some_and(SharedStore::is_durable) {
-            // A durable engine persisted every pass incrementally through
-            // the segmented store; "save" is just the commit fsync. The
-            // v3 JSON file is not rewritten (`decisive store export`
-            // produces portable snapshots).
-            self.cache.sync_durable()?;
-        } else {
-            self.cache.save(dir)?;
+    /// [`EngineError::NotDurable`] when the engine has no durable store;
+    /// [`EngineError::Store`] on fsync failure.
+    pub fn save_cache(&self, _dir: impl AsRef<std::path::Path>) -> Result<()> {
+        if !self.cache.shared().is_some_and(SharedStore::is_durable) {
+            return Err(EngineError::NotDurable);
         }
-        Ok(())
+        self.cache.sync_durable()
     }
 
     /// Runs `pass` and unwraps its artefact through `extract`, failing
@@ -683,6 +635,18 @@ mod tests {
         let built = Engine::builder().cache_dir(&dir).shared_store(SharedStore::new()).build();
         assert!(matches!(built, Err(EngineError::ConflictingStores)), "{built:?}");
         assert!(!dir.exists(), "nothing is opened on the way to the error");
+    }
+
+    #[test]
+    fn save_cache_commits_a_durable_store_and_refuses_without_one() {
+        let dir = std::env::temp_dir().join(format!("decisive_engine_save_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let in_memory = Engine::new(EngineConfig::with_jobs(1));
+        assert!(matches!(in_memory.save_cache(&dir), Err(EngineError::NotDurable)));
+        assert!(!dir.exists(), "nothing is written");
+        let durable = Engine::builder().jobs(1).cache_dir(&dir).build().unwrap();
+        durable.save_cache(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

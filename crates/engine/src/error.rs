@@ -19,7 +19,8 @@ pub enum EngineError {
     },
     /// The run was cancelled through its [`crate::scheduler::CancelToken`].
     Cancelled,
-    /// Cache persistence failed (I/O, parse, or serialisation).
+    /// An artefact could not be serialised, or a document is not a v3
+    /// cache snapshot.
     Cache(String),
     /// The segmented artifact store failed (I/O on append, fsync, or
     /// manifest swap). Corruption never raises this — it quarantines.
@@ -52,6 +53,10 @@ pub enum EngineError {
     /// A `strict` run left campaign cases unsolved or degraded (see
     /// [`Engine::enforce_strict`](crate::Engine::enforce_strict)).
     Strict(String),
+    /// [`Engine::save_cache`](crate::Engine::save_cache) was called on an
+    /// engine without a durable store to commit: the segmented store
+    /// opened from a cache directory is the only persistence.
+    NotDurable,
     /// The builder was given both a cache directory and a shared store. A
     /// cache directory opens a durable shared store of its own, so the
     /// two cannot be combined.
@@ -78,6 +83,9 @@ impl std::fmt::Display for EngineError {
             EngineError::Input(message) | EngineError::Strict(message) => f.write_str(message),
             EngineError::NotADiagram { op, path } => {
                 write!(f, "`{op}` needs a `.bd` block-diagram path, got `{path}`")
+            }
+            EngineError::NotDurable => {
+                write!(f, "engine has no durable store to save: build it with a cache directory")
             }
             EngineError::ConflictingStores => {
                 write!(f, "engine builder: `cache_dir` and `shared_store` cannot be combined")

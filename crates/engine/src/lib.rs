@@ -12,9 +12,11 @@
 //!
 //! - [`fingerprint`] — the stable 64-bit content hasher;
 //! - [`model_fp`] — what gets hashed for each artefact kind;
-//! - [`cache`] — the content-addressed store plus JSON persistence;
+//! - [`cache`] — the content-addressed in-memory store and its portable v3
+//!   snapshot codec;
 //! - [`store`] — the crash-safe segmented append-only log behind durable
-//!   [`SharedStore`]s (incremental durability, frame-level quarantine);
+//!   [`SharedStore`]s, the only persistence (incremental durability,
+//!   frame-level quarantine);
 //! - [`scheduler`] — the deterministic parallel job runner;
 //! - [`stats`] — per-phase observability counters;
 //! - [`pass`] — the typed [`AnalysisPass`] abstraction: each analysis
@@ -41,7 +43,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod store;
 
-pub use cache::{atomic_write, ArtifactKind, CacheStore, SharedStore};
+pub use cache::{ArtifactKind, CacheStore, SharedStore};
 pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary};
 pub use execute::{OpArtifact, OpOutput};
 
@@ -58,6 +60,6 @@ pub use pipeline::{PassStatus, Pipeline, PipelineRun};
 pub use scheduler::{CancelToken, RetryPolicy, Scheduler};
 pub use stats::{EngineStats, PhaseStats};
 pub use store::{
-    CompactionSummary, SegmentStore, StoreHealth, StoreOptions, StoreRecovery, MANIFEST_FILE,
-    STORE_DIR, STORE_QUARANTINE_FILE,
+    atomic_write, CompactionSummary, SegmentStore, StoreHealth, StoreOptions, StoreRecovery,
+    MANIFEST_FILE, STORE_DIR, STORE_QUARANTINE_FILE,
 };

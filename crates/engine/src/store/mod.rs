@@ -1,9 +1,6 @@
-//! The crash-safe segmented artifact store.
-//!
-//! The v3 `cache.json` format serialises the whole world on every save and
-//! parses the whole world on every load — O(history) at both ends, and a
-//! crash loses everything newer than the last full save. This module
-//! replaces that persistence layer with an append-only segmented log:
+//! The crash-safe segmented artifact store: the engine's one persistence
+//! path. A durable [`crate::SharedStore`] writes every artefact through to
+//! an append-only segmented log:
 //!
 //! ```text
 //! <cache-dir>/store/
@@ -15,6 +12,10 @@
 //! ├── seg-000002.hint
 //! └── store.quarantine.json  frames dropped by recovery, for post-mortem
 //! ```
+//!
+//! The portable v3 JSON snapshot ([`CacheStore::to_value`]) is only the
+//! exchange format of [`SegmentStore::export`] and [`SegmentStore::import`]
+//! (`decisive store export|import`).
 //!
 //! *Crash safety is structural, not transactional*: every write is an
 //! append (plus fsync at pass boundaries), never a rewrite-in-place, so
@@ -65,7 +66,7 @@ use std::time::Instant;
 use decisive_federation::{json, Value};
 use decisive_obs::Telemetry;
 
-use crate::cache::{atomic_write, rotate_quarantine, ArtifactKind, CacheStore};
+use crate::cache::{ArtifactKind, CacheStore};
 use crate::error::{EngineError, Result};
 use crate::fingerprint::Fingerprint;
 
@@ -79,6 +80,9 @@ pub const MANIFEST_FILE: &str = "MANIFEST.json";
 
 /// Frames dropped by recovery land here (rotated, never clobbered).
 pub const STORE_QUARANTINE_FILE: &str = "store.quarantine.json";
+
+/// Rotated copies of a quarantine file kept before the oldest are pruned.
+const QUARANTINE_KEEP: usize = 5;
 
 /// First bytes of every segment file.
 const SEGMENT_MAGIC: [u8; 8] = *b"DSEGv01\n";
@@ -125,9 +129,6 @@ pub struct StoreRecovery {
     /// Leftover segment files of an interrupted rotation or compaction,
     /// removed. Expected after a crash; not a degradation.
     pub removed_orphan_segments: usize,
-    /// Legacy `cache.json` entries migrated into the log on first open
-    /// (see `SharedStore::open_durable`).
-    pub migrated_entries: usize,
     /// Segments indexed, at least in part, from their hint logs.
     pub hinted_segments: usize,
     /// Segment bytes open had to read and verify because no valid hint
@@ -139,9 +140,8 @@ pub struct StoreRecovery {
 }
 
 impl StoreRecovery {
-    /// `true` when nothing had to be repaired (orphan removal, legacy
-    /// migration and scanning unhinted bytes are expected operations, not
-    /// repairs).
+    /// `true` when nothing had to be repaired (orphan removal and
+    /// scanning unhinted bytes are expected operations, not repairs).
     pub fn is_clean(&self) -> bool {
         self.quarantined_frames == 0 && self.truncated_bytes == 0 && self.notes.is_empty()
     }
@@ -155,7 +155,6 @@ impl StoreRecovery {
             ("quarantined_frames", Value::Int(self.quarantined_frames as i64)),
             ("truncated_bytes", Value::Int(self.truncated_bytes as i64)),
             ("removed_orphan_segments", Value::Int(self.removed_orphan_segments as i64)),
-            ("migrated_entries", Value::Int(self.migrated_entries as i64)),
             ("hinted_segments", Value::Int(self.hinted_segments as i64)),
             ("scanned_bytes", Value::Int(self.scanned_bytes as i64)),
             ("notes", Value::List(self.notes.iter().map(|n| Value::from(n.as_str())).collect())),
@@ -423,6 +422,65 @@ fn quarantine_item(segment: u64, offset: u64, reason: &str, bytes: &[u8]) -> Val
     ])
 }
 
+/// Writes `contents` to `path` atomically: temp file in the same
+/// directory, fsync, rename over the target, then fsync the directory so
+/// the rename itself is durable. Readers see the old file or the new
+/// one — never a torn mix.
+pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
+    let tmp = path.with_file_name(format!("{name}.tmp"));
+    {
+        use std::io::Write;
+        let mut f = File::create(&tmp)?;
+        f.write_all(contents.as_bytes())?;
+        f.sync_all()?;
+    }
+    if let Err(e) = std::fs::rename(&tmp, path) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    if let Some(parent) = path.parent() {
+        // Best-effort: directory fsync is not supported everywhere.
+        if let Ok(dir) = File::open(parent) {
+            dir.sync_all().ok();
+        }
+    }
+    Ok(())
+}
+
+/// Shifts an existing quarantine file aside as `<name>.<n>` (n counting
+/// up) so new quarantine content can land at the base name without
+/// destroying earlier evidence, pruning all but the newest
+/// [`QUARANTINE_KEEP`] rotated copies. Best-effort: rotation failure must
+/// never block the recovery that triggered it.
+fn rotate_quarantine(path: &Path) {
+    if !path.exists() {
+        return;
+    }
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else { return };
+    let Some(parent) = path.parent() else { return };
+    let parent = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
+    let Ok(entries) = std::fs::read_dir(parent) else { return };
+    let mut indices: Vec<u64> = entries
+        .flatten()
+        .filter_map(|e| {
+            let file = e.file_name();
+            let file = file.to_str()?;
+            file.strip_prefix(name)?.strip_prefix('.')?.parse::<u64>().ok()
+        })
+        .collect();
+    let next = indices.iter().max().map_or(1, |m| m + 1);
+    if std::fs::rename(path, parent.join(format!("{name}.{next}"))).is_err() {
+        return;
+    }
+    indices.push(next);
+    indices.sort_unstable();
+    while indices.len() > QUARANTINE_KEEP {
+        let oldest = indices.remove(0);
+        std::fs::remove_file(parent.join(format!("{name}.{oldest}"))).ok();
+    }
+}
+
 /// Records dropped frames in a fresh quarantine file, rotating the
 /// previous one aside. Best-effort: the frames are already out of the
 /// index.
@@ -585,28 +643,39 @@ impl SegmentStore {
         match std::fs::read(&manifest_path) {
             // Invalid UTF-8 is corruption (a flipped bit), exactly like
             // unparsable JSON — quarantine and rebuild, never an error.
-            Ok(bytes) => match String::from_utf8(bytes)
-                .ok()
-                .and_then(|text| json::parse(&text).ok())
-                .as_ref()
-                .and_then(parse_manifest)
-            {
-                Some((g, s)) => {
-                    generation = g;
-                    segments = s;
+            Ok(bytes) => {
+                let parsed = String::from_utf8(bytes)
+                    .ok()
+                    .and_then(|text| json::parse(&text).ok())
+                    .as_ref()
+                    .and_then(parse_manifest);
+                // A manifest naming a segment that is not on disk is as
+                // damaged as an unparsable one: trusting it would remove
+                // the real segments as orphans.
+                let missing = parsed.as_ref().and_then(|(_, listed)| {
+                    listed.iter().copied().find(|&id| !dir.join(segment_name(id)).exists())
+                });
+                match (parsed, missing) {
+                    (Some((g, s)), None) => {
+                        generation = g;
+                        segments = s;
+                    }
+                    (_, missing) => {
+                        let quarantined = dir.join(format!("{MANIFEST_FILE}.quarantined"));
+                        rotate_quarantine(&quarantined);
+                        std::fs::rename(&manifest_path, &quarantined).ok();
+                        segments = scan_dir_for(&dir, ".seg");
+                        let damage = missing.map_or("unreadable".to_owned(), |id| {
+                            format!("lists segment {id}, which is missing on disk")
+                        });
+                        recovery.notes.push(format!(
+                            "store manifest {damage}; quarantined it and rebuilt from {} segment file(s)",
+                            segments.len()
+                        ));
+                        manifest_dirty = true;
+                    }
                 }
-                None => {
-                    let quarantined = dir.join(format!("{MANIFEST_FILE}.quarantined"));
-                    rotate_quarantine(&quarantined);
-                    std::fs::rename(&manifest_path, &quarantined).ok();
-                    segments = scan_dir_for(&dir, ".seg");
-                    recovery.notes.push(format!(
-                        "store manifest unreadable; quarantined it and rebuilt from {} segment file(s)",
-                        segments.len()
-                    ));
-                    manifest_dirty = true;
-                }
-            },
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 segments = scan_dir_for(&dir, ".seg");
                 if !segments.is_empty() {
@@ -621,14 +690,6 @@ impl SegmentStore {
         }
         segments.sort_unstable();
         segments.dedup();
-        segments.retain(|&id| {
-            let present = dir.join(segment_name(id)).exists();
-            if !present {
-                recovery.notes.push(format!("segment {id} listed in manifest but missing on disk"));
-                manifest_dirty = true;
-            }
-            present
-        });
 
         // The index comes from each segment's hint log; only the bytes
         // past its last valid batch are read and verified. Values stay on
@@ -1221,7 +1282,7 @@ impl SegmentStore {
     }
 
     /// Appends every entry of a v3 store into the log and syncs — the
-    /// `decisive store import` / legacy-migration path.
+    /// `decisive store import` path.
     ///
     /// # Errors
     ///
@@ -1489,6 +1550,23 @@ mod tests {
         let (store, recovery) = open(&dir, small());
         assert!(!recovery.is_clean(), "manifest loss is a degradation");
         assert_eq!(store.len(), 16, "all frames recovered by the directory scan");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_naming_a_missing_segment_is_rebuilt_not_trusted() {
+        let dir = scratch("misnamed");
+        let (store, _) = open(&dir, StoreOptions::default());
+        put(&store, 1, "live");
+        store.sync().unwrap();
+        drop(store);
+        // A flipped bit turns the listed segment 1 into a segment 3.
+        std::fs::write(dir.join(MANIFEST_FILE), json::to_string(&manifest_value(1, &[3]))).unwrap();
+
+        let (store, recovery) = open(&dir, StoreOptions::default());
+        assert!(!recovery.is_clean(), "{recovery:?}");
+        assert!(dir.join(format!("{MANIFEST_FILE}.quarantined")).exists(), "kept for post-mortem");
+        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_some(), "segment 1 served");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,8 +35,9 @@ pub struct ServeOptions {
     /// engine — this is what keeps one unsolvable request from stalling
     /// the daemon-wide design loop.
     pub deadline_ms: Option<f64>,
-    /// Directory the shared store is loaded from on start and persisted
-    /// to on shutdown. `None` keeps the store purely in memory.
+    /// Directory of the durable shared store: opened, with crash
+    /// recovery, on start and committed after every request. `None`
+    /// keeps the store purely in memory.
     pub cache_dir: Option<PathBuf>,
     /// Default reliability CSV for `.bd` analyses; requests may override
     /// it per call.
@@ -90,9 +91,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 impl Daemon {
     /// Builds a daemon. With `options.cache_dir` set the shared store is
     /// backed by the durable segmented log under `<dir>/store/` — warm
-    /// start is one index scan, every completed pass is durable
-    /// immediately, and a legacy `cache.json` migrates into the log on
-    /// the first open. Corrupt frames are quarantined by recovery, never
+    /// start is one index scan and every completed pass is durable
+    /// immediately. Corrupt frames are quarantined by recovery, never
     /// fatal.
     ///
     /// # Errors

@@ -7,7 +7,7 @@ use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
 use decisive::core::{case_study, metrics};
-use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput};
+use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput, STORE_DIR};
 use decisive::ssam::architecture::Fit;
 use decisive::workload::sets::{chain_model, ladder_model};
 
@@ -33,6 +33,11 @@ impl Drop for TempCacheDir {
     }
 }
 
+/// An engine over `dir`'s durable store.
+fn durable(dir: &TempCacheDir) -> Engine {
+    Engine::builder().jobs(2).cache_dir(dir.path()).build().expect("store opens")
+}
+
 /// A persisted cache warms a brand-new engine instance, and the warmed
 /// result passes `verify_against_full` — the cache survives "CLI
 /// invocations" (here: engine lifetimes) without going stale or wrong.
@@ -41,13 +46,13 @@ fn cache_persists_across_engine_instances() {
     let dir = TempCacheDir::new("persist");
     let (model, top) = case_study::ssam_model();
 
-    let mut first = Engine::new(EngineConfig::with_jobs(2));
+    let mut first = durable(&dir);
     let cold = first.analyze_graph(&model, top).expect("cold analysis");
     assert!(first.stats().cache_hits() == 0, "first run starts cold");
     first.save_cache(dir.path()).expect("save");
+    drop(first);
 
-    let mut second = Engine::new(EngineConfig::with_jobs(2));
-    second.load_cache(dir.path()).expect("load");
+    let mut second = durable(&dir);
     let warm = second.verify_against_full(&model, top).expect("verified warm analysis");
     assert_eq!(warm, cold);
     let rows = second.stats().phase("graph-rows").expect("rows phase");
@@ -130,15 +135,15 @@ fn campaign_health_survives_cache_round_trips() {
     let db = ReliabilityDb::paper_table_ii();
     let config = InjectionConfig::default();
 
-    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let mut engine = durable(&dir);
     engine.analyze_injection(&diagram, &db, &config).expect("cold");
     let cold_health = engine.campaign_health().expect("cold health").clone();
     assert_eq!(cold_health.total, 9);
     assert_eq!(cold_health.unsolvable + cold_health.panicked, 0, "healthy design");
     engine.save_cache(dir.path()).expect("save");
+    drop(engine);
 
-    let mut warm = Engine::new(EngineConfig::with_jobs(2));
-    warm.load_cache(dir.path()).expect("load");
+    let mut warm = durable(&dir);
     warm.analyze_injection(&diagram, &db, &config).expect("warm");
     let phase = warm.stats().phase("injection-rows").expect("phase");
     assert_eq!(phase.cache_misses, 0, "warm pass simulates nothing");
@@ -203,25 +208,30 @@ fn engine_campaign_breaker_trips_on_starved_budget() {
     assert!(!health.failed_cases.is_empty());
 }
 
-/// A poisoned persisted cache (corrupt JSON) is quarantined and the run
-/// proceeds cold — the corruption is reported through the degraded-mode
-/// channel instead of aborting the analysis.
+/// A poisoned persisted cache (garbage over a store segment) is
+/// quarantined and the run proceeds cold — the corruption is reported
+/// through the degraded-mode channel instead of aborting the analysis.
 #[test]
 fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
     let dir = TempCacheDir::new("corrupt");
-    std::fs::create_dir_all(dir.path()).expect("mkdir");
-    std::fs::write(dir.path().join("cache.json"), "{not json").expect("write");
-    let mut engine = Engine::new(EngineConfig::with_jobs(1));
-    engine.load_cache(dir.path()).expect("corruption is not fatal");
-    assert!(engine.cache().is_empty(), "corrupt cache loads cold");
+    let (model, top) = case_study::ssam_model();
+    let mut seed = durable(&dir);
+    seed.analyze_graph(&model, top).expect("seed analysis");
+    seed.save_cache(dir.path()).expect("save");
+    drop(seed);
+    let segment = dir.path().join(STORE_DIR).join("seg-000001.seg");
+    std::fs::write(&segment, "{not a segment").expect("write");
+
+    let mut engine = durable(&dir);
+    assert!(engine.shared_store().expect("durable").is_empty(), "corrupt cache loads cold");
     assert_eq!(engine.degraded_report().quarantined_cache_entries, 1);
     assert!(engine.degraded_report().is_degraded());
     assert!(
-        dir.path().join("cache.quarantine.json").exists(),
+        dir.path().join(STORE_DIR).join("seg-000001.seg.quarantined").exists(),
         "corrupt bytes are preserved for post-mortem"
     );
     // The analysis itself still runs and verifies against a from-scratch
     // pass.
-    let (model, top) = case_study::ssam_model();
     engine.verify_against_full(&model, top).expect("cold run verifies");
+    assert!(engine.stats().jobs_executed() > 0, "the cold run recomputes");
 }
