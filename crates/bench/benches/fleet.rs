@@ -11,8 +11,8 @@
 //!
 //! It prints one `BENCH_fleet {...}` JSON line; `fleet_ok` (every model
 //! exactly one `ok` row and throughput above the core-aware requirement)
-//! is the CI gate, and the checked-in `BENCH_fleet.json` holds the first
-//! recorded baseline.
+//! is the CI gate, and the checked-in `BENCH_fleet.json` holds the latest
+//! recorded run with the core count it was taken on.
 //!
 //! Plain `fn main` (`harness = false`), same as the other benches:
 //! minima over repeated runs are stable enough without Criterion.

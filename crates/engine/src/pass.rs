@@ -30,6 +30,7 @@ use decisive_core::patterns::{self, RecommendationReport};
 use decisive_core::reliability::ReliabilityDb;
 use decisive_core::CoreError;
 use decisive_federation::{DriverRegistry, Value};
+use decisive_fta::CutSet;
 use decisive_hara::{HazardLog, RiskAssessmentPolicy, RiskLog};
 use decisive_ssam::architecture::Component;
 use decisive_ssam::base::IntegrityLevel;
@@ -716,44 +717,56 @@ pub(crate) fn flatten_work(
     }
 }
 
-/// Quantifies one container's fault subtree. Synthesis failures (no
+/// Persisted form of one fault subtree: the summary *plus* the
+/// degraded-mode note its quantification left, so a warm run reports the
+/// same degradation as the cold one. A frame holding a bare summary, as
+/// older stores do, does not decode as this shape and is recomputed once.
+#[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
+pub(crate) struct FtaArtifact {
+    summary: FtaSubtreeSummary,
+    note: Option<String>,
+}
+
+/// Quantifies one container's fault subtree from one bounded MOCUS run:
+/// the top probability, the single points and the named cut sets all
+/// come from the same minimal cut sets. Synthesis failures (no
 /// input→output paths, path-cap overflow) stay a silent
 /// `analysable: false` — expected for leaf containers — while
 /// quantification errors on a *built* tree surface as a degraded-mode
-/// note via the second tuple element.
+/// note.
 fn quantify_subtree(
     model: &SsamModel,
     container: Idx<Component>,
     mission_hours: f64,
     max_paths: usize,
-) -> (FtaSubtreeSummary, Option<String>) {
+) -> FtaArtifact {
     let name = model.components[container].core.name.value().to_owned();
-    match decisive_fta::build_fault_tree(model, container, max_paths) {
-        Ok(synthesised) => match synthesised.tree.try_quantify(mission_hours) {
-            Ok(quant) => {
-                let single_points = synthesised
-                    .tree
-                    .single_points()
-                    .into_iter()
-                    .map(|id| synthesised.tree.node(id).name().to_owned())
-                    .collect();
-                (
-                    FtaSubtreeSummary {
-                        container: name,
-                        analysable: true,
-                        top_probability: quant.top_probability,
-                        single_points,
-                        minimal_cut_sets: synthesised.tree.cut_sets_by_name(),
-                    },
-                    None,
-                )
-            }
-            Err(e) => {
-                let note = format!("fta subtree `{name}` could not be quantified: {e}");
-                (unanalysable_summary(name), Some(note))
-            }
-        },
-        Err(_) => (unanalysable_summary(name), None),
+    let Ok(synthesised) = decisive_fta::build_fault_tree(model, container, max_paths) else {
+        return FtaArtifact { summary: unanalysable_summary(name), note: None };
+    };
+    let tree = &synthesised.tree;
+    let quantified = tree
+        .try_minimal_cut_sets(decisive_fta::MOCUS_BUDGET)
+        .and_then(|cut_sets| Ok((tree.top_probability(&cut_sets, mission_hours)?, cut_sets)));
+    match quantified {
+        Ok((top_probability, cut_sets)) => {
+            let names = |cs: &CutSet| -> Vec<String> {
+                cs.iter().map(|&e| tree.node(e).name().to_owned()).collect()
+            };
+            let single_points = cut_sets.iter().filter(|cs| cs.len() == 1).flat_map(names);
+            let summary = FtaSubtreeSummary {
+                container: name,
+                analysable: true,
+                top_probability,
+                single_points: single_points.collect(),
+                minimal_cut_sets: cut_sets.iter().map(names).collect(),
+            };
+            FtaArtifact { summary, note: None }
+        }
+        Err(e) => {
+            let note = format!("fta subtree `{name}` could not be quantified: {e}");
+            FtaArtifact { summary: unanalysable_summary(name), note: Some(note) }
+        }
     }
 }
 
@@ -1058,19 +1071,17 @@ impl AnalysisPass for FtaPass {
                 }
             })
             .collect();
-        let results = ctx.run_keyed(
+        let artifacts = ctx.run_keyed(
             "fta-subtrees",
             &items,
-            |_, summary: FtaSubtreeSummary| (summary, None),
+            |_, artifact: FtaArtifact| artifact,
             |_| Ok(()),
             |_: &(), i| Ok(quantify_subtree(model, containers[i], mission_hours, max_paths)),
-            |_, (summary, _)| summary.clone(),
+            |_, artifact| artifact.clone(),
         )?;
-        let mut summaries = Vec::with_capacity(results.len());
-        for (summary, note) in results {
-            if let Some(note) = note {
-                ctx.degraded.notes.push(note);
-            }
+        let mut summaries = Vec::with_capacity(artifacts.len());
+        for FtaArtifact { summary, note } in artifacts {
+            ctx.degraded.notes.extend(note);
             summaries.push(summary);
         }
         Ok(PassArtifact::FtaSummaries(summaries))

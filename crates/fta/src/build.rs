@@ -9,10 +9,10 @@
 //! loss-of-function failure. The resulting tree is `AND` over paths of
 //! `OR` over the path components' loss events.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use decisive_core::fmea::{FmeaRow, FmeaTable};
-use decisive_ssam::architecture::{Component, Coverage, Fit};
+use decisive_ssam::architecture::{Component, Coverage, FailureImpact, Fit};
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
@@ -102,21 +102,34 @@ pub fn build_fault_tree(
     }
     let mut tree = FaultTree::new(format!("loss of function at `{container_name}`"));
     let mut event_of: HashMap<(String, String), NodeId> = HashMap::new();
+    // Each component's loss events, resolved the first time a path meets
+    // it, so basic events are numbered in first-seen order.
+    let mut loss_of: HashMap<Idx<Component>, Vec<NodeId>> = HashMap::new();
+    // The last path (1-based) each node joined, so repeats are dropped
+    // without scanning the path's events.
+    let mut joined: Vec<usize> = Vec::new();
     let mut path_nodes = Vec::with_capacity(paths.len());
     for (i, path) in paths.iter().enumerate() {
         let mut loss_events = Vec::new();
         for &component in path {
-            let c = &model.components[component];
-            for (_, fm) in model.failure_modes_of(component) {
-                if !fm.nature.breaks_path() {
-                    continue;
-                }
-                let key = (c.core.name.value().to_owned(), fm.core.name.value().to_owned());
-                let event = *event_of.entry(key.clone()).or_insert_with(|| {
-                    let fit = c.fit.unwrap_or(Fit::ZERO) * fm.distribution;
-                    tree.basic(format!("{}:{}", key.0, key.1), fit)
-                });
-                if !loss_events.contains(&event) {
+            let events = loss_of.entry(component).or_insert_with(|| {
+                let c = &model.components[component];
+                model
+                    .failure_modes_of(component)
+                    .filter(|(_, fm)| fm.nature.breaks_path())
+                    .map(|(_, fm)| {
+                        let key = (c.core.name.value().to_owned(), fm.core.name.value().to_owned());
+                        *event_of.entry(key).or_insert_with_key(|key| {
+                            let fit = c.fit.unwrap_or(Fit::ZERO) * fm.distribution;
+                            tree.basic(format!("{}:{}", key.0, key.1), fit)
+                        })
+                    })
+                    .collect()
+            });
+            joined.resize(tree.len(), 0);
+            for &event in events.iter() {
+                if joined[event.raw() as usize] != i + 1 {
+                    joined[event.raw() as usize] = i + 1;
                     loss_events.push(event);
                 }
             }
@@ -191,13 +204,19 @@ fn dfs(
 /// Generates an FMEA table from a synthesised fault tree: a failure mode is
 /// safety-related iff its basic event forms a singleton minimal cut set —
 /// the HiP-HOPS-style FMEA-from-FTA baseline.
+///
+/// The minimal cut sets are computed once per call, and every row's
+/// verdict and impact is looked up in them, so the baseline costs one
+/// MOCUS run plus a pass over the failure modes.
 pub fn fmea_from_fault_tree(
     synthesised: &SynthesisedTree,
     model: &SsamModel,
     container: Idx<Component>,
 ) -> FmeaTable {
-    let single_points: std::collections::HashSet<NodeId> =
-        synthesised.tree.single_points().into_iter().collect();
+    let cut_sets = synthesised.tree.minimal_cut_sets();
+    let single_points: HashSet<NodeId> =
+        cut_sets.iter().filter(|cs| cs.len() == 1).flatten().copied().collect();
+    let in_some_cut: HashSet<NodeId> = cut_sets.iter().flatten().copied().collect();
     let mut table = FmeaTable::new(model.components[container].core.name.value());
     for component in model.descendants_of(container) {
         let c = &model.components[component];
@@ -209,19 +228,15 @@ pub fn fmea_from_fault_tree(
             // violates the goal; an event appearing only in multi-event cut
             // sets violates it with a second fault; an event in no cut set
             // (or unmodelled) has no effect on this top event.
-            let impact = if safety_related {
-                Some(decisive_ssam::architecture::FailureImpact::DirectViolation)
-            } else if let Some(e) = event {
-                let in_some_cut =
-                    synthesised.tree.minimal_cut_sets().iter().any(|cs| cs.contains(e));
-                Some(if in_some_cut {
-                    decisive_ssam::architecture::FailureImpact::IndirectViolation
+            let impact = event.map(|e| {
+                if single_points.contains(e) {
+                    FailureImpact::DirectViolation
+                } else if in_some_cut.contains(e) {
+                    FailureImpact::IndirectViolation
                 } else {
-                    decisive_ssam::architecture::FailureImpact::NoEffect
-                })
-            } else {
-                None
-            };
+                    FailureImpact::NoEffect
+                }
+            });
             table.push(FmeaRow {
                 component: key.0,
                 type_key: c.type_key.clone(),
@@ -321,6 +336,35 @@ mod tests {
         // Redundant paths: the only cut sets need one event per path, but
         // with no failure modes modelled the paths cannot break at all.
         assert!(ok.tree.minimal_cut_sets().is_empty());
+    }
+
+    /// Events are keyed by `(component, failure mode)` name: two modes of
+    /// one name, or two components of one name on a path, add one basic
+    /// event to the path, numbered where the path first meets it.
+    #[test]
+    fn repeated_names_share_one_event_per_path() {
+        use decisive_ssam::architecture::{ComponentKind, FailureNature};
+        let mut model = SsamModel::new("twins");
+        let top = model.add_component(Component::new("top", ComponentKind::System));
+        let mut prev = top;
+        for name in ["a", "b", "a"] {
+            let c = model.add_child_component(top, Component::new(name, ComponentKind::Hardware));
+            model.components[c].fit = Some(Fit::new(10.0));
+            model.add_failure_mode(c, "Open", FailureNature::LossOfFunction, 0.5);
+            model.add_failure_mode(c, "Open", FailureNature::LossOfFunction, 0.5);
+            model.connect(prev, c);
+            prev = c;
+        }
+        model.connect(prev, top);
+        let synthesised = build_fault_tree(&model, top, 100).unwrap();
+        let tree = &synthesised.tree;
+        let names: Vec<&str> = tree.basic_events().map(|(_, name, _)| name).collect();
+        assert_eq!(names, ["a:Open", "b:Open"]);
+        let path = tree.nodes().find(|(_, n)| n.name() == "path 1 broken").unwrap().1;
+        let crate::tree::Node::Event { children, .. } = path else { panic!("a gate") };
+        let ids: Vec<u32> = children.iter().map(|c| c.raw()).collect();
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(tree.single_points().len(), 2);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! Provides:
 //!
 //! * [`FaultTree`] construction with AND/OR/voting gates,
-//! * MOCUS minimal cut sets ([`FaultTree::minimal_cut_sets`]),
+//! * MOCUS minimal cut sets ([`FaultTree::minimal_cut_sets`], or
+//!   [`FaultTree::try_minimal_cut_sets`] under a working-set budget),
 //! * quantification over mission time ([`FaultTree::quantify`]) with
-//!   Fussell-Vesely and Birnbaum importance,
+//!   Fussell-Vesely and Birnbaum importance, or just the top-event
+//!   probability of cut sets already in hand
+//!   ([`FaultTree::top_probability`]),
 //! * automatic synthesis from SSAM architectures ([`build_fault_tree`]),
 //!   using the path-set dual construction, and
 //! * [`fmea_from_fault_tree`] — the baseline FMEA generator, shown to agree

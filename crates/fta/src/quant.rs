@@ -54,21 +54,9 @@ impl FaultTree {
             return Err(FtaError::InvalidMissionTime { mission_hours });
         }
         let mcs = self.try_minimal_cut_sets(crate::cutset::MOCUS_BUDGET)?;
-        let p_of = |id: NodeId| -> Result<f64, FtaError> {
-            match self.node(id) {
-                Node::Basic { fit, .. } => Ok(fit.failure_probability(mission_hours)),
-                Node::Event { name, .. } => Err(FtaError::MalformedTree {
-                    message: format!(
-                        "cut set references gate `{name}`; cut sets contain only basic events"
-                    ),
-                }),
-            }
-        };
-        let cut_set_probabilities: Vec<f64> = mcs
-            .iter()
-            .map(|cs| cs.iter().map(|&e| p_of(e)).product::<Result<f64, FtaError>>())
-            .collect::<Result<_, _>>()?;
-        let top_probability: f64 = cut_set_probabilities.iter().sum::<f64>().min(1.0);
+        let p_of = |id: NodeId| self.event_probability(id, mission_hours);
+        let cut_set_probabilities = self.cut_set_probabilities(&mcs, mission_hours)?;
+        let top_probability = rare_event_sum(&cut_set_probabilities);
 
         let mut fussell_vesely = BTreeMap::new();
         let mut birnbaum = BTreeMap::new();
@@ -102,6 +90,52 @@ impl FaultTree {
         })
     }
 
+    /// The top-event probability over `mission_hours` from minimal cut
+    /// sets the caller already holds (from
+    /// [`FaultTree::try_minimal_cut_sets`]): the rare-event approximation
+    /// [`FaultTree::try_quantify`] reports, without its importance
+    /// measures or a second MOCUS run.
+    ///
+    /// # Errors
+    ///
+    /// [`FtaError::InvalidMissionTime`] when `mission_hours` is not
+    /// positive and finite; [`FtaError::MalformedTree`] when a cut set
+    /// references a gate node.
+    pub fn top_probability(
+        &self,
+        cut_sets: &[CutSet],
+        mission_hours: f64,
+    ) -> Result<f64, FtaError> {
+        if !(mission_hours > 0.0 && mission_hours.is_finite()) {
+            return Err(FtaError::InvalidMissionTime { mission_hours });
+        }
+        Ok(rare_event_sum(&self.cut_set_probabilities(cut_sets, mission_hours)?))
+    }
+
+    /// Each cut set's probability: the product of its events'.
+    fn cut_set_probabilities(
+        &self,
+        cut_sets: &[CutSet],
+        mission_hours: f64,
+    ) -> Result<Vec<f64>, FtaError> {
+        cut_sets
+            .iter()
+            .map(|cs| cs.iter().map(|&e| self.event_probability(e, mission_hours)).product())
+            .collect()
+    }
+
+    /// A basic event's failure probability over the mission.
+    fn event_probability(&self, id: NodeId, mission_hours: f64) -> Result<f64, FtaError> {
+        match self.node(id) {
+            Node::Basic { fit, .. } => Ok(fit.failure_probability(mission_hours)),
+            Node::Event { name, .. } => Err(FtaError::MalformedTree {
+                message: format!(
+                    "cut set references gate `{name}`; cut sets contain only basic events"
+                ),
+            }),
+        }
+    }
+
     /// Single-point basic events: those forming a singleton minimal cut set.
     pub fn single_points(&self) -> Vec<NodeId> {
         self.minimal_cut_sets()
@@ -117,6 +151,11 @@ impl FaultTree {
             .map(|cs: &CutSet| cs.iter().map(|&e| self.node(e).name().to_owned()).collect())
             .collect()
     }
+}
+
+/// The rare-event approximation `P(top) ≈ Σ P(cut set)`, capped at 1.
+fn rare_event_sum(cut_set_probabilities: &[f64]) -> f64 {
+    cut_set_probabilities.iter().sum::<f64>().min(1.0)
 }
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! FMEA wherever both apply, and the quantitative FTA must order risks
 //! consistently with the FMEDA's residual rates.
 
+use std::collections::BTreeMap;
+
 use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::{case_study, mechanism::Deployment};
+use decisive::engine::fingerprint::Hasher;
+use decisive::engine::Engine;
 use decisive::fta::{build_fault_tree, fmea_from_fault_tree, FaultTree, Gate};
 use decisive::ssam::architecture::{Component, ComponentKind, FailureNature, Fit};
+use decisive::ssam::id::Idx;
 use decisive::ssam::model::SsamModel;
-use decisive::workload::sets::{chain_model, ladder_model};
+use decisive::workload::sets::{chain_model, instance_model, ladder_model, set_by_name};
 
 /// The case study through both pipelines.
 #[test]
@@ -133,4 +138,76 @@ fn mixed_topology_agreement() {
     assert_eq!(direct.disagreement(&via_fta), 0.0);
     let sr: Vec<_> = direct.safety_related_components().into_iter().collect();
     assert_eq!(sr, vec!["back", "front"], "series elements only");
+}
+
+/// Folds one cold `Engine::analyze_fta` run into `h`: every subtree's
+/// container, `analysable`, top-probability bits, single points and named
+/// cut sets, then the run's degraded-mode notes, which it returns.
+fn digest_fta(h: &mut Hasher, model: &SsamModel, top: Idx<Component>) -> Vec<String> {
+    let mut engine = Engine::builder().jobs(1).build().expect("in-memory engine");
+    let summaries = engine.analyze_fta(model, top, 10_000.0).expect("fta pass");
+    h.write_str(model.name.value());
+    for s in &summaries {
+        h.write_str(&s.container);
+        h.write_u64(u64::from(s.analysable));
+        h.write_u64(s.top_probability.to_bits());
+        h.write_u64(s.single_points.len() as u64);
+        for event in &s.single_points {
+            h.write_str(event);
+        }
+        h.write_u64(s.minimal_cut_sets.len() as u64);
+        for cut_set in &s.minimal_cut_sets {
+            h.write_u64(cut_set.len() as u64);
+            for event in cut_set {
+                h.write_str(event);
+            }
+        }
+    }
+    let notes = engine.degraded_report().notes.clone();
+    h.write_u64(notes.len() as u64);
+    for note in &notes {
+        h.write_str(note);
+    }
+    notes
+}
+
+/// The FTA pass's output is pinned bit for bit: a digest recorded before
+/// MOCUS and tree synthesis were reworked, over Set3 fleet instances of
+/// seeds 1 and 2 (the first two of each of the five redundant-bundle
+/// widths) and a ladder whose expansion exceeds the MOCUS budget.
+#[test]
+fn fta_output_matches_the_recorded_digest() {
+    let set3 = set_by_name("Set3").expect("Set3");
+    let mut h = Hasher::new();
+    for seed in [1, 2] {
+        let mut picked: BTreeMap<usize, usize> = BTreeMap::new();
+        for instance in 0..256 {
+            let (model, top) = instance_model(&set3, instance, seed);
+            let bundle = model
+                .components
+                .iter()
+                .filter(|(_, c)| c.core.name.value().starts_with('r'))
+                .count();
+            let seen = picked.entry(bundle).or_insert(0);
+            if *seen == 2 {
+                continue;
+            }
+            *seen += 1;
+            assert!(digest_fta(&mut h, &model, top).is_empty(), "seed {seed} instance {instance}");
+            if picked.values().sum::<usize>() == 10 {
+                break;
+            }
+        }
+        assert_eq!(picked.len(), 5, "seed {seed} covers every bundle width: {picked:?}");
+        assert!(picked.values().all(|&n| n == 2), "seed {seed}: {picked:?}");
+    }
+    let (ladder, top) = ladder_model(2, 8);
+    assert_eq!(
+        digest_fta(&mut h, &ladder, top),
+        vec![
+            "fta subtree `top` could not be quantified: cut-set expansion exceeded 50000 working sets"
+                .to_owned()
+        ]
+    );
+    assert_eq!(h.finish().to_string(), "6c491610af20f9f1");
 }

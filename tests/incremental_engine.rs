@@ -7,7 +7,11 @@ use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
 use decisive::core::{case_study, metrics};
-use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput, STORE_DIR};
+use decisive::engine::obs::Telemetry;
+use decisive::engine::{
+    ArtifactKind, Engine, EngineConfig, Pipeline, PipelineInput, SegmentStore, StoreOptions,
+    STORE_DIR,
+};
 use decisive::ssam::architecture::Fit;
 use decisive::workload::sets::{chain_model, ladder_model};
 
@@ -151,6 +155,50 @@ fn campaign_health_survives_cache_round_trips() {
     assert_eq!(warm_health.total, cold_health.total);
     assert_eq!(warm_health.converged, cold_health.converged);
     assert_eq!(warm_health.strategy_histogram, cold_health.strategy_histogram);
+}
+
+/// A subtree whose MOCUS outgrows the budget leaves the same degraded-mode
+/// note on a warm run as on the cold one, because the note is cached with
+/// the summary; and a frame holding a bare summary, the shape stores kept
+/// before, is recomputed once rather than quarantined.
+#[test]
+fn fta_degradation_survives_cache_round_trips() {
+    let dir = TempCacheDir::new("fta_note");
+    let (model, top) = ladder_model(2, 8);
+    let mut cold = durable(&dir);
+    let summaries = cold.analyze_fta(&model, top, 10_000.0).expect("cold");
+    let notes = cold.degraded_report().notes.clone();
+    assert_eq!(
+        notes,
+        vec!["fta subtree `top` could not be quantified: cut-set expansion exceeded 50000 working sets"]
+    );
+    drop(cold);
+
+    let mut warm = durable(&dir);
+    assert_eq!(warm.analyze_fta(&model, top, 10_000.0).expect("warm"), summaries);
+    assert_eq!(warm.stats().phase("fta-subtrees").expect("phase").cache_misses, 0);
+    assert_eq!(warm.degraded_report().notes, notes, "a warm run reports the same degradation");
+    drop(warm);
+
+    let (store, _) =
+        SegmentStore::open(dir.path().join(STORE_DIR), StoreOptions::default(), Telemetry::noop())
+            .expect("store opens");
+    let keys = store.keys_of_kind(ArtifactKind::FtaSubtree);
+    assert!(!keys.is_empty());
+    for &key in &keys {
+        let (owner, value) = store.get(ArtifactKind::FtaSubtree, key).expect("frame");
+        let bare = value.get("summary").expect("summary field").clone();
+        store.append(ArtifactKind::FtaSubtree, key, &owner, &bare).expect("append");
+    }
+    store.sync().expect("sync");
+    drop(store);
+
+    let mut upgraded = durable(&dir);
+    assert_eq!(upgraded.analyze_fta(&model, top, 10_000.0).expect("upgrade"), summaries);
+    let phase = upgraded.stats().phase("fta-subtrees").expect("phase");
+    assert_eq!(phase.cache_misses, keys.len(), "bare summaries are recomputed");
+    assert_eq!(upgraded.degraded_report().notes, notes);
+    assert_eq!(upgraded.degraded_report().quarantined_cache_entries, 0);
 }
 
 /// A cache directory carries no campaign report from one run into the
