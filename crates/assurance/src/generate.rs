@@ -13,11 +13,16 @@ use decisive_core::process::SafetyConcept;
 use crate::case::{AssuranceCase, EvidenceQuery};
 
 /// The Eq. 1 SPFM query over an exported FMEDA artefact, against `target`.
+///
+/// The denominator — each safety-related component's FIT, once — is
+/// computed once, and a design where it is 0 (no safety-related FIT)
+/// scores 1.0, as [`FmeaTable::spfm`](decisive_core::fmea::FmeaTable::spfm)
+/// defines, instead of failing on a division by zero.
 pub(crate) fn spfm_query(target: f64) -> String {
     format!(
-        "1.0 - rows.collect(r | r.Single_Point_Failure_Rate).sum() / \
-         rows.select(r | r.Safety_Related = 'Yes').collect(r | [r.Component, r.FIT]).distinct() \
-         .collect(p | p[1]).sum() >= {target}"
+        "[rows.select(r | r.Safety_Related = 'Yes').collect(r | [r.Component, r.FIT]).distinct() \
+         .collect(p | p[1]).sum()].collect(d | if d = 0 then 1.0 else \
+         1.0 - rows.collect(r | r.Single_Point_Failure_Rate).sum() / d endif).first() >= {target}"
     )
 }
 

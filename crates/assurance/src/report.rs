@@ -271,6 +271,35 @@ mod tests {
         assert!(report.render().contains("satisfied"));
     }
 
+    /// A design with no safety-related FIT has SPFM 1.0 (as
+    /// `FmeaTable::spfm` defines it), so its SPFM goal holds at any
+    /// target instead of erroring on the zero denominator.
+    #[test]
+    fn a_design_without_safety_related_fit_meets_every_spfm_target() {
+        let row = |component: &str, fit: f64, sr: &str| {
+            Value::record([
+                ("Component", Value::from(component)),
+                ("FIT", Value::Real(fit)),
+                ("Safety_Related", Value::from(sr)),
+                ("Single_Point_Failure_Rate", Value::Real(0.0)),
+            ])
+        };
+        let trees = subtrees();
+        for (rows, target) in [
+            (Value::list([row("D1", 10.0, "No"), row("L1", 15.0, "No")]), IntegrityLevel::AsilD),
+            (Value::list([row("D1", 0.0, "Yes"), row("L1", 15.0, "No")]), IntegrityLevel::AsilB),
+            (Value::list([]), IntegrityLevel::Qm),
+        ] {
+            let evidence =
+                PipelineEvidence { system: "vacuous", target, subtrees: &trees, campaign: None };
+            let registry = DriverRegistry::with_defaults();
+            register_artefacts(&registry, 3.0);
+            registry.memory().register(FMEA_LOCATION, rows);
+            let report = pipeline_report(&evidence, &registry);
+            assert!(report.is_satisfied(), "{target}: open items {:?}", report.open);
+        }
+    }
+
     #[test]
     fn unrefined_design_leaves_the_spfm_goal_open() {
         let trees = subtrees();

@@ -5,8 +5,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use decisive::assurance::report::FMEA_LOCATION;
+use decisive::assurance::{pipeline_case, PipelineEvidence};
 use decisive::core::case_study;
-use decisive::federation::{csv, eql, json, serde_bridge};
+use decisive::core::fmea::graph::{self, GraphConfig};
+use decisive::federation::{csv, eql, json, serde_bridge, DriverRegistry};
+use decisive::ssam::base::IntegrityLevel;
+use decisive::workload::sets::{instance_model, set_by_name};
 
 fn reliability_csv(rows: usize) -> String {
     let mut text = String::from("Component,FIT,Failure_Mode,Distribution\n");
@@ -44,6 +49,40 @@ fn bench_federation(c: &mut Criterion) {
             ))
             .expect("parses")
         })
+    });
+
+    // The pipeline's SPFM evidence query (assurance case node Sn2) over a
+    // Set3-sized FMEDA, evaluated in place by the memory driver.
+    let set3 = set_by_name("Set3").expect("Set3");
+    let (model, top) = instance_model(&set3, 3, 1);
+    let fmeda = graph::run(&model, top, &GraphConfig::default()).expect("graph FMEA");
+    assert_eq!(fmeda.rows.len(), 666);
+    let evidence = PipelineEvidence {
+        system: "set3",
+        target: IntegrityLevel::AsilB,
+        subtrees: &[],
+        campaign: None,
+    };
+    let case = pipeline_case(&evidence).expect("case");
+    let spfm = case
+        .nodes()
+        .find(|(_, node)| node.id == "Sn2")
+        .and_then(|(_, node)| node.query.clone())
+        .expect("Sn2 carries the SPFM query")
+        .expression;
+    let registry = DriverRegistry::with_defaults();
+    registry.memory().register(FMEA_LOCATION, fmeda.to_value());
+    c.bench_function("federation/eql_spfm_evidence_666_rows", |b| {
+        b.iter(|| registry.extract("memory", FMEA_LOCATION, black_box(&spfm)).expect("evaluates"))
+    });
+
+    // The FMEA-table digest input the HARA and assurance keys hash, by
+    // both routes: building a value then printing it, and streaming.
+    c.bench_function("federation/table_json_via_value_666_rows", |b| {
+        b.iter(|| json::to_string(&serde_bridge::to_value(black_box(&fmeda)).expect("serializes")))
+    });
+    c.bench_function("federation/table_json_streamed_666_rows", |b| {
+        b.iter(|| serde_bridge::to_json_string(black_box(&fmeda)).expect("serializes"))
     });
 
     // JSON round trip of a realistic document.

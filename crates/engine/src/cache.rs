@@ -104,11 +104,13 @@ impl ArtifactKind {
 }
 
 /// One cached artefact: its serialized value plus the name of the model
-/// element it was derived *for* (the invalidation handle).
+/// element it was derived *for* (the invalidation handle). The value is
+/// shared, not copied, between an overlay and its shared layer and out to
+/// every overlay a shared hit serves.
 #[derive(Debug, Clone, PartialEq)]
 struct CacheEntry {
     owner: String,
-    value: Value,
+    value: Arc<Value>,
 }
 
 /// An in-memory artefact store keyed by `(kind, fingerprint)`.
@@ -262,7 +264,7 @@ impl SharedStore {
         // entry is promoted into memory so the next lookup is cheap —
         // this is what makes a warm start O(touched artifacts).
         let (owner, value) = self.log.as_ref()?.get(kind, key)?;
-        let entry = CacheEntry { owner, value };
+        let entry = CacheEntry { owner, value: Arc::new(value) };
         self.entries.lock().expect("shared store poisoned").insert((kind, key), entry.clone());
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(entry)
@@ -380,7 +382,7 @@ impl CacheStore {
     ) -> Result<()> {
         let value = serde_bridge::to_value(artefact)
             .map_err(|e| EngineError::Cache(format!("unserialisable artefact: {e}")))?;
-        let entry = CacheEntry { owner: owner.to_owned(), value };
+        let entry = CacheEntry { owner: owner.to_owned(), value: Arc::new(value) };
         if let Some(shared) = &self.shared {
             shared.put_entry(kind, key, entry.clone())?;
         }
@@ -397,14 +399,14 @@ impl CacheStore {
         owner: String,
         value: Value,
     ) {
-        self.entries.insert((kind, key), CacheEntry { owner, value });
+        self.entries.insert((kind, key), CacheEntry { owner, value: Arc::new(value) });
     }
 
     /// Iterates the raw local entries (kind, key, owner, value).
     pub(crate) fn iter_entries(
         &self,
     ) -> impl Iterator<Item = (ArtifactKind, Fingerprint, &str, &Value)> {
-        self.entries.iter().map(|(&(kind, key), e)| (kind, key, e.owner.as_str(), &e.value))
+        self.entries.iter().map(|(&(kind, key), e)| (kind, key, e.owner.as_str(), &*e.value))
     }
 
     /// Fsyncs the attached durable shared layer, if any — the per-pass
@@ -453,7 +455,7 @@ impl CacheStore {
                     ("key", Value::from(k.1.to_string().as_str())),
                     ("owner", Value::from(entry.owner.as_str())),
                     ("sum", Value::from(sum.to_string().as_str())),
-                    ("value", entry.value.clone()),
+                    ("value", Value::clone(&entry.value)),
                 ])
             })
             .collect();
@@ -518,9 +520,8 @@ impl CacheStore {
                 continue;
             }
             sums.push(sum);
-            store
-                .entries
-                .insert((kind, key), CacheEntry { owner: owner.to_owned(), value: value.clone() });
+            let entry = CacheEntry { owner: owner.to_owned(), value: Arc::new(value.clone()) };
+            store.entries.insert((kind, key), entry);
         }
         let stored_file_sum = value.get("checksum").and_then(Value::as_str);
         if notes.is_empty() && stored_file_sum != Some(file_sum(&sums).to_string().as_str()) {

@@ -185,12 +185,23 @@ pub fn candidate_fingerprint(candidate: &Candidate) -> Fingerprint {
 
 /// Digest of an arbitrary serialisable artefact through its federation
 /// JSON form. Used for whole-circuit keys, where every element influences
-/// every injection verdict.
-pub fn serialized_fingerprint<T: serde::Serialize>(artefact: &T, tag: &str) -> Fingerprint {
+/// every injection verdict, and for the FMEA tables, risk logs and FTA
+/// summaries later passes are keyed by.
+///
+/// The JSON is streamed straight from the artefact
+/// ([`serde_bridge::to_json_string`]) — the text building a federation
+/// value and printing it gave, so keys are unchanged and older stores stay
+/// warm.
+///
+/// [`serde_bridge::to_json_string`]: decisive_federation::serde_bridge::to_json_string
+pub fn serialized_fingerprint<T: serde::Serialize + ?Sized>(
+    artefact: &T,
+    tag: &str,
+) -> Fingerprint {
     let mut h = Hasher::new();
     h.write_str(tag);
-    match decisive_federation::serde_bridge::to_value(artefact) {
-        Ok(value) => h.write_str(&decisive_federation::json::to_string(&value)),
+    match decisive_federation::serde_bridge::to_json_string(artefact) {
+        Ok(text) => h.write_str(&text),
         Err(e) => h.write_str("unserialisable").write_str(&e.to_string()),
     };
     h.finish()

@@ -17,7 +17,9 @@ use std::time::Instant;
 use serde::{DeserializeOwned, Serialize};
 
 use decisive_assurance::report::{CAMPAIGN_LOCATION, FMEA_LOCATION, FTA_LOCATION};
-use decisive_assurance::{pipeline_report, AssuranceReport, PipelineEvidence, Status};
+use decisive_assurance::{
+    pipeline_case, pipeline_report, AssuranceReport, PipelineEvidence, Status,
+};
 use decisive_blocks::{to_circuit, BlockDiagram};
 use decisive_core::campaign::{CampaignHealth, CaseOutcome, CaseReport};
 use decisive_core::degraded::DegradedModeReport;
@@ -1415,14 +1417,17 @@ impl AnalysisPass for AssurancePass {
             ))
         })?;
         let target = risk.highest_asil().unwrap_or(IntegrityLevel::Qm);
+        let subtrees: Vec<(String, bool, Vec<String>)> = subtree_summaries
+            .iter()
+            .map(|s| (s.container.clone(), s.analysable, s.single_points.clone()))
+            .collect();
+        let evidence =
+            PipelineEvidence { system: &table.system, target, subtrees: &subtrees, campaign };
 
         let mut h = Hasher::new();
         h.write_str("assurance-case");
         h.write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"));
-        h.write_fingerprint(model_fp::serialized_fingerprint(
-            &subtree_summaries.to_vec(),
-            "fta-summaries",
-        ));
+        h.write_fingerprint(model_fp::serialized_fingerprint(subtree_summaries, "fta-summaries"));
         h.write_fingerprint(model_fp::serialized_fingerprint(risk, "risk-log"));
         // Only the semantic campaign fields: wall-clock noise (slowest
         // cases, degradation snapshots) must not break warm cache hits.
@@ -1447,16 +1452,20 @@ impl AnalysisPass for AssurancePass {
                 h.write_bool(false);
             }
         }
+        // The generated case — its statements and evidence queries — keys
+        // the report too, so a changed generator recomputes stored reports.
+        match pipeline_case(&evidence) {
+            Ok(case) => h
+                .write_bool(true)
+                .write_fingerprint(model_fp::serialized_fingerprint(&case, "assurance-case")),
+            Err(e) => h.write_bool(false).write_str(&e.to_string()),
+        };
         let items = [WorkItem {
             id: ArtifactId { kind: ArtifactKind::AssuranceCase, key: h.finish() },
             owner: table.system.clone(),
             label: table.system.clone(),
         }];
 
-        let subtrees: Vec<(String, bool, Vec<String>)> = subtree_summaries
-            .iter()
-            .map(|s| (s.container.clone(), s.analysable, s.single_points.clone()))
-            .collect();
         let mut reports = ctx.run_keyed(
             "assurance-case",
             &items,
@@ -1497,12 +1506,6 @@ impl AnalysisPass for AssurancePass {
                         ])]),
                     );
                 }
-                let evidence = PipelineEvidence {
-                    system: &table.system,
-                    target,
-                    subtrees: &subtrees,
-                    campaign,
-                };
                 Ok(pipeline_report(&evidence, &registry))
             },
             |_, report| report.clone(),

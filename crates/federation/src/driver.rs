@@ -54,6 +54,22 @@ pub trait ModelDriver: Send + Sync {
             }
         }
     }
+
+    /// Evaluates the EQL `query` against the model at `location` — one
+    /// `ExternalReference` resolution.
+    ///
+    /// The default implementation loads the model, then parses and
+    /// evaluates the query over it. Drivers that already hold their
+    /// models override it to evaluate in place instead of loading a copy.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ModelDriver::load`] first, so a missing model fails
+    /// before a malformed query; then the query's parse and evaluation
+    /// errors.
+    fn extract(&self, location: &str, query: &str) -> Result<Value> {
+        crate::eql::eval_str(query, &self.load(location)?)
+    }
 }
 
 /// Reads a driver's backing file, degrading to an unresolved-reference
@@ -181,10 +197,22 @@ impl ModelDriver for MemoryDriver {
     }
 
     fn load(&self, location: &str) -> Result<Value> {
-        self.models.read().get(location).cloned().ok_or_else(|| FederationError::Load {
-            location: location.to_owned(),
-            message: "no in-memory model registered under this key".to_owned(),
-        })
+        self.models.read().get(location).cloned().ok_or_else(|| unregistered(location))
+    }
+
+    /// Evaluates `query` against the registered model in place, under the
+    /// registry's read lock: the model is never copied.
+    fn extract(&self, location: &str, query: &str) -> Result<Value> {
+        let models = self.models.read();
+        let model = models.get(location).ok_or_else(|| unregistered(location))?;
+        crate::eql::eval_str(query, model)
+    }
+}
+
+fn unregistered(location: &str) -> FederationError {
+    FederationError::Load {
+        location: location.to_owned(),
+        message: "no in-memory model registered under this key".to_owned(),
     }
 }
 
@@ -239,13 +267,15 @@ impl DriverRegistry {
     /// Returns [`FederationError::UnknownDriver`] when no driver serves
     /// `kind`; otherwise propagates the driver's errors.
     pub fn load(&self, kind: &str, location: &str) -> Result<Value> {
-        let driver = self
-            .drivers
+        self.driver(kind)?.load(location)
+    }
+
+    fn driver(&self, kind: &str) -> Result<Arc<dyn ModelDriver>> {
+        self.drivers
             .read()
             .get(kind)
             .cloned()
-            .ok_or_else(|| FederationError::UnknownDriver { kind: kind.to_owned() })?;
-        driver.load(location)
+            .ok_or_else(|| FederationError::UnknownDriver { kind: kind.to_owned() })
     }
 
     /// Loads the model at `location` under `policy` — the degraded-mode
@@ -278,15 +308,16 @@ impl DriverRegistry {
         driver.load_with_policy(location, policy)
     }
 
-    /// Loads a model and evaluates an EQL `query` against it — the full
-    /// `ExternalReference` resolution path of the paper (Fig. 8).
+    /// Evaluates an EQL `query` against a model through the driver for
+    /// `kind` ([`ModelDriver::extract`]) — the full `ExternalReference`
+    /// resolution path of the paper (Fig. 8).
     ///
     /// # Errors
     ///
-    /// Propagates load, parse and evaluation errors.
+    /// [`FederationError::UnknownDriver`] when no driver serves `kind`;
+    /// then load, parse and evaluation errors, in that order.
     pub fn extract(&self, kind: &str, location: &str, query: &str) -> Result<Value> {
-        let model = self.load(kind, location)?;
-        crate::eql::eval_str(query, &model)
+        self.driver(kind)?.extract(location, query)
     }
 
     /// The kinds currently served, sorted.
@@ -368,6 +399,12 @@ mod tests {
         let fit =
             r.extract("memory", "rel", "rows.select(r | r.Component = 'MC').first().FIT").unwrap();
         assert_eq!(fit, Value::Int(300));
+        // A missing model fails before a malformed query does.
+        let load_error = |e: FederationError| matches!(e, FederationError::Load { .. });
+        assert!(load_error(r.extract("memory", "missing", "1 +").unwrap_err()));
+        assert!(load_error(r.extract("csv", "/definitely/not/here.csv", "1 +").unwrap_err()));
+        let parse_error = |e: FederationError| matches!(e, FederationError::Parse { .. });
+        assert!(parse_error(r.extract("memory", "rel", "1 +").unwrap_err()));
     }
 
     #[test]

@@ -26,8 +26,11 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{FederationError, Result};
 use crate::value::Value;
@@ -587,8 +590,85 @@ impl Parser {
 // Evaluator
 // ---------------------------------------------------------------------------
 
-struct Scope {
-    vars: HashMap<String, Value>,
+/// The variables in scope: the root bindings, then one frame per enclosing
+/// lambda. Values are borrowed, never copied — a lambda binds each item
+/// where it lies — and the innermost binding of a name wins.
+enum Scope<'s, 'a> {
+    Root(&'s [(&'s str, &'a Value)]),
+    Lambda { param: &'s str, item: &'a Value, outer: &'s Scope<'s, 'a> },
+}
+
+impl<'a> Scope<'_, 'a> {
+    fn lookup(&self, name: &str) -> Option<&'a Value> {
+        let mut scope = self;
+        loop {
+            match scope {
+                Scope::Root(bindings) => {
+                    return bindings.iter().rev().find(|(k, _)| *k == name).map(|&(_, v)| v)
+                }
+                Scope::Lambda { param, item, outer } => {
+                    if *param == name {
+                        return Some(item);
+                    }
+                    scope = outer;
+                }
+            }
+        }
+    }
+}
+
+/// An evaluation result: borrowed when it names a value of the model, a
+/// binding or the query itself, owned when the evaluator computed it.
+type Val<'a> = Cow<'a, Value>;
+
+/// Field `key` of a record, borrowed from a borrowed record and moved out
+/// of an owned one.
+fn take_field<'a>(record: Val<'a>, key: &str) -> Option<Val<'a>> {
+    match record {
+        Cow::Borrowed(v) => v.get(key).map(Cow::Borrowed),
+        Cow::Owned(Value::Record(mut pairs)) => {
+            let at = pairs.iter().position(|(k, _)| k == key)?;
+            Some(Cow::Owned(pairs.swap_remove(at).1))
+        }
+        Cow::Owned(_) => None,
+    }
+}
+
+/// Item `index` of a list, borrowed or moved out like [`take_field`].
+fn take_item(list: Val<'_>, index: usize) -> Option<Val<'_>> {
+    match list {
+        Cow::Borrowed(v) => v.at(index).map(Cow::Borrowed),
+        Cow::Owned(Value::List(mut items)) if index < items.len() => {
+            Some(Cow::Owned(items.swap_remove(index)))
+        }
+        Cow::Owned(_) => None,
+    }
+}
+
+/// The items of a list, borrowed from a borrowed list and moved out of an
+/// owned one.
+enum Items<'a> {
+    Borrowed(std::slice::Iter<'a, Value>),
+    Owned(std::vec::IntoIter<Value>),
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = Val<'a>;
+
+    fn next(&mut self) -> Option<Val<'a>> {
+        match self {
+            Items::Borrowed(items) => items.next().map(Cow::Borrowed),
+            Items::Owned(items) => items.next().map(Cow::Owned),
+        }
+    }
+}
+
+fn items(list: Val<'_>) -> Items<'_> {
+    match list {
+        Cow::Borrowed(Value::List(items)) => Items::Borrowed(items.iter()),
+        Cow::Owned(Value::List(items)) => Items::Owned(items.into_iter()),
+        _ => Items::Owned(Vec::new().into_iter()),
+    }
 }
 
 fn num_pair(a: &Value, b: &Value) -> Option<(f64, f64)> {
@@ -607,30 +687,78 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn eval(expr: &Expr, scope: &mut Scope) -> Result<Value> {
-    match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Var(name) => scope
-            .vars
-            .get(name.as_str())
-            .cloned()
-            .ok_or_else(|| FederationError::eval(format!("unknown variable `{name}`"))),
-        Expr::List(items) => {
-            let vals: Result<Vec<Value>> = items.iter().map(|e| eval(e, scope)).collect();
-            Ok(Value::List(vals?))
+/// Hashes `value` so that values [`values_equal`] calls equal hash alike.
+/// At the top level numbers hash by value (`1 = 1.0`); inside lists and
+/// records, where equality is structural, by variant. The two zeros hash
+/// alike; NaN equals nothing, so its hash is free.
+fn hash_for_equality(value: &Value, top: bool, h: &mut DefaultHasher) {
+    fn real_bits(r: f64) -> u64 {
+        if r == 0.0 {
+            0
+        } else {
+            r.to_bits()
         }
-        Expr::Not(e) => Ok(Value::Bool(!eval(e, scope)?.truthy())),
-        Expr::Neg(e) => {
-            let v = eval(e, scope)?;
-            match v {
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Real(r) => Ok(Value::Real(-r)),
-                other => {
-                    Err(FederationError::eval(format!("cannot negate a {}", other.type_name())))
-                }
+    }
+    match value {
+        Value::Null => h.write_u8(0),
+        Value::Bool(b) => h.write_u8(1 + u8::from(*b)),
+        Value::Int(i) if top => {
+            h.write_u8(3);
+            h.write_u64(real_bits(*i as f64));
+        }
+        Value::Real(r) if top => {
+            h.write_u8(3);
+            h.write_u64(real_bits(*r));
+        }
+        Value::Int(i) => {
+            h.write_u8(4);
+            h.write_i64(*i);
+        }
+        Value::Real(r) => {
+            h.write_u8(5);
+            h.write_u64(real_bits(*r));
+        }
+        Value::Str(s) => {
+            h.write_u8(6);
+            s.hash(h);
+        }
+        Value::List(items) => {
+            h.write_u8(7);
+            h.write_usize(items.len());
+            for item in items {
+                hash_for_equality(item, false, h);
             }
         }
-        Expr::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, scope),
+        Value::Record(pairs) => {
+            h.write_u8(8);
+            h.write_usize(pairs.len());
+            for (k, v) in pairs {
+                k.hash(h);
+                hash_for_equality(v, false, h);
+            }
+        }
+    }
+}
+
+fn eval<'a>(expr: &'a Expr, scope: &Scope<'_, 'a>) -> Result<Val<'a>> {
+    match expr {
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(name) => scope
+            .lookup(name)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| FederationError::eval(format!("unknown variable `{name}`"))),
+        Expr::List(items) => {
+            let vals: Result<Vec<Value>> =
+                items.iter().map(|e| eval(e, scope).map(Cow::into_owned)).collect();
+            Ok(Cow::Owned(Value::List(vals?)))
+        }
+        Expr::Not(e) => Ok(Cow::Owned(Value::Bool(!eval(e, scope)?.truthy()))),
+        Expr::Neg(e) => match &*eval(e, scope)? {
+            Value::Int(i) => Ok(Cow::Owned(Value::Int(-*i))),
+            Value::Real(r) => Ok(Cow::Owned(Value::Real(-*r))),
+            other => Err(FederationError::eval(format!("cannot negate a {}", other.type_name()))),
+        },
+        Expr::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, scope).map(Cow::Owned),
         Expr::If(cond, then_branch, else_branch) => {
             if eval(cond, scope)?.truthy() {
                 eval(then_branch, scope)
@@ -640,38 +768,37 @@ fn eval(expr: &Expr, scope: &mut Scope) -> Result<Value> {
         }
         Expr::Field(base, name) => {
             let b = eval(base, scope)?;
-            b.get(name).cloned().ok_or_else(|| {
-                FederationError::eval(format!("no field `{name}` on a {}", b.type_name()))
-            })
+            let type_name = b.type_name();
+            take_field(b, name)
+                .ok_or_else(|| FederationError::eval(format!("no field `{name}` on a {type_name}")))
         }
         Expr::Index(base, idx) => {
             let b = eval(base, scope)?;
             let i = eval(idx, scope)?;
-            match (&b, &i) {
-                (Value::Record(_), Value::Str(key)) => b.get(key).cloned().ok_or_else(|| {
+            if let (Value::Record(_), Value::Str(key)) = (&*b, &*i) {
+                return take_field(b, key).ok_or_else(|| {
                     FederationError::eval(format!("no field `{key}` on the record"))
-                }),
-                _ => {
-                    let n = i.as_i64().ok_or_else(|| {
-                        FederationError::eval(format!(
-                            "index must be an int (or a string on records), got {}",
-                            i.type_name()
-                        ))
-                    })?;
-                    b.at(n as usize)
-                        .cloned()
-                        .ok_or_else(|| FederationError::eval(format!("index {n} out of bounds")))
-                }
+                });
             }
+            let n = i.as_i64().ok_or_else(|| {
+                FederationError::eval(format!(
+                    "index must be an int (or a string on records), got {}",
+                    i.type_name()
+                ))
+            })?;
+            take_item(b, n as usize)
+                .ok_or_else(|| FederationError::eval(format!("index {n} out of bounds")))
         }
-        Expr::Call(base, name, args) => {
-            let b = eval(base, scope)?;
-            eval_call(&b, name, args, scope)
-        }
+        Expr::Call(base, name, args) => eval_call(eval(base, scope)?, name, args, scope),
     }
 }
 
-fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<Value> {
+fn eval_binary<'a>(
+    op: BinOp,
+    lhs: &'a Expr,
+    rhs: &'a Expr,
+    scope: &Scope<'_, 'a>,
+) -> Result<Value> {
     // Short-circuit logic first.
     match op {
         BinOp::And => {
@@ -700,16 +827,16 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<V
         ))
     };
     match op {
-        BinOp::Add => match (&l, &r) {
+        BinOp::Add => match (&*l, &*r) {
             (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
             _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a + b)).ok_or_else(|| type_err("+")),
         },
-        BinOp::Sub => match (&l, &r) {
+        BinOp::Sub => match (&*l, &*r) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a - b)),
             _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a - b)).ok_or_else(|| type_err("-")),
         },
-        BinOp::Mul => match (&l, &r) {
+        BinOp::Mul => match (&*l, &*r) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a * b)),
             _ => num_pair(&l, &r).map(|(a, b)| Value::Real(a * b)).ok_or_else(|| type_err("*")),
         },
@@ -723,7 +850,7 @@ fn eval_binary(op: BinOp, lhs: &Expr, rhs: &Expr, scope: &mut Scope) -> Result<V
         BinOp::Eq => Ok(Value::Bool(values_equal(&l, &r))),
         BinOp::Ne => Ok(Value::Bool(!values_equal(&l, &r))),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = match (&l, &r) {
+            let ord = match (&*l, &*r) {
                 (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
                 _ => {
                     let (a, b) = num_pair(&l, &r).ok_or_else(|| type_err("comparison"))?;
@@ -810,109 +937,112 @@ fn no_args(args: &[Arg], method: &str) -> Result<()> {
     }
 }
 
-fn one_expr_arg(args: &[Arg], method: &str, scope: &mut Scope) -> Result<Value> {
+fn one_expr_arg<'a>(args: &'a [Arg], method: &str, scope: &Scope<'_, 'a>) -> Result<Val<'a>> {
     match args {
         [Arg::Expr(e)] => eval(e, scope),
         _ => Err(FederationError::eval(format!("`{method}` expects exactly one argument"))),
     }
 }
 
-fn apply_lambda(param: &str, body: &Expr, item: Value, scope: &mut Scope) -> Result<Value> {
-    let shadowed = scope.vars.insert(param.to_owned(), item);
-    let out = eval(body, scope);
-    match shadowed {
-        Some(old) => {
-            scope.vars.insert(param.to_owned(), old);
-        }
-        None => {
-            scope.vars.remove(param);
-        }
-    }
-    out
+/// Evaluates a lambda body with `param` bound to `item` in place.
+fn apply_lambda<'b>(
+    param: &'b str,
+    body: &'b Expr,
+    item: &'b Value,
+    scope: &Scope<'_, 'b>,
+) -> Result<Val<'b>> {
+    eval(body, &Scope::Lambda { param, item, outer: scope })
 }
 
-fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Result<Value> {
+fn eval_call<'a>(
+    recv: Val<'a>,
+    method: &str,
+    args: &'a [Arg],
+    scope: &Scope<'_, 'a>,
+) -> Result<Val<'a>> {
     // Collection operations.
-    if let Value::List(items) = recv {
+    if let Value::List(list) = &*recv {
         match method {
             "select" | "reject" => {
                 let (param, body) = lambda_arg(args, method)?;
                 let keep_on = method == "select";
                 let mut out = Vec::new();
-                for item in items {
-                    let keep = apply_lambda(param, body, item.clone(), scope)?.truthy();
-                    if keep == keep_on {
-                        out.push(item.clone());
+                for item in items(recv) {
+                    if apply_lambda(param, body, &item, scope)?.truthy() == keep_on {
+                        out.push(item.into_owned());
                     }
                 }
-                return Ok(Value::List(out));
+                return Ok(Cow::Owned(Value::List(out)));
             }
             "collect" => {
                 let (param, body) = lambda_arg(args, method)?;
-                let mut out = Vec::new();
-                for item in items {
-                    out.push(apply_lambda(param, body, item.clone(), scope)?);
+                let mut out = Vec::with_capacity(list.len());
+                for item in items(recv) {
+                    out.push(apply_lambda(param, body, &item, scope)?.into_owned());
                 }
-                return Ok(Value::List(out));
+                return Ok(Cow::Owned(Value::List(out)));
             }
             "exists" => {
                 let (param, body) = lambda_arg(args, method)?;
-                for item in items {
-                    if apply_lambda(param, body, item.clone(), scope)?.truthy() {
-                        return Ok(Value::Bool(true));
+                for item in list {
+                    if apply_lambda(param, body, item, scope)?.truthy() {
+                        return Ok(Cow::Owned(Value::Bool(true)));
                     }
                 }
-                return Ok(Value::Bool(false));
+                return Ok(Cow::Owned(Value::Bool(false)));
             }
             "forAll" => {
                 let (param, body) = lambda_arg(args, method)?;
-                for item in items {
-                    if !apply_lambda(param, body, item.clone(), scope)?.truthy() {
-                        return Ok(Value::Bool(false));
+                for item in list {
+                    if !apply_lambda(param, body, item, scope)?.truthy() {
+                        return Ok(Cow::Owned(Value::Bool(false)));
                     }
                 }
-                return Ok(Value::Bool(true));
+                return Ok(Cow::Owned(Value::Bool(true)));
             }
             "count" => {
                 let (param, body) = lambda_arg(args, method)?;
                 let mut n = 0i64;
-                for item in items {
-                    if apply_lambda(param, body, item.clone(), scope)?.truthy() {
+                for item in list {
+                    if apply_lambda(param, body, item, scope)?.truthy() {
                         n += 1;
                     }
                 }
-                return Ok(Value::Int(n));
+                return Ok(Cow::Owned(Value::Int(n)));
             }
             "sortBy" => {
                 let (param, body) = lambda_arg(args, method)?;
-                let mut keyed: Vec<(Value, Value)> = Vec::with_capacity(items.len());
-                for item in items {
-                    let key = apply_lambda(param, body, item.clone(), scope)?;
-                    keyed.push((key, item.clone()));
+                let mut keyed: Vec<(Value, Value)> = Vec::with_capacity(list.len());
+                for item in items(recv) {
+                    let key = apply_lambda(param, body, &item, scope)?.into_owned();
+                    keyed.push((key, item.into_owned()));
                 }
                 keyed.sort_by(|(a, _), (b, _)| sort_key_order(a, b));
-                return Ok(Value::List(keyed.into_iter().map(|(_, v)| v).collect()));
+                return Ok(Cow::Owned(Value::List(keyed.into_iter().map(|(_, v)| v).collect())));
             }
             "first" => {
                 no_args(args, method)?;
-                return Ok(items.first().cloned().unwrap_or(Value::Null));
+                return Ok(take_item(recv, 0).unwrap_or(Cow::Owned(Value::Null)));
             }
             "last" => {
                 no_args(args, method)?;
-                return Ok(items.last().cloned().unwrap_or(Value::Null));
+                let last = list.len().checked_sub(1);
+                return Ok(last
+                    .and_then(|at| take_item(recv, at))
+                    .unwrap_or(Cow::Owned(Value::Null)));
             }
             "size" => {
                 no_args(args, method)?;
-                return Ok(Value::Int(items.len() as i64));
+                return Ok(Cow::Owned(Value::Int(list.len() as i64)));
             }
             "isEmpty" => {
                 no_args(args, method)?;
-                return Ok(Value::Bool(items.is_empty()));
+                return Ok(Cow::Owned(Value::Bool(list.is_empty())));
             }
             "sum" => {
                 no_args(args, method)?;
                 let mut total = 0.0;
-                for item in items {
+                for item in list {
                     total += item.as_f64().ok_or_else(|| {
                         FederationError::eval(format!(
                             "`sum` over non-numeric {}",
@@ -920,12 +1050,12 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                         ))
                     })?;
                 }
-                return Ok(Value::Real(total));
+                return Ok(Cow::Owned(Value::Real(total)));
             }
             "min" | "max" => {
                 no_args(args, method)?;
                 let mut best: Option<f64> = None;
-                for item in items {
+                for item in list {
                     let v = item.as_f64().ok_or_else(|| {
                         FederationError::eval(format!(
                             "`{method}` over non-numeric {}",
@@ -938,85 +1068,102 @@ fn eval_call(recv: &Value, method: &str, args: &[Arg], scope: &mut Scope) -> Res
                         Some(b) => b.max(v),
                     });
                 }
-                return Ok(best.map(Value::Real).unwrap_or(Value::Null));
+                return Ok(Cow::Owned(best.map(Value::Real).unwrap_or(Value::Null)));
             }
             "avg" => {
                 no_args(args, method)?;
-                if items.is_empty() {
-                    return Ok(Value::Null);
+                if list.is_empty() {
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut total = 0.0;
-                for item in items {
+                for item in list {
                     total += item
                         .as_f64()
                         .ok_or_else(|| FederationError::eval("`avg` over non-numeric value"))?;
                 }
-                return Ok(Value::Real(total / items.len() as f64));
+                return Ok(Cow::Owned(Value::Real(total / list.len() as f64)));
             }
             "at" => {
                 let idx = one_expr_arg(args, method, scope)?;
                 let n = idx.as_i64().ok_or_else(|| FederationError::eval("`at` expects an int"))?;
-                return items
-                    .get(n as usize)
-                    .cloned()
+                return take_item(recv, n as usize)
                     .ok_or_else(|| FederationError::eval(format!("`at({n})` out of bounds")));
             }
             "includes" => {
                 let needle = one_expr_arg(args, method, scope)?;
-                return Ok(Value::Bool(items.iter().any(|i| values_equal(i, &needle))));
+                return Ok(Cow::Owned(Value::Bool(list.iter().any(|i| values_equal(i, &needle)))));
             }
             "distinct" => {
                 no_args(args, method)?;
+                // Candidates for a duplicate share a bucket; `values_equal`
+                // decides, and the first occurrence is kept.
                 let mut out: Vec<Value> = Vec::new();
-                for item in items {
-                    if !out.iter().any(|o| values_equal(o, item)) {
-                        out.push(item.clone());
+                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+                for item in items(recv) {
+                    let mut h = DefaultHasher::new();
+                    hash_for_equality(&item, true, &mut h);
+                    let bucket = buckets.entry(h.finish()).or_default();
+                    if !bucket.iter().any(|&at| values_equal(&out[at], &item)) {
+                        bucket.push(out.len());
+                        out.push(item.into_owned());
                     }
                 }
-                return Ok(Value::List(out));
+                return Ok(Cow::Owned(Value::List(out)));
             }
             "flatten" => {
                 no_args(args, method)?;
                 let mut out = Vec::new();
-                for item in items {
+                for item in items(recv) {
                     match item {
-                        Value::List(inner) => out.extend(inner.iter().cloned()),
-                        other => out.push(other.clone()),
+                        Cow::Borrowed(Value::List(inner)) => out.extend(inner.iter().cloned()),
+                        Cow::Owned(Value::List(inner)) => out.extend(inner),
+                        other => out.push(other.into_owned()),
                     }
                 }
-                return Ok(Value::List(out));
+                return Ok(Cow::Owned(Value::List(out)));
             }
             _ => {}
         }
     }
     // Record operations.
-    if let Value::Record(pairs) = recv {
+    if let Value::Record(pairs) = &*recv {
         match method {
             "get" => {
                 let key = one_expr_arg(args, method, scope)?;
                 let k =
                     key.as_str().ok_or_else(|| FederationError::eval("`get` expects a string"))?;
-                return Ok(recv.get(k).cloned().unwrap_or(Value::Null));
+                return Ok(take_field(recv, k).unwrap_or(Cow::Owned(Value::Null)));
             }
             "has" => {
                 let key = one_expr_arg(args, method, scope)?;
                 let k =
                     key.as_str().ok_or_else(|| FederationError::eval("`has` expects a string"))?;
-                return Ok(Value::Bool(recv.get(k).is_some()));
+                return Ok(Cow::Owned(Value::Bool(recv.get(k).is_some())));
             }
             "keys" => {
                 no_args(args, method)?;
-                return Ok(Value::List(
+                return Ok(Cow::Owned(Value::List(
                     pairs.iter().map(|(k, _)| Value::from(k.as_str())).collect(),
-                ));
+                )));
             }
             "values" => {
                 no_args(args, method)?;
-                return Ok(Value::List(pairs.iter().map(|(_, v)| v.clone()).collect()));
+                return Ok(Cow::Owned(Value::List(pairs.iter().map(|(_, v)| v.clone()).collect())));
             }
             _ => {}
         }
     }
+    eval_scalar_call(&recv, method, args, scope).map(Cow::Owned)
+}
+
+/// The string, numeric and universal operations, which all compute their
+/// result.
+fn eval_scalar_call<'a>(
+    recv: &Value,
+    method: &str,
+    args: &'a [Arg],
+    scope: &Scope<'_, 'a>,
+) -> Result<Value> {
     // String operations.
     if let Value::Str(s) = recv {
         match method {
@@ -1135,20 +1282,22 @@ impl Query {
     /// Evaluates against a single model value, bound as both `model` and
     /// `self`; when the model is a list it is additionally bound as `rows`.
     ///
+    /// The model is borrowed, not copied: variables, fields, indexing,
+    /// `first`, `last`, `at` and `get` refer to it in place, and only the
+    /// values the query computes — and the result — are owned.
+    ///
     /// # Errors
     ///
     /// Returns [`FederationError::Eval`] on type errors, unknown variables
     /// or methods, and out-of-bounds access.
     pub fn eval(&self, model: &Value) -> Result<Value> {
-        let mut bindings: Vec<(&str, Value)> =
-            vec![("model", model.clone()), ("self", model.clone())];
-        if matches!(model, Value::List(_)) {
-            bindings.push(("rows", model.clone()));
-        }
-        self.eval_with(bindings)
+        let bindings = [("model", model), ("self", model), ("rows", model)];
+        let bound = if matches!(model, Value::List(_)) { 3 } else { 2 };
+        Ok(eval(&self.ast, &Scope::Root(&bindings[..bound]))?.into_owned())
     }
 
-    /// Evaluates with explicit variable bindings.
+    /// Evaluates with explicit variable bindings; a name bound twice
+    /// takes its later value.
     ///
     /// # Errors
     ///
@@ -1157,9 +1306,9 @@ impl Query {
         &self,
         bindings: impl IntoIterator<Item = (&'a str, Value)>,
     ) -> Result<Value> {
-        let mut scope =
-            Scope { vars: bindings.into_iter().map(|(k, v)| (k.to_owned(), v)).collect() };
-        eval(&self.ast, &mut scope)
+        let owned: Vec<(&str, Value)> = bindings.into_iter().collect();
+        let borrowed: Vec<(&str, &Value)> = owned.iter().map(|(name, v)| (*name, v)).collect();
+        Ok(eval(&self.ast, &Scope::Root(&borrowed))?.into_owned())
     }
 }
 

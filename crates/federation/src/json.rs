@@ -3,6 +3,8 @@
 //! Kept dependency-free on purpose (see DESIGN.md §4): the JSON driver is
 //! part of the federation substrate, not an external service.
 
+use std::fmt::Write as _;
+
 use crate::error::{FederationDiagnostic, FederationError, Result};
 use crate::value::Value;
 
@@ -174,15 +176,9 @@ fn write_value(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Real(r) => {
-            if r.is_finite() {
-                out.push_str(&format_real(*r));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
+        Value::Int(i) => write_int(*i, out),
+        Value::Real(r) => write_real(*r, out),
+        Value::Str(s) => write_str(s, out),
         Value::List(items) => {
             out.push('[');
             for (i, v) in items.iter().enumerate() {
@@ -199,7 +195,7 @@ fn write_value(value: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_string(k, out);
+                write_str(k, out);
                 out.push(':');
                 write_value(v, out);
             }
@@ -208,30 +204,50 @@ fn write_value(value: &Value, out: &mut String) {
     }
 }
 
-fn format_real(r: f64) -> String {
-    // Keep integral reals distinguishable from ints on re-parse.
-    if r.fract() == 0.0 && r.abs() < 1e15 {
-        format!("{r:.1}")
+// The token printers below are shared with `serde_bridge::to_json_string`,
+// so both routes print the same text. None allocates per token.
+
+/// Prints an integer.
+pub(crate) fn write_int(i: i64, out: &mut String) {
+    let _ = write!(out, "{i}");
+}
+
+/// Prints a real. Integral reals below 1e15 keep a `.0`, so they re-parse
+/// as reals; non-finite reals print as `null` (JSON has no NaN or Inf).
+pub(crate) fn write_real(r: f64, out: &mut String) {
+    if !r.is_finite() {
+        out.push_str("null");
+    } else if r.fract() == 0.0 && r.abs() < 1e15 {
+        let _ = write!(out, "{r:.1}");
     } else {
-        format!("{r}")
+        let _ = write!(out, "{r}");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Prints a quoted string, copying each run that needs no escape at once.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, &byte) in s.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `byte` is ASCII, so `at` is a char boundary.
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -543,6 +559,25 @@ mod tests {
     #[test]
     fn nonfinite_reals_print_null() {
         assert_eq!(to_string(&Value::Real(f64::NAN)), "null");
+    }
+
+    #[test]
+    fn prints_numbers_and_escapes() {
+        let v = Value::list([
+            Value::Int(i64::MIN),
+            Value::Real(-0.0),
+            Value::Real(1e15),
+            Value::Real(999_999_999_999_999.0),
+            Value::Real(0.1),
+            Value::Real(f64::NEG_INFINITY),
+            Value::from("a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}é—ok"),
+        ]);
+        assert_eq!(
+            to_string(&v),
+            "[-9223372036854775808,-0.0,1000000000000000,999999999999999.0,0.1,null,\
+             \"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é—ok\"]"
+        );
+        assert_eq!(parse(&to_string(&v)).unwrap().at(6), v.at(6));
     }
 
     #[test]

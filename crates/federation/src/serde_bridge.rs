@@ -29,6 +29,7 @@ use serde::de::{self, IntoDeserializer};
 use serde::ser::{self, Serialize};
 
 use crate::error::{FederationError, Result};
+use crate::json;
 use crate::value::Value;
 
 /// Serializes `value` into the federation data model.
@@ -37,8 +38,36 @@ use crate::value::Value;
 ///
 /// Returns [`FederationError::Eval`] for unsupported shapes (non-string map
 /// keys, for instance).
-pub fn to_value<T: Serialize>(value: &T) -> Result<Value> {
+pub fn to_value<T: ?Sized + Serialize>(value: &T) -> Result<Value> {
     value.serialize(ValueSerializer)
+}
+
+/// Serializes `value` straight to compact JSON: exactly the text
+/// `json::to_string(&to_value(value)?)` prints, and the same error when
+/// [`to_value`] fails, without building the intermediate [`Value`].
+/// Artefact fingerprints hash this text, so it must not drift from the
+/// two-step route.
+///
+/// # Errors
+///
+/// As [`to_value`].
+///
+/// # Examples
+///
+/// ```
+/// use decisive_federation::{json, serde_bridge::{to_json_string, to_value}};
+///
+/// # fn main() -> Result<(), decisive_federation::FederationError> {
+/// let part = (String::from("D1"), 10.0_f64, Some(3_u8));
+/// assert_eq!(to_json_string(&part)?, r#"["D1",10.0,3]"#);
+/// assert_eq!(to_json_string(&part)?, json::to_string(&to_value(&part)?));
+/// # Ok(())
+/// # }
+/// ```
+pub fn to_json_string<T: ?Sized + Serialize>(value: &T) -> Result<String> {
+    let mut out = String::new();
+    value.serialize(JsonSerializer { out: &mut out })?;
+    Ok(out)
 }
 
 /// Deserializes a `T` back out of a federation value.
@@ -326,6 +355,305 @@ impl ser::SerializeStructVariant for MapCollector {
 }
 
 // ---------------------------------------------------------------------------
+// JSON serializer
+// ---------------------------------------------------------------------------
+
+/// Writes what [`ValueSerializer`] would build, as the JSON text
+/// `json::to_string` would print for it, through the same token printers.
+struct JsonSerializer<'w> {
+    out: &'w mut String,
+}
+
+/// A sequence, map or struct being written: `close` ends it, and also the
+/// variant wrapper around a tuple or struct variant.
+struct JsonCompound<'w> {
+    out: &'w mut String,
+    first: bool,
+    close: &'static str,
+}
+
+impl<'w> JsonSerializer<'w> {
+    fn compound(self, open: &str, close: &'static str) -> JsonCompound<'w> {
+        self.out.push_str(open);
+        JsonCompound { out: self.out, first: true, close }
+    }
+
+    /// Opens `{"variant":` around a variant's payload.
+    fn variant(self, variant: &str, open: &str, close: &'static str) -> JsonCompound<'w> {
+        self.out.push('{');
+        json::write_str(variant, self.out);
+        self.out.push(':');
+        self.compound(open, close)
+    }
+}
+
+impl JsonCompound<'_> {
+    fn separate(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+    }
+
+    fn element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        self.separate();
+        value.serialize(JsonSerializer { out: self.out })
+    }
+
+    fn field<T: ?Sized + Serialize>(&mut self, key: &str, value: &T) -> Result<()> {
+        self.separate();
+        json::write_str(key, self.out);
+        self.out.push(':');
+        value.serialize(JsonSerializer { out: self.out })
+    }
+
+    fn end(self) -> Result<()> {
+        self.out.push_str(self.close);
+        Ok(())
+    }
+}
+
+impl<'w> ser::Serializer for JsonSerializer<'w> {
+    type Ok = ();
+    type Error = FederationError;
+    type SerializeSeq = JsonCompound<'w>;
+    type SerializeTuple = JsonCompound<'w>;
+    type SerializeTupleStruct = JsonCompound<'w>;
+    type SerializeTupleVariant = JsonCompound<'w>;
+    type SerializeMap = JsonCompound<'w>;
+    type SerializeStruct = JsonCompound<'w>;
+    type SerializeStructVariant = JsonCompound<'w>;
+
+    fn serialize_bool(self, v: bool) -> Result<()> {
+        self.out.push_str(if v { "true" } else { "false" });
+        Ok(())
+    }
+    fn serialize_i8(self, v: i8) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_i16(self, v: i16) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_i32(self, v: i32) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_i64(self, v: i64) -> Result<()> {
+        json::write_int(v, self.out);
+        Ok(())
+    }
+    fn serialize_u8(self, v: u8) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_u16(self, v: u16) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_u32(self, v: u32) -> Result<()> {
+        self.serialize_i64(v.into())
+    }
+    fn serialize_u64(self, v: u64) -> Result<()> {
+        match i64::try_from(v) {
+            Ok(i) => self.serialize_i64(i),
+            Err(_) => self.serialize_f64(v as f64),
+        }
+    }
+    fn serialize_f32(self, v: f32) -> Result<()> {
+        self.serialize_f64(v.into())
+    }
+    fn serialize_f64(self, v: f64) -> Result<()> {
+        json::write_real(v, self.out);
+        Ok(())
+    }
+    fn serialize_char(self, v: char) -> Result<()> {
+        self.serialize_str(v.encode_utf8(&mut [0; 4]))
+    }
+    fn serialize_str(self, v: &str) -> Result<()> {
+        json::write_str(v, self.out);
+        Ok(())
+    }
+    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
+        let mut seq = self.compound("[", "]");
+        for byte in v {
+            seq.element(byte)?;
+        }
+        seq.end()
+    }
+    fn serialize_none(self) -> Result<()> {
+        self.serialize_unit()
+    }
+    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<()> {
+        value.serialize(self)
+    }
+    fn serialize_unit(self) -> Result<()> {
+        self.out.push_str("null");
+        Ok(())
+    }
+    fn serialize_unit_struct(self, _name: &'static str) -> Result<()> {
+        self.serialize_unit()
+    }
+    fn serialize_unit_variant(
+        self,
+        _name: &'static str,
+        _index: u32,
+        variant: &'static str,
+    ) -> Result<()> {
+        self.serialize_str(variant)
+    }
+    fn serialize_newtype_struct<T: ?Sized + Serialize>(
+        self,
+        _name: &'static str,
+        value: &T,
+    ) -> Result<()> {
+        value.serialize(self)
+    }
+    fn serialize_newtype_variant<T: ?Sized + Serialize>(
+        self,
+        _name: &'static str,
+        _index: u32,
+        variant: &'static str,
+        value: &T,
+    ) -> Result<()> {
+        let mut wrapper = self.compound("{", "}");
+        wrapper.field(variant, value)?;
+        wrapper.end()
+    }
+    fn serialize_seq(self, _len: Option<usize>) -> Result<JsonCompound<'w>> {
+        Ok(self.compound("[", "]"))
+    }
+    fn serialize_tuple(self, _len: usize) -> Result<JsonCompound<'w>> {
+        Ok(self.compound("[", "]"))
+    }
+    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<JsonCompound<'w>> {
+        Ok(self.compound("[", "]"))
+    }
+    fn serialize_tuple_variant(
+        self,
+        _name: &'static str,
+        _index: u32,
+        variant: &'static str,
+        _len: usize,
+    ) -> Result<JsonCompound<'w>> {
+        Ok(self.variant(variant, "[", "]}"))
+    }
+    fn serialize_map(self, _len: Option<usize>) -> Result<JsonCompound<'w>> {
+        Ok(self.compound("{", "}"))
+    }
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<JsonCompound<'w>> {
+        Ok(self.compound("{", "}"))
+    }
+    fn serialize_struct_variant(
+        self,
+        _name: &'static str,
+        _index: u32,
+        variant: &'static str,
+        _len: usize,
+    ) -> Result<JsonCompound<'w>> {
+        Ok(self.variant(variant, "{", "}}"))
+    }
+}
+
+impl ser::SerializeSeq for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        self.element(value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeTuple for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        self.element(value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeTupleStruct for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        self.element(value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeTupleVariant for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        self.element(value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeMap for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<()> {
+        // Keys go through the value route, which decides what a key may be.
+        let key = match key.serialize(ValueSerializer)? {
+            Value::Str(s) => s,
+            Value::Int(i) => i.to_string(),
+            other => {
+                return Err(FederationError::eval(format!(
+                    "map keys must be strings or integers, got a {}",
+                    other.type_name()
+                )))
+            }
+        };
+        self.separate();
+        json::write_str(&key, self.out);
+        self.out.push(':');
+        Ok(())
+    }
+    fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<()> {
+        value.serialize(JsonSerializer { out: self.out })
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeStruct for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_field<T: ?Sized + Serialize>(
+        &mut self,
+        key: &'static str,
+        value: &T,
+    ) -> Result<()> {
+        self.field(key, value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+impl ser::SerializeStructVariant for JsonCompound<'_> {
+    type Ok = ();
+    type Error = FederationError;
+    fn serialize_field<T: ?Sized + Serialize>(
+        &mut self,
+        key: &'static str,
+        value: &T,
+    ) -> Result<()> {
+        self.field(key, value)
+    }
+    fn end(self) -> Result<()> {
+        JsonCompound::end(self)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Deserializer
 // ---------------------------------------------------------------------------
 
@@ -534,6 +862,7 @@ impl<'de> de::VariantAccess<'de> for VariantAccess<'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde::{Deserialize, Serialize};
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -627,5 +956,165 @@ mod tests {
     fn large_u64_degrades_to_real() {
         let v = to_value(&u64::MAX).unwrap();
         assert!(matches!(v, Value::Real(_)));
+    }
+
+    /// Every shape the JSON route must agree with the value route on.
+    #[derive(Debug, Clone, Serialize)]
+    enum Node {
+        Unit,
+        Newtype(f64),
+        Tuple(i64, String),
+        Struct { big: u64, maybe: Option<f32>, children: Vec<Node> },
+        ByInt(std::collections::BTreeMap<i64, Node>),
+        ByText(std::collections::BTreeMap<String, Option<Box<Node>>>),
+        ByFlag(std::collections::BTreeMap<bool, u8>),
+        Scalars((char, i8, u16, i32, bool), ()),
+    }
+
+    /// `to_json_string` against `to_value` then `json::to_string`, errors
+    /// compared by their text.
+    fn both_routes<T: Serialize + ?Sized>(value: &T) -> (Result<String>, Result<String>) {
+        let direct = to_json_string(value);
+        let via_value = to_value(value).map(|v| json::to_string(&v));
+        (direct, via_value)
+    }
+
+    fn assert_same_text<T: Serialize + ?Sized>(value: &T) {
+        match both_routes(value) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+            (a, b) => panic!("routes disagree: {a:?} vs {b:?}"),
+        }
+    }
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("\""),
+            Just("\\"),
+            Just("\n"),
+            Just("\r"),
+            Just("\t"),
+            Just("\u{0}"),
+            Just("\u{1}"),
+            Just("\u{1f}"),
+            Just("\u{7f}"),
+            Just("é"),
+            Just("—"),
+            Just("\u{1f600}"),
+            Just("/"),
+            Just("plain text"),
+        ];
+        proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
+    }
+
+    fn arb_real() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<f64>(),
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(-0.0),
+                Just(0.0),
+                Just(1e15),
+                Just(-1e15),
+                Just(1e15 - 1.0),
+                Just(1e15 + 2.0),
+                Just(999_999_999_999_999.5),
+                Just(0.1),
+                Just(f64::MAX),
+                Just(f64::MIN_POSITIVE),
+                Just(5e-324),
+            ],
+            (-1e16..1e16f64).prop_map(f64::trunc),
+        ]
+    }
+
+    fn arb_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            Just(i64::MAX as u64),
+            Just(i64::MAX as u64 + 1),
+            Just(u64::MAX),
+            0..100u64,
+        ]
+    }
+
+    fn arb_node() -> impl Strategy<Value = Node> {
+        let leaf = prop_oneof![
+            Just(Node::Unit),
+            arb_real().prop_map(Node::Newtype),
+            (any::<i64>(), arb_text()).prop_map(|(i, s)| Node::Tuple(i, s)),
+            (any::<u32>(), any::<i8>(), any::<u16>(), any::<i32>(), any::<bool>()).prop_map(
+                |(c, a, b, d, e)| {
+                    Node::Scalars((char::from_u32(c % 0x11_0000).unwrap_or('?'), a, b, d, e), ())
+                }
+            ),
+            proptest::collection::vec(any::<bool>(), 0..3)
+                .prop_map(|flags| Node::ByFlag(flags.into_iter().map(|f| (f, 1)).collect())),
+        ];
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                (
+                    arb_u64(),
+                    prop_oneof![Just(None), arb_real().prop_map(|r| Some(r as f32))],
+                    proptest::collection::vec(inner.clone(), 0..4)
+                )
+                    .prop_map(|(big, maybe, children)| Node::Struct {
+                        big,
+                        maybe,
+                        children
+                    }),
+                proptest::collection::vec((any::<i64>(), inner.clone()), 0..4)
+                    .prop_map(|entries| Node::ByInt(entries.into_iter().collect())),
+                proptest::collection::vec(
+                    (arb_text(), prop_oneof![Just(None), inner.prop_map(|n| Some(Box::new(n)))]),
+                    0..4
+                )
+                .prop_map(|entries| Node::ByText(entries.into_iter().collect())),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn json_string_matches_the_value_route(node in arb_node()) {
+            let (direct, via_value) = both_routes(&node);
+            prop_assert_eq!(
+                direct.map_err(|e| e.to_string()),
+                via_value.map_err(|e| e.to_string())
+            );
+        }
+    }
+
+    #[test]
+    fn json_string_covers_each_shape_and_error() {
+        assert_eq!(
+            to_json_string(&fixture()).unwrap(),
+            json::to_string(&to_value(&fixture()).unwrap())
+        );
+        assert_eq!(to_json_string(&Shape::Unit).unwrap(), r#""Unit""#);
+        assert_eq!(to_json_string(&Shape::Newtype(1.0)).unwrap(), r#"{"Newtype":1.0}"#);
+        assert_eq!(to_json_string(&Shape::Tuple(3, "x".into())).unwrap(), r#"{"Tuple":[3,"x"]}"#);
+        assert_eq!(
+            to_json_string(&Shape::Struct { a: true, b: vec![1] }).unwrap(),
+            r#"{"Struct":{"a":true,"b":[1]}}"#
+        );
+        assert_eq!(to_json_string(&u64::MAX).unwrap(), "18446744073709552000");
+        assert_eq!(
+            to_json_string(&(-0.0f64, f64::NAN, 1e15, 1e15 - 1.0)).unwrap(),
+            "[-0.0,null,1000000000000000,999999999999999.0]"
+        );
+        let by_int: std::collections::BTreeMap<i64, i32> = [(-1, 2), (7, 3)].into_iter().collect();
+        assert_eq!(to_json_string(&by_int).unwrap(), r#"{"-1":2,"7":3}"#);
+        let rejected: std::collections::BTreeMap<(u8, u8), i32> =
+            [((1, 2), 3)].into_iter().collect();
+        let err = to_json_string(&rejected).unwrap_err();
+        assert_eq!(err.to_string(), to_value(&rejected).unwrap_err().to_string());
+        assert!(err.to_string().contains("map keys must be strings or integers"), "{err}");
+        assert_same_text("tab\there \u{1}\u{7f} é");
+        assert_same_text(&[Some('\u{0}'), None]);
     }
 }

@@ -226,16 +226,15 @@ pub fn document(output: OpOutput, engine: &Engine) -> Result<Value, String> {
 }
 
 /// Serialises one of the output documents to a single-line JSON string
-/// through the federation bridge.
+/// through the federation bridge ([`serde_bridge::to_json_string`]: the
+/// text of its federation [`Value`], without building the value).
 ///
 /// # Errors
 ///
 /// A human-readable message when the document cannot be represented as a
-/// federation [`decisive_federation::Value`] (practically unreachable for
-/// the types above).
+/// federation [`Value`] (practically unreachable for the types above).
 pub fn to_json_string<T: Serialize>(output: &T) -> Result<String, String> {
-    let value = serde_bridge::to_value(output).map_err(|e| e.to_string())?;
-    Ok(decisive_federation::json::to_string(&value))
+    serde_bridge::to_json_string(output).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -6,14 +6,17 @@
 use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
+use decisive::core::request::{AnalysisOp, AnalysisRequest, RunSpec};
 use decisive::core::{case_study, metrics};
+use decisive::engine::fingerprint::Hasher;
 use decisive::engine::obs::Telemetry;
 use decisive::engine::{
     ArtifactKind, Engine, EngineConfig, Pipeline, PipelineInput, SegmentStore, StoreOptions,
     STORE_DIR,
 };
+use decisive::federation::Value;
 use decisive::ssam::architecture::Fit;
-use decisive::workload::sets::{chain_model, ladder_model};
+use decisive::workload::sets::{chain_model, instance_model, ladder_model, set_by_name};
 
 /// A scratch cache directory, unique per test, removed on drop.
 struct TempCacheDir(std::path::PathBuf);
@@ -282,4 +285,75 @@ fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
     // pass.
     engine.verify_against_full(&model, top).expect("cold run verifies");
     assert!(engine.stats().jobs_executed() > 0, "the cold run recomputes");
+}
+
+/// Every work-item key the standard pipeline derives is pinned, over the
+/// two `.bd` designs in `data/` (the brownout one with its reliability
+/// annex), the case-study model and two Set3 instances. The digest of the
+/// keys of every kind but `assurance-case` was recorded before artefact
+/// digests were streamed instead of built as values, so stores written
+/// before that change stay warm. The `assurance-case` keys have a digest
+/// of their own, recorded when the generated case (its statements and
+/// evidence queries) joined the key: a change to the case generator must
+/// change these keys, or stored reports of the old case would be served.
+#[test]
+fn pipeline_keys_match_the_recorded_digest() {
+    let data = |file: &str| {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../data")
+            .join(file)
+            .to_string_lossy()
+            .into_owned()
+    };
+    let (mut h, mut assurance) = (Hasher::new(), Hasher::new());
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut fold = |engine: &Engine| {
+        let snapshot = engine.cache().to_value();
+        let entries = snapshot.get("entries").and_then(Value::as_list).expect("snapshot entries");
+        for entry in entries {
+            let field = |name: &str| entry.get(name).and_then(Value::as_str).expect("entry field");
+            kinds.insert(field("kind").to_owned());
+            let into = if field("kind") == ArtifactKind::AssuranceCase.tag() {
+                &mut assurance
+            } else {
+                &mut h
+            };
+            into.write_str(field("kind")).write_str(field("key")).write_str(field("owner"));
+        }
+    };
+    let engine = || Engine::builder().jobs(1).build().expect("in-memory engine");
+
+    let designs =
+        [("brownout_threshold.bd", Some("brownout_reliability.csv")), ("power_supply.bd", None)];
+    for (design, annex) in designs {
+        let spec = RunSpec { reliability: annex.map(data), ..RunSpec::default() };
+        let mut e = engine();
+        e.execute(&AnalysisRequest::new(AnalysisOp::Pipeline, data(design), spec))
+            .expect("pipeline on a design");
+        fold(&e);
+    }
+    let set3 = set_by_name("Set3").expect("Set3");
+    let models = [
+        ("case-study", case_study::ssam_model().0),
+        ("set3-1-0", instance_model(&set3, 0, 1).0),
+        ("set3-2-1", instance_model(&set3, 1, 2).0),
+    ];
+    for (name, model) in &models {
+        let mut e = engine();
+        e.execute_model(AnalysisOp::Pipeline, model, name, &RunSpec::default())
+            .expect("pipeline on a model");
+        fold(&e);
+    }
+    let expected = [
+        "assurance-case",
+        "fta-subtree",
+        "graph-facts",
+        "graph-row",
+        "injection-row",
+        "monitor-set",
+        "risk-log",
+    ];
+    assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), expected);
+    assert_eq!(h.finish().to_string(), "b425589563da1d90");
+    assert_eq!(assurance.finish().to_string(), "eddcc9180a022f8d");
 }
