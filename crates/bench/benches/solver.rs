@@ -111,7 +111,6 @@ fn reliability() -> ReliabilityDb {
 
 fn config(kernel: SolverKernel) -> InjectionConfig {
     InjectionConfig {
-        parallelism: 1,
         campaign: CampaignConfig {
             solver: SolverOptions { kernel, ..SolverOptions::default() },
             ..CampaignConfig::default()

@@ -2,6 +2,12 @@
 //! automated FMEA: *initialise* (record sensor readings), *iterate
 //! components × failure modes* (inject, re-simulate, compare against a
 //! threshold), *output* the component safety analysis model.
+//!
+//! The sweep is written once, as [`validate`], [`nominal`] and
+//! [`analyse_candidate_supervised`]. [`run`] and [`run_supervised`] call
+//! them in order on the caller's thread — the sequential reference — and
+//! `decisive-engine`'s injection pass calls the same three, caching each
+//! candidate's row and analysing the misses on its worker pool.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +29,6 @@ pub struct InjectionConfig {
     /// classified safety-related. The comparison is symmetric:
     /// `|after − before| / max(|before|, |after|)`.
     pub threshold: f64,
-    /// Worker threads for the injection sweep; `1` runs inline.
-    pub parallelism: usize,
     /// Campaign supervision: per-case solver budget and the
     /// unsolvable-rate circuit breaker.
     pub campaign: CampaignConfig,
@@ -32,7 +36,7 @@ pub struct InjectionConfig {
 
 impl Default for InjectionConfig {
     fn default() -> Self {
-        InjectionConfig { threshold: 0.2, parallelism: 1, campaign: CampaignConfig::default() }
+        InjectionConfig { threshold: 0.2, campaign: CampaignConfig::default() }
     }
 }
 
@@ -83,81 +87,65 @@ pub fn run_supervised(
     Ok((table, health))
 }
 
-/// Steps 1–2 of the sweep: lower, record nominal readings, analyse every
-/// candidate under supervision. Also returns the lowering and the nominal
-/// readings so dual-point campaigns can reuse them.
+/// Checks `config` before anything is simulated: the threshold must be
+/// positive and finite, and the campaign breaker fraction in `[0, 1]`.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] naming the offending value.
+pub fn validate(config: &InjectionConfig) -> Result<()> {
+    if !(config.threshold > 0.0 && config.threshold.is_finite()) {
+        return Err(CoreError::InvalidParameter {
+            message: format!("threshold must be positive and finite, got {}", config.threshold),
+        });
+    }
+    config.campaign.validate()
+}
+
+/// Step 1 of the sweep — initialise: lowers `diagram` and records the
+/// fault-free reading of every sensor. The nominal solve uses the
+/// configured kernel but the full default recovery ladder: a healthy
+/// circuit that needs a trimmed ladder is a modelling error the campaign
+/// should surface, not paper over.
+///
+/// # Errors
+///
+/// [`CoreError::Diagram`] when the diagram cannot be lowered,
+/// [`CoreError::Simulation`] when the nominal solve fails.
+pub fn nominal(
+    diagram: &BlockDiagram,
+    config: &InjectionConfig,
+) -> Result<(LoweredCircuit, Vec<(decisive_circuit::ElementId, f64)>)> {
+    let lowered = to_circuit(diagram)?;
+    let options =
+        SolverOptions { kernel: config.campaign.solver.kernel, ..SolverOptions::default() };
+    let (solution, _) = SolverWorkspace::new().dc(&lowered.circuit, &options)?;
+    let readings = lowered.circuit.all_sensor_readings(&solution)?;
+    Ok((lowered, readings))
+}
+
+/// Steps 1–2 of the sweep: validate, record the nominal readings, analyse
+/// every candidate under supervision, in candidate order. Also returns the
+/// lowering and the nominal readings so dual-point campaigns can reuse
+/// them.
 #[allow(clippy::type_complexity)]
 fn sweep(
     diagram: &BlockDiagram,
     reliability: &ReliabilityDb,
     config: &InjectionConfig,
 ) -> Result<(Vec<(FmeaRow, CaseReport)>, LoweredCircuit, Vec<(decisive_circuit::ElementId, f64)>)> {
-    if !(config.threshold > 0.0 && config.threshold.is_finite()) {
-        return Err(CoreError::InvalidParameter {
-            message: format!("threshold must be positive and finite, got {}", config.threshold),
-        });
-    }
-    config.campaign.validate()?;
-    let lowered = to_circuit(diagram)?;
-    // Step 1 — Initialise: record the nominal readings. The nominal solve
-    // uses the configured kernel but the full default recovery ladder — a
-    // healthy circuit that needs a trimmed ladder is a modelling error the
-    // campaign should surface, not paper over.
-    let nominal_options =
-        SolverOptions { kernel: config.campaign.solver.kernel, ..SolverOptions::default() };
-    let (nominal_solution, _) = SolverWorkspace::new().dc(&lowered.circuit, &nominal_options)?;
-    let nominal = lowered.circuit.all_sensor_readings(&nominal_solution)?;
-
+    validate(config)?;
+    let (lowered, readings) = nominal(diagram, config)?;
     // Step 2 — Iterate components and failure modes.
-    let candidates = candidates(diagram, reliability);
-
-    let results: Vec<(FmeaRow, CaseReport)> = if config.parallelism > 1 && candidates.len() > 1 {
-        let chunk = candidates.len().div_ceil(config.parallelism);
-        // Spawned workers get fresh thread-locals, so the sweep hands its
-        // telemetry handle to each one explicitly.
-        let telemetry = decisive_obs::current();
-        let mut results: Vec<Vec<(FmeaRow, CaseReport)>> = Vec::new();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|part| {
-                    let lowered = &lowered;
-                    let nominal = &nominal;
-                    let telemetry = telemetry.clone();
-                    scope.spawn(move || {
-                        let _telemetry = decisive_obs::set_current(telemetry);
-                        // One workspace per worker: every case this worker
-                        // solves shares symbolic layouts and LU buffers.
-                        let mut ws = SolverWorkspace::new();
-                        part.iter()
-                            .map(|c| {
-                                analyse_candidate_supervised_in(
-                                    &mut ws, c, lowered, nominal, config,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("injection worker panicked"));
-            }
-        })
-        .expect("crossbeam scope");
-        results.into_iter().flatten().collect()
-    } else {
-        let mut ws = SolverWorkspace::new();
-        candidates
-            .iter()
-            .map(|c| analyse_candidate_supervised_in(&mut ws, c, &lowered, &nominal, config))
-            .collect()
-    };
-    Ok((results, lowered, nominal))
+    let results = candidates(diagram, reliability)
+        .iter()
+        .map(|c| analyse_candidate_supervised(c, &lowered, &readings, config))
+        .collect();
+    Ok((results, lowered, readings))
 }
 
 /// One injectable `(block, failure mode)` pair of the sweep — the unit of
-/// work the parallel paths (here and in `decisive-engine`) schedule
-/// independently.
+/// work the engine's injection pass caches and schedules independently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The block to inject into.
@@ -338,10 +326,10 @@ pub fn run_dual_point(
 
 thread_local! {
     /// Per-thread solver workspace for [`analyse_candidate_supervised`]:
-    /// external schedulers (the engine's `run_keyed` pool) call that entry
-    /// point from long-lived worker threads, so a thread-local gives each
-    /// worker factorization-buffer and layout reuse across every case it
-    /// analyses — without changing the entry point's signature.
+    /// the sweep calls it for every case on one thread, and the engine's
+    /// `run_keyed` pool from long-lived worker threads, so a thread-local
+    /// gives each thread factorization-buffer and layout reuse across
+    /// every case it analyses.
     static WORKER_WORKSPACE: RefCell<SolverWorkspace> = RefCell::new(SolverWorkspace::new());
 }
 
@@ -349,28 +337,14 @@ thread_local! {
 /// inside `catch_unwind` so a panic poisons only this row, the solve runs
 /// the configured recovery ladder, and the returned [`CaseReport`]
 /// classifies how the case ended (with wall-clock and iteration cost).
+/// `lowered` and `nominal` are what [`nominal`] returned for the
+/// candidate's own diagram.
 ///
-/// Solves through a per-thread [`SolverWorkspace`], so repeated calls from
-/// the same scheduler worker reuse symbolic layouts and factorization
-/// buffers; see [`analyse_candidate_supervised_in`] to manage the
-/// workspace explicitly. Workspace reuse never changes results — solves
-/// are bit-identical to a fresh workspace.
+/// Solves through a per-thread [`SolverWorkspace`], so repeated calls on
+/// one thread reuse symbolic layouts and factorization buffers. Workspace
+/// reuse never changes results — solves are bit-identical to a fresh
+/// workspace.
 pub fn analyse_candidate_supervised(
-    candidate: &Candidate,
-    lowered: &LoweredCircuit,
-    nominal: &[(decisive_circuit::ElementId, f64)],
-    config: &InjectionConfig,
-) -> (FmeaRow, CaseReport) {
-    WORKER_WORKSPACE.with(|ws| {
-        analyse_candidate_supervised_in(&mut ws.borrow_mut(), candidate, lowered, nominal, config)
-    })
-}
-
-/// [`analyse_candidate_supervised`] with an explicit workspace — the batch
-/// form used by the sweep, which owns one workspace per worker thread and
-/// feeds it every case of that worker's chunk.
-pub fn analyse_candidate_supervised_in(
-    workspace: &mut SolverWorkspace,
     candidate: &Candidate,
     lowered: &LoweredCircuit,
     nominal: &[(decisive_circuit::ElementId, f64)],
@@ -378,16 +352,19 @@ pub fn analyse_candidate_supervised_in(
 ) -> (FmeaRow, CaseReport) {
     let start = Instant::now();
     let case = format!("{}/{}", candidate.name, candidate.mode.name);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        analyse_candidate_inner(
-            workspace,
-            candidate,
-            lowered,
-            nominal,
-            config.threshold,
-            &config.campaign.solver,
-        )
-    }));
+    let result = WORKER_WORKSPACE.with(|ws| {
+        let mut workspace = ws.borrow_mut();
+        catch_unwind(AssertUnwindSafe(|| {
+            analyse_candidate_inner(
+                &mut workspace,
+                candidate,
+                lowered,
+                nominal,
+                config.threshold,
+                &config.campaign.solver,
+            )
+        }))
+    });
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     match result {
         Ok((row, outcome, iterations)) => (row, CaseReport { case, outcome, iterations, wall_ms }),
@@ -399,30 +376,6 @@ pub fn analyse_candidate_supervised_in(
             (row, CaseReport { case, outcome: CaseOutcome::Panicked, iterations: 0, wall_ms })
         }
     }
-}
-
-/// Analyses one candidate against the nominal readings: inject, re-solve,
-/// compare — the body of the sweep, callable from an external scheduler.
-/// `lowered` must be the lowering of the candidate's own diagram and
-/// `nominal` its fault-free sensor readings.
-///
-/// Uses the default recovery ladder without panic isolation; the
-/// supervised sweep goes through [`analyse_candidate_supervised`].
-pub fn analyse_candidate(
-    candidate: &Candidate,
-    lowered: &LoweredCircuit,
-    nominal: &[(decisive_circuit::ElementId, f64)],
-    threshold: f64,
-) -> FmeaRow {
-    analyse_candidate_inner(
-        &mut SolverWorkspace::new(),
-        candidate,
-        lowered,
-        nominal,
-        threshold,
-        &SolverOptions::default(),
-    )
-    .0
 }
 
 /// A row shell carrying the candidate's identity before any verdict.
@@ -548,18 +501,16 @@ mod tests {
     use super::*;
     use decisive_blocks::gallery;
 
-    fn run_case_study(parallelism: usize) -> FmeaTable {
+    fn run_case_study() -> FmeaTable {
         let (diagram, _) = gallery::sensor_power_supply();
-        let db = ReliabilityDb::paper_table_ii();
-        let config = InjectionConfig { parallelism, ..InjectionConfig::default() };
-        run(&diagram, &db, &config).unwrap()
+        run(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default()).unwrap()
     }
 
     /// The headline case-study result: safety-related components are
     /// exactly D1, L1 and MC1 (paper §V-A / Table IV).
     #[test]
     fn case_study_safety_related_components_match_paper() {
-        let table = run_case_study(1);
+        let table = run_case_study();
         let sr: Vec<_> = table.safety_related_components().into_iter().collect();
         assert_eq!(sr, vec!["D1", "L1", "MC1"]);
     }
@@ -567,7 +518,7 @@ mod tests {
     /// Per-row verdicts of Table IV: opens flagged, shorts not.
     #[test]
     fn case_study_row_verdicts() {
-        let table = run_case_study(1);
+        let table = run_case_study();
         let verdict = |component: &str, mode: &str| {
             table
                 .rows
@@ -590,21 +541,13 @@ mod tests {
     /// SPFM of the unrefined design: 5.38 % (paper §V-A).
     #[test]
     fn case_study_spfm_matches_paper() {
-        let table = run_case_study(1);
+        let table = run_case_study();
         assert!((table.spfm() - 0.0538).abs() < 5e-4, "spfm = {}", table.spfm());
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential() {
-        let sequential = run_case_study(1);
-        let parallel = run_case_study(4);
-        assert_eq!(sequential.disagreement(&parallel), 0.0);
-        assert_eq!(sequential.rows.len(), parallel.rows.len());
-    }
-
-    #[test]
     fn analysis_scope_is_reliability_driven() {
-        let table = run_case_study(1);
+        let table = run_case_study();
         // DC1 (assumed stable), GND1, CS1 and the simulation blocks have no
         // reliability entries and must not appear.
         for absent in ["DC1", "GND1", "CS1", "S1", "Scope1", "Out1"] {

@@ -254,23 +254,6 @@ fn dual_point_unsolvable_joint_failure_leaves_audit_trail() {
     assert!(outcome.health.failed_cases.iter().any(|c| c == "R_A/Drift+R_B/Drift"));
 }
 
-/// Supervision must not change any verdict of the healthy parallel sweep.
-#[test]
-fn supervised_parallel_sweep_matches_sequential() {
-    let (diagram, _) = gallery::sensor_power_supply();
-    let db = ReliabilityDb::paper_table_ii();
-    let sequential = injection::run_supervised(&diagram, &db, &InjectionConfig::default()).unwrap();
-    let parallel = injection::run_supervised(
-        &diagram,
-        &db,
-        &InjectionConfig { parallelism: 4, ..InjectionConfig::default() },
-    )
-    .unwrap();
-    assert_eq!(sequential.0.disagreement(&parallel.0), 0.0);
-    assert_eq!(sequential.1.total, parallel.1.total);
-    assert_eq!(sequential.1.converged, parallel.1.converged);
-}
-
 /// Outcome classification is visible through the public supervised API.
 #[test]
 fn skipped_cases_are_classified_not_converged() {

@@ -4,11 +4,13 @@
 //! tables, FTA subtree quantifications and runtime monitor sets — touching
 //! only the work whose inputs changed.
 //!
-//! Each analysis is an [`crate::pass::AnalysisPass`]; the `analyze_*`
-//! methods below are thin wrappers that run one pass on its own, while
-//! [`Engine::run_pipeline`] (in [`crate::pipeline`]) executes the whole
-//! DAG with cross-pass parallelism. Front ends run the four analysis ops
-//! through [`Engine::execute`] (in [`crate::execute`]).
+//! Each analysis is an [`crate::pass::AnalysisPass`], and
+//! [`Engine::run_pipeline`] (in [`crate::pipeline`]) is the only code that
+//! runs one: it executes a pass DAG with cross-pass parallelism. The
+//! `analyze_*` methods below are thin wrappers that run a one- or
+//! two-pass pipeline and clone their artefact out of the run. Front ends
+//! run the four analysis ops through [`Engine::execute`] (in
+//! [`crate::execute`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -32,11 +34,10 @@ use decisive_ssam::model::SsamModel;
 use crate::cache::{ArtifactKind, CacheStore, SharedStore};
 use crate::error::{EngineError, Result};
 use crate::pass::{
-    ids, AnalysisPass, FtaPass, GraphFmeaPass, InjectionFmeaPass, MonitorPass, MonteCarloPass,
-    PassArtifact, PipelineInput, RecommendPass,
+    FtaPass, GraphFmeaPass, InjectionFmeaPass, MonitorPass, MonteCarloPass, PipelineInput,
+    RecommendPass,
 };
 use crate::pipeline::Pipeline;
-use crate::scheduler::RetryPolicy;
 use crate::stats::EngineStats;
 
 /// Engine configuration.
@@ -50,10 +51,6 @@ pub struct EngineConfig {
     /// keep their results but are classified as timed-out in the phase
     /// stats and the degraded-mode report. `None` disables the deadline.
     pub deadline_ms: Option<f64>,
-    /// How panicking jobs are retried (see
-    /// [`crate::scheduler::RetryPolicy`]). The default reproduces the
-    /// historical retry-once-immediately behaviour exactly.
-    pub retry: RetryPolicy,
 }
 
 impl Default for EngineConfig {
@@ -62,7 +59,6 @@ impl Default for EngineConfig {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             graph: GraphConfig::default(),
             deadline_ms: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -76,12 +72,6 @@ impl EngineConfig {
     /// Sets the per-job deadline (see [`EngineConfig::deadline_ms`]).
     pub fn with_deadline_ms(mut self, ms: f64) -> Self {
         self.deadline_ms = Some(ms.max(0.0));
-        self
-    }
-
-    /// Sets the retry policy (see [`EngineConfig::retry`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -173,12 +163,6 @@ impl EngineBuilder {
     /// Sets the graph FMEA configuration.
     pub fn graph(mut self, graph: GraphConfig) -> Self {
         self.config.graph = graph;
-        self
-    }
-
-    /// Sets the job retry policy (see [`EngineConfig::retry`]).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
         self
     }
 
@@ -357,23 +341,6 @@ impl Engine {
         self.cache.sync_durable()
     }
 
-    /// Runs `pass` and unwraps its artefact through `extract`, failing
-    /// with a typed error when the pass produced an unexpected type.
-    fn run_extracting<T>(
-        &mut self,
-        pass: &dyn AnalysisPass,
-        input: &PipelineInput<'_>,
-        extract: impl FnOnce(PassArtifact) -> std::result::Result<T, Box<PassArtifact>>,
-    ) -> Result<T> {
-        let id = pass.id();
-        extract(self.run_single(pass, input)?).map_err(|other| {
-            EngineError::Pipeline(format!(
-                "pass `{id}` produced a {} artefact instead of the expected type",
-                other.kind_name()
-            ))
-        })
-    }
-
     // ------------------------------------------------------------------
     // Graph path (S8)
     // ------------------------------------------------------------------
@@ -389,7 +356,8 @@ impl Engine {
     /// Propagates analysis errors and scheduler failures.
     pub fn analyze_graph(&mut self, model: &SsamModel, top: Idx<Component>) -> Result<FmeaTable> {
         let input = PipelineInput::for_model(model, top);
-        self.run_extracting(&GraphFmeaPass, &input, PassArtifact::into_fmea)
+        let run = self.run_pipeline(&Pipeline::new().with(GraphFmeaPass), &input)?;
+        run.fmea().cloned().ok_or_else(|| no_artifact("graph FMEA"))
     }
 
     /// Re-analyses after a model revision: diffs `old` against `new`,
@@ -480,7 +448,8 @@ impl Engine {
     ) -> Result<FmeaTable> {
         let input =
             PipelineInput::for_diagram(diagram, reliability).with_injection_config(config.clone());
-        self.run_extracting(&InjectionFmeaPass, &input, PassArtifact::into_injection_table)
+        let run = self.run_pipeline(&Pipeline::new().with(InjectionFmeaPass), &input)?;
+        run.fmea().cloned().ok_or_else(|| no_artifact("injection FMEA"))
     }
 
     /// Runs the Monte-Carlo campaign: `trials` seeded draws of the
@@ -512,9 +481,7 @@ impl Engine {
             .with_seed(seed);
         let pipeline = Pipeline::new().with(InjectionFmeaPass).with(MonteCarloPass);
         let run = self.run_pipeline(&pipeline, &input)?;
-        run.montecarlo()
-            .cloned()
-            .ok_or_else(|| EngineError::Pipeline("montecarlo pass produced no artefact".to_owned()))
+        run.montecarlo().cloned().ok_or_else(|| no_artifact("montecarlo"))
     }
 
     /// Runs the safety-pattern recommendation step on the injection FMEA
@@ -537,9 +504,7 @@ impl Engine {
             PipelineInput::for_diagram(diagram, reliability).with_injection_config(config.clone());
         let pipeline = Pipeline::new().with(InjectionFmeaPass).with(RecommendPass::default());
         let run = self.run_pipeline(&pipeline, &input)?;
-        run.artifact(ids::RECOMMEND).and_then(PassArtifact::recommendation).cloned().ok_or_else(
-            || EngineError::Pipeline("recommendation pass produced no artefact".to_owned()),
-        )
+        run.recommendation().cloned().ok_or_else(|| no_artifact("recommendation"))
     }
 
     // ------------------------------------------------------------------
@@ -563,7 +528,8 @@ impl Engine {
         mission_hours: f64,
     ) -> Result<Vec<FtaSubtreeSummary>> {
         let input = PipelineInput::for_model(model, top).with_mission_hours(mission_hours);
-        self.run_extracting(&FtaPass, &input, PassArtifact::into_fta_summaries)
+        let run = self.run_pipeline(&Pipeline::new().with(FtaPass), &input)?;
+        run.fta().map(<[FtaSubtreeSummary]>::to_vec).ok_or_else(|| no_artifact("fta"))
     }
 
     /// Generates (or fetches) the runtime monitor of `model`, keyed by the
@@ -575,8 +541,15 @@ impl Engine {
     /// Propagates cache serialisation failures.
     pub fn monitors(&mut self, model: &SsamModel) -> Result<RuntimeMonitor> {
         let input = PipelineInput::new().with_model(model);
-        self.run_extracting(&MonitorPass, &input, PassArtifact::into_monitor)
+        let run = self.run_pipeline(&Pipeline::new().with(MonitorPass), &input)?;
+        run.monitor().cloned().ok_or_else(|| no_artifact("monitor"))
     }
+}
+
+/// The error of a pipeline run that succeeded without the artefact its
+/// `analyze_*` wrapper returns.
+fn no_artifact(pass: &str) -> EngineError {
+    EngineError::Pipeline(format!("{pass} pass produced no artefact"))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use decisive_assurance::report::{CAMPAIGN_LOCATION, FMEA_LOCATION, FTA_LOCATION}
 use decisive_assurance::{
     pipeline_case, pipeline_report, AssuranceReport, PipelineEvidence, Status,
 };
-use decisive_blocks::{to_circuit, BlockDiagram};
+use decisive_blocks::BlockDiagram;
 use decisive_core::campaign::{CampaignHealth, CaseOutcome, CaseReport};
 use decisive_core::degraded::DegradedModeReport;
 use decisive_core::fmea::graph::{self, ContainerFacts};
@@ -194,76 +194,6 @@ impl PassArtifact {
         match self {
             PassArtifact::Recommend(report) => Some(report),
             _ => None,
-        }
-    }
-
-    /// Consumes a graph-FMEA artefact into its table; any other variant
-    /// comes back unchanged for a typed mismatch error.
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not [`PassArtifact::Fmea`].
-    pub fn into_fmea(self) -> std::result::Result<FmeaTable, Box<PassArtifact>> {
-        match self {
-            PassArtifact::Fmea(table) => Ok(table),
-            other => Err(Box::new(other)),
-        }
-    }
-
-    /// Consumes an injection artefact into its table (dropping the
-    /// campaign health, which the engine has already published).
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not
-    /// [`PassArtifact::Injection`].
-    pub fn into_injection_table(self) -> std::result::Result<FmeaTable, Box<PassArtifact>> {
-        match self {
-            PassArtifact::Injection { table, .. } => Ok(table),
-            other => Err(Box::new(other)),
-        }
-    }
-
-    /// Consumes an FTA artefact into its subtree summaries.
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not
-    /// [`PassArtifact::FtaSummaries`].
-    pub fn into_fta_summaries(
-        self,
-    ) -> std::result::Result<Vec<FtaSubtreeSummary>, Box<PassArtifact>> {
-        match self {
-            PassArtifact::FtaSummaries(summaries) => Ok(summaries),
-            other => Err(Box::new(other)),
-        }
-    }
-
-    /// Consumes a monitor artefact into its monitor set.
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not
-    /// [`PassArtifact::Monitor`].
-    pub fn into_monitor(self) -> std::result::Result<RuntimeMonitor, Box<PassArtifact>> {
-        match self {
-            PassArtifact::Monitor(monitor) => Ok(monitor),
-            other => Err(Box::new(other)),
-        }
-    }
-
-    /// Consumes a recommendation artefact into its report.
-    ///
-    /// # Errors
-    ///
-    /// The artefact itself, boxed, when it is not
-    /// [`PassArtifact::Recommend`].
-    pub fn into_recommendation(
-        self,
-    ) -> std::result::Result<RecommendationReport, Box<PassArtifact>> {
-        match self {
-            PassArtifact::Recommend(report) => Ok(report),
-            other => Err(Box::new(other)),
         }
     }
 
@@ -472,9 +402,7 @@ impl<'a> PassContext<'a> {
     }
 
     fn scheduler(&self, label: &str) -> Scheduler {
-        let scheduler = Scheduler::new(self.workers)
-            .with_telemetry(self.telemetry.clone(), label)
-            .with_retry(self.config.retry.clone());
+        let scheduler = Scheduler::new(self.workers).with_telemetry(self.telemetry.clone(), label);
         match self.config.deadline_ms {
             Some(ms) => scheduler.with_deadline_ms(ms),
             None => scheduler,
@@ -628,6 +556,24 @@ fn batch_error(e: BatchError, phase: &str) -> EngineError {
         }
         BatchError::Cancelled => EngineError::Cancelled,
     }
+}
+
+/// `view` of the artefact that upstream pass `source` handed pass `pass`,
+/// or a typed error naming the artefact `what` it expected and the one it
+/// got.
+fn expect_upstream<'a, T: ?Sized>(
+    artifact: &'a PassArtifact,
+    view: fn(&'a PassArtifact) -> Option<&'a T>,
+    what: &str,
+    pass: &str,
+    source: &str,
+) -> Result<&'a T> {
+    view(artifact).ok_or_else(|| {
+        EngineError::Pipeline(format!(
+            "pass `{pass}` expects {what} from `{source}`, got {}",
+            artifact.kind_name()
+        ))
+    })
 }
 
 fn missing_input(pass: &str, what: &str) -> EngineError {
@@ -904,12 +850,14 @@ impl AnalysisPass for GraphFmeaPass {
     }
 }
 
-/// The supervised fault-injection sweep as a pass: rows are keyed by the
-/// whole-circuit digest plus candidate content, solver ladder and kernel,
-/// the campaign circuit breaker is enforced on every run (warm or cold),
-/// and the health report is published for downstream passes. Cases are
-/// scheduled through `run_keyed`, whose long-lived worker threads each
-/// carry a thread-local `SolverWorkspace` (inside
+/// The supervised fault-injection sweep as a pass: the steps of
+/// `injection::run_supervised` — `validate`, `nominal` and
+/// `analyse_candidate_supervised` — with every row cached. Rows are keyed
+/// by the whole-circuit digest plus candidate content, solver ladder and
+/// kernel, the campaign circuit breaker is enforced on every run (warm or
+/// cold), and the health report is published for downstream passes.
+/// Cases are scheduled through `run_keyed`, whose long-lived worker
+/// threads each carry a thread-local `SolverWorkspace` (inside
 /// `analyse_candidate_supervised`), so every case a worker solves reuses
 /// the same symbolic layouts and factorization buffers.
 #[derive(Debug, Default, Clone, Copy)]
@@ -930,12 +878,7 @@ impl AnalysisPass for InjectionFmeaPass {
         let reliability =
             ctx.input.reliability.ok_or_else(|| missing_input(self.id(), "reliability data"))?;
         let config = ctx.input.injection.clone();
-        if !(config.threshold > 0.0 && config.threshold.is_finite()) {
-            return Err(EngineError::Core(CoreError::InvalidParameter {
-                message: format!("threshold must be positive and finite, got {}", config.threshold),
-            }));
-        }
-        config.campaign.validate().map_err(EngineError::Core)?;
+        injection::validate(&config)?;
         let circuit_fp = model_fp::serialized_fingerprint(diagram, "block-diagram");
         let solver = &config.campaign.solver;
         let candidates = injection::candidates(diagram, reliability);
@@ -973,24 +916,9 @@ impl AnalysisPass for InjectionFmeaPass {
                 };
                 (artifact.row, report)
             },
-            |_| {
-                // Lower and solve the nominal circuit once, only when at
-                // least one candidate actually needs simulating. Uses the
-                // configured kernel with the full default recovery ladder.
-                let lowered = to_circuit(diagram).map_err(CoreError::from)?;
-                let nominal_options = decisive_circuit::SolverOptions {
-                    kernel: config.campaign.solver.kernel,
-                    ..decisive_circuit::SolverOptions::default()
-                };
-                let (nominal_solution, _) = decisive_circuit::SolverWorkspace::new()
-                    .dc(&lowered.circuit, &nominal_options)
-                    .map_err(CoreError::from)?;
-                let nominal = lowered
-                    .circuit
-                    .all_sensor_readings(&nominal_solution)
-                    .map_err(CoreError::from)?;
-                Ok((lowered, nominal))
-            },
+            // Lower and solve the nominal circuit once, only when at least
+            // one candidate actually needs simulating.
+            |_| Ok(injection::nominal(diagram, &config)?),
             |(lowered, nominal), i| {
                 Ok(injection::analyse_candidate_supervised(
                     &candidates[i],
@@ -1163,14 +1091,13 @@ impl AnalysisPass for HaraPass {
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let source = ctx.dep_arc(self.deps[0])?;
-        let table = source.fmea_table().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects an FMEA table from `{}`, got {}",
-                self.id(),
-                self.deps[0],
-                source.kind_name()
-            ))
-        })?;
+        let table = expect_upstream(
+            &source,
+            PassArtifact::fmea_table,
+            "an FMEA table",
+            self.id(),
+            self.deps[0],
+        )?;
         let hazards = ctx.input.hazards;
         let policy = ctx.input.policy;
         let mut h = Hasher::new();
@@ -1251,14 +1178,13 @@ impl AnalysisPass for MonteCarloPass {
         }
         let seed = ctx.input.seed;
         let source = ctx.dep_arc(ids::INJECTION)?;
-        let verdicts = source.fmea_table().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects an FMEA table from `{}`, got {}",
-                self.id(),
-                ids::INJECTION,
-                source.kind_name()
-            ))
-        })?;
+        let verdicts = expect_upstream(
+            &source,
+            PassArtifact::fmea_table,
+            "an FMEA table",
+            self.id(),
+            ids::INJECTION,
+        )?;
 
         let start = Instant::now();
         let _phase_span =
@@ -1322,14 +1248,13 @@ impl AnalysisPass for RecommendPass {
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let source = ctx.dep_arc(self.deps[0])?;
-        let table = source.fmea_table().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects an FMEA table from `{}`, got {}",
-                self.id(),
-                self.deps[0],
-                source.kind_name()
-            ))
-        })?;
+        let table = expect_upstream(
+            &source,
+            PassArtifact::fmea_table,
+            "an FMEA table",
+            self.id(),
+            self.deps[0],
+        )?;
         let key = Hasher::new()
             .write_str("recommendation")
             .write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"))
@@ -1389,33 +1314,25 @@ impl AnalysisPass for AssurancePass {
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let source = ctx.dep_arc(self.deps[0])?;
-        let table = source.fmea_table().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects an FMEA table from `{}`, got {}",
-                self.id(),
-                self.deps[0],
-                source.kind_name()
-            ))
-        })?;
+        let table = expect_upstream(
+            &source,
+            PassArtifact::fmea_table,
+            "an FMEA table",
+            self.id(),
+            self.deps[0],
+        )?;
         let campaign = source.campaign_health();
         let fta = ctx.dep_arc(ids::FTA)?;
-        let subtree_summaries = fta.fta_summaries().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects FTA summaries from `{}`, got {}",
-                self.id(),
-                ids::FTA,
-                fta.kind_name()
-            ))
-        })?;
+        let subtree_summaries = expect_upstream(
+            &fta,
+            PassArtifact::fta_summaries,
+            "FTA summaries",
+            self.id(),
+            ids::FTA,
+        )?;
         let hara = ctx.dep_arc(ids::HARA)?;
-        let risk = hara.risk_log().ok_or_else(|| {
-            EngineError::Pipeline(format!(
-                "pass `{}` expects a risk log from `{}`, got {}",
-                self.id(),
-                ids::HARA,
-                hara.kind_name()
-            ))
-        })?;
+        let risk =
+            expect_upstream(&hara, PassArtifact::risk_log, "a risk log", self.id(), ids::HARA)?;
         let target = risk.highest_asil().unwrap_or(IntegrityLevel::Qm);
         let subtrees: Vec<(String, bool, Vec<String>)> = subtree_summaries
             .iter()

@@ -2,7 +2,9 @@
 //! well-formedness (unique ids, known dependencies, no cycles) and
 //! executed with **cross-pass parallelism** — independent passes run
 //! concurrently on the shared worker budget while dependents wait for
-//! their upstream artefacts.
+//! their upstream artefacts. [`Engine::run_pipeline`] is the only pass
+//! runner: the engine's `analyze_*` wrappers run one- and two-pass
+//! pipelines through it.
 //!
 //! One full DECISIVE iteration (paper Fig. 2) is [`Pipeline::standard`]:
 //!
@@ -460,57 +462,6 @@ impl Engine {
             Some(e) => Err(e),
             None => Ok(PipelineRun { results }),
         }
-    }
-
-    /// Executes one pass on its own, with the full worker budget — the
-    /// legacy `analyze_*` entry points are thin wrappers over this.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the pass returns.
-    pub fn run_single(
-        &mut self,
-        pass: &dyn AnalysisPass,
-        input: &PipelineInput<'_>,
-    ) -> Result<PassArtifact> {
-        let config = self.config.clone();
-        let baseline_degraded = self.degraded.clone();
-        let telemetry = self.telemetry.clone();
-        let store_quarantined = self.store_quarantined();
-        let cache = Mutex::new(std::mem::take(&mut self.cache));
-        let mut ctx = PassContext {
-            config: &config,
-            workers: config.jobs,
-            cache: &cache,
-            input,
-            deps: HashMap::new(),
-            baseline_degraded,
-            phases: Vec::new(),
-            degraded: DegradedModeReport::new(),
-            campaign: None,
-            telemetry: telemetry.clone(),
-        };
-        let result = {
-            // Single-pass runs execute on the caller's thread; install the
-            // handle so leaf code records, and scope the pass span to the
-            // actual execution.
-            let _telemetry =
-                telemetry.enabled().then(|| decisive_obs::set_current(telemetry.clone()));
-            let _span =
-                telemetry.enabled().then(|| telemetry.span(format!("pass:{}", pass.id()), "pass"));
-            pass.run(&mut ctx)
-        };
-        let PassContext { phases, degraded, campaign, .. } = ctx;
-        self.cache = cache.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.note_store_rot(store_quarantined);
-        for phase in phases {
-            self.stats.record(phase);
-        }
-        self.degraded.merge(&degraded);
-        if let Some(campaign) = campaign {
-            self.last_campaign = Some(campaign);
-        }
-        result
     }
 
     /// Whole-pipeline verification (the escape hatch of

@@ -280,7 +280,7 @@ impl Scheduler {
         };
 
         let workers = self.workers.min(jobs.len()).max(1);
-        let mut slots: Vec<Option<Result<T, BatchError>>> = Vec::new();
+        let mut out = Vec::with_capacity(jobs.len());
         if workers == 1 {
             // Install on the caller thread only when this scheduler has a
             // live handle — a no-op one must not mask whatever handle the
@@ -291,7 +291,9 @@ impl Scheduler {
                 if self.cancel.is_cancelled() {
                     return Err(BatchError::Cancelled);
                 }
-                slots.push(Some(run_one(index)));
+                // A failed job fails the batch at once: the jobs after it
+                // never start.
+                out.push(run_one(index)?);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -331,21 +333,14 @@ impl Scheduler {
                 }
             })
             .expect("scheduler workers never propagate panics");
-            slots =
-                results.into_iter().map(|slot| slot.into_inner().expect("result slot")).collect();
-        }
-
-        // First hard failure wins; any unfilled slot means cancellation.
-        let mut out = Vec::with_capacity(jobs.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(result)) => out.push(result),
-                Some(Err(e)) => return Err(e),
-                None => return Err(BatchError::Cancelled),
+            // First hard failure wins; any unfilled slot means cancellation.
+            for slot in results {
+                match slot.into_inner().expect("result slot") {
+                    Some(Ok(result)) => out.push(result),
+                    Some(Err(e)) => return Err(e),
+                    None => return Err(BatchError::Cancelled),
+                }
             }
-        }
-        if out.len() < jobs.len() {
-            return Err(BatchError::Cancelled);
         }
         let mut timed_out = timed_out.into_inner().expect("timed-out slot");
         timed_out.sort_unstable();
@@ -412,6 +407,36 @@ mod tests {
             vec![Box::new(|| 1), Box::new(|| panic!("poisoned")), Box::new(|| 3)];
         let err = Scheduler::new(2).run_batch(&jobs).unwrap_err();
         assert_eq!(err, BatchError::JobFailed { index: 1 });
+    }
+
+    /// A job that exhausts its retries stops the jobs not yet started, on
+    /// one worker as on several. Each counting job waits until the batch
+    /// is cancelled, so on two workers both are busy until the failure
+    /// and at most one counter runs; the wait is bounded so a batch that
+    /// is never cancelled still ends.
+    #[test]
+    fn a_failed_job_stops_the_batch_at_every_width() {
+        for workers in [1, 2] {
+            let scheduler = Scheduler::new(workers);
+            let token = scheduler.cancel_token();
+            let ran = AtomicU32::new(0);
+            let count = || {
+                let waited = Instant::now();
+                while !token.is_cancelled() && waited.elapsed().as_secs() < 5 {
+                    std::thread::yield_now();
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+                0u8
+            };
+            let jobs: Vec<Box<dyn Fn() -> u8 + Sync>> =
+                vec![Box::new(|| panic!("always")), Box::new(count), Box::new(count)];
+            let err = scheduler.run_batch(&jobs).unwrap_err();
+            assert_eq!(err, BatchError::JobFailed { index: 0 });
+            assert!(
+                ran.load(Ordering::SeqCst) <= 1,
+                "{workers} worker(s) ran every job after the failure"
+            );
+        }
     }
 
     #[test]

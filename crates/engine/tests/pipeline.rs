@@ -2,10 +2,10 @@
 //!
 //! Two families of guarantees:
 //!
-//! - **Refactor equivalence** — the `analyze_*` wrappers, now thin shims
-//!   over [`decisive_engine::AnalysisPass`] implementations, still produce
-//!   bitwise-identical artefacts to the from-scratch algorithms, cold and
-//!   warm-after-edit alike.
+//! - **Refactor equivalence** — the `analyze_*` wrappers, now thin
+//!   one- and two-pass pipelines over [`decisive_engine::AnalysisPass`]
+//!   implementations, still produce bitwise-identical artefacts to the
+//!   from-scratch algorithms, cold and warm-after-edit alike.
 //! - **DAG execution** — [`decisive_engine::Pipeline`] respects declared
 //!   dependencies under every worker count, skips dependents of failed
 //!   passes, and the whole-pipeline verifier catches nothing on a sound
@@ -23,9 +23,11 @@ use decisive_core::fmea::injection::{self, InjectionConfig};
 use decisive_core::montecarlo::{self, MonteCarloReport, TrialMetrics};
 use decisive_core::reliability::ReliabilityDb;
 use decisive_core::request::RunSpec;
+use decisive_engine::pass::ids;
 use decisive_engine::{
-    AnalysisPass, Engine, EngineConfig, EngineError, InjectionFmeaPass, MonteCarloPass,
-    PassArtifact, PassContext, Pipeline, PipelineInput, RecommendPass,
+    AnalysisPass, AssurancePass, Engine, EngineConfig, EngineError, FtaPass, GraphFmeaPass,
+    HaraPass, InjectionFmeaPass, MonteCarloPass, PassArtifact, PassContext, Pipeline,
+    PipelineInput, RecommendPass,
 };
 use decisive_federation::Value;
 use decisive_obs::Telemetry;
@@ -148,6 +150,35 @@ fn unknown_dependency_is_rejected_before_execution() {
         "typed error: {err:?}"
     );
     assert!(log.lock().unwrap().is_empty(), "nothing ran");
+}
+
+/// A pass handed an upstream artefact of the wrong type fails with a
+/// typed error naming the pass, what it expected, the upstream pass and
+/// what that pass produced.
+#[test]
+fn a_wrongly_typed_upstream_artefact_is_a_typed_error() {
+    let (model, top) = case_study::ssam_model();
+    let input = PipelineInput::for_model(&model, top);
+    let mut engine = Engine::new(EngineConfig::with_jobs(1));
+    let hara_over_fta = Pipeline::new().with(FtaPass).with(HaraPass::new(ids::FTA));
+    let err = engine.run_pipeline(&hara_over_fta, &input).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "pipeline: pass `hara` expects an FMEA table from `fta`, got fta-summaries"
+    );
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let opaque_fta = ProbePass { id: ids::FTA, deps: vec![], log };
+    let assurance_over_probe = Pipeline::new()
+        .with(GraphFmeaPass)
+        .with(opaque_fta)
+        .with(HaraPass::new(ids::GRAPH))
+        .with(AssurancePass::new(ids::GRAPH));
+    let err = engine.run_pipeline(&assurance_over_probe, &input).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "pipeline: pass `assurance` expects FTA summaries from `fta`, got opaque"
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --example auv_control`
 
-use decisive::core::fmea::injection::{self, InjectionConfig};
+use decisive::core::fmea::injection::InjectionConfig;
 use decisive::core::mechanism::search;
 use decisive::core::metrics;
+use decisive::engine::Engine;
 use decisive::workload::systems;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,9 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         subject.failure_mode_count()
     );
 
-    // Automated FMEA over the whole control unit (parallel sweep).
-    let config = InjectionConfig { parallelism: 4, ..InjectionConfig::default() };
-    let table = injection::run(&subject.diagram, &subject.reliability, &config)?;
+    // Automated FMEA over the whole control unit, swept by the engine's
+    // injection pass on four workers.
+    let mut engine = Engine::builder().jobs(4).build()?;
+    let table = engine.analyze_injection(
+        &subject.diagram,
+        &subject.reliability,
+        &InjectionConfig::default(),
+    )?;
     let m = metrics::compute(&table);
     println!(
         "\nbaseline: SPFM {:.2}% ({}) — {} safety-related components, {} analysed rows",

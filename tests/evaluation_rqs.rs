@@ -1,8 +1,11 @@
 //! Integration test: the four research questions of the paper's evaluation
 //! (§VI), run against the synthetic Systems A and B.
 
-use decisive::blocks::coverage;
+use decisive::blocks::{coverage, gallery};
+use decisive::core::campaign::CampaignHealth;
 use decisive::core::fmea::injection::{self, InjectionConfig};
+use decisive::core::reliability::ReliabilityDb;
+use decisive::engine::Engine;
 use decisive::federation::store::{EagerStore, IndexedStore, ModelStore};
 use decisive::federation::FederationError;
 use decisive::workload::analyst::{
@@ -109,19 +112,38 @@ fn rq4_scalability() {
     assert!(indexed.get(SCALABILITY_SETS[5].elements - 1).is_ok());
 }
 
-/// The parallel injection sweep (used for the larger subjects) returns
-/// byte-identical results to the sequential analysis.
+/// The engine's parallel injection pass (used for the larger subjects)
+/// returns byte-identical results to the sequential reference sweep.
 #[test]
 fn parallel_analysis_is_deterministic() {
     let subject = system_b();
+    let config = InjectionConfig::default();
     let sequential =
-        injection::run(&subject.diagram, &subject.reliability, &InjectionConfig::default())
-            .expect("sequential");
-    let parallel = injection::run(
-        &subject.diagram,
-        &subject.reliability,
-        &InjectionConfig { parallelism: 8, ..InjectionConfig::default() },
-    )
-    .expect("parallel");
+        injection::run(&subject.diagram, &subject.reliability, &config).expect("sequential");
+    let mut engine = Engine::builder().jobs(8).build().expect("in-memory engine");
+    let parallel = engine
+        .analyze_injection(&subject.diagram, &subject.reliability, &config)
+        .expect("parallel");
     assert_eq!(sequential, parallel);
+}
+
+/// Supervision must not change any verdict of the parallel sweep: the
+/// engine's injection pass on four workers reproduces the sequential
+/// supervised sweep's table and the semantic fields of its campaign
+/// health.
+#[test]
+fn supervised_parallel_sweep_matches_sequential() {
+    let (diagram, _) = gallery::sensor_power_supply();
+    let db = ReliabilityDb::paper_table_ii();
+    let config = InjectionConfig::default();
+    let (table, health) = injection::run_supervised(&diagram, &db, &config).expect("sequential");
+    let mut engine = Engine::builder().jobs(4).build().expect("in-memory engine");
+    let parallel = engine.analyze_injection(&diagram, &db, &config).expect("parallel");
+    assert_eq!(table, parallel);
+    let semantic = |h: &CampaignHealth| {
+        let counts = (h.total, h.converged, h.recovered, h.unsolvable, h.panicked, h.skipped);
+        (counts, h.strategy_histogram.clone(), h.failed_cases.clone())
+    };
+    let parallel_health = engine.campaign_health().expect("the pass publishes its health");
+    assert_eq!(semantic(&health), semantic(parallel_health));
 }

@@ -3,6 +3,8 @@
 //! guarantee, the <10 % re-run bound on single-component edits at Set3
 //! scale, and parallel/sequential result identity.
 
+use decisive::blocks::gallery;
+use decisive::core::campaign::CampaignHealth;
 use decisive::core::fmea::graph::{self, GraphConfig};
 use decisive::core::fmea::injection::{self, InjectionConfig};
 use decisive::core::reliability::ReliabilityDb;
@@ -11,9 +13,10 @@ use decisive::core::{case_study, metrics};
 use decisive::engine::fingerprint::Hasher;
 use decisive::engine::obs::Telemetry;
 use decisive::engine::{
-    ArtifactKind, Engine, EngineConfig, Pipeline, PipelineInput, SegmentStore, StoreOptions,
-    STORE_DIR,
+    ArtifactKind, Engine, EngineConfig, EngineError, Pipeline, PipelineInput, SegmentStore,
+    StoreOptions, STORE_DIR,
 };
+use decisive::federation::serde_bridge::to_json_string;
 use decisive::federation::Value;
 use decisive::ssam::architecture::Fit;
 use decisive::workload::sets::{chain_model, instance_model, ladder_model, set_by_name};
@@ -356,4 +359,176 @@ fn pipeline_keys_match_the_recorded_digest() {
     assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), expected);
     assert_eq!(h.finish().to_string(), "b425589563da1d90");
     assert_eq!(assurance.finish().to_string(), "eddcc9180a022f8d");
+}
+
+/// Folds a campaign health report's semantic fields into `h`: the
+/// counters, the strategy histogram and the failed cases, not the clocks.
+fn fold_health(h: &mut Hasher, health: &CampaignHealth) {
+    let counts = [
+        health.total,
+        health.converged,
+        health.recovered,
+        health.unsolvable,
+        health.panicked,
+        health.skipped,
+    ];
+    for n in counts {
+        h.write_u64(n as u64);
+    }
+    for (strategy, count) in &health.strategy_histogram {
+        h.write_str(strategy).write_u64(*count as u64);
+    }
+    h.write_u64(health.failed_cases.len() as u64);
+    for case in &health.failed_cases {
+        h.write_str(case);
+    }
+}
+
+/// Folds one labelled result into `h`: the artefact's JSON, or the
+/// error's text.
+fn fold_result<T: serde::Serialize, E: std::fmt::Display>(
+    h: &mut Hasher,
+    label: &str,
+    result: &Result<T, E>,
+) {
+    h.write_str(label);
+    match result {
+        Ok(artifact) => h.write_str(&to_json_string(artifact).expect("artefact serialises")),
+        Err(e) => h.write_str(&format!("error: {e}")),
+    };
+}
+
+/// Folds one `analyze_*` call and the run it left on `engine` into `h`:
+/// the result, every phase's counters (not `wall_ms` or `max_job_ms`),
+/// the campaign health's semantic fields and the degraded-mode report.
+/// The run state is cleared afterwards, so each call reports only itself.
+fn fold_engine_run<T: serde::Serialize>(
+    h: &mut Hasher,
+    engine: &mut Engine,
+    label: &str,
+    result: Result<T, EngineError>,
+) {
+    fold_result(h, label, &result);
+    let stats = engine.stats();
+    for phase in &stats.phases {
+        h.write_str(&phase.name);
+        let counts = [
+            phase.jobs_total,
+            phase.jobs_executed,
+            phase.cache_hits,
+            phase.cache_misses,
+            phase.retries,
+            phase.timed_out,
+        ];
+        for n in counts {
+            h.write_u64(n as u64);
+        }
+    }
+    h.write_u64(stats.invalidated_keys as u64).write_u64(stats.quarantined_entries as u64);
+    match engine.campaign_health() {
+        Some(health) => fold_health(h.write_bool(true), health),
+        None => {
+            h.write_bool(false);
+        }
+    }
+    h.write_str(&to_json_string(engine.degraded_report()).expect("report serialises"));
+    engine.reset_run_state();
+}
+
+/// What every `analyze_*` wrapper, `injection::run_supervised` and
+/// `injection::run_dual_point` return is pinned by a digest recorded
+/// before the wrappers ran through the pipeline runner and the core sweep
+/// became sequential. Inputs: the case-study model,
+/// `data/power_supply.bd`, `data/brownout_threshold.bd` with its
+/// reliability annex and the gallery's redundant supply; each design is
+/// analysed as a diagram and as its SSAM lowering, on engines of 1 and 4
+/// workers. Cold and warm calls are both folded, and so are the errors
+/// of an out-of-range threshold and breaker fraction.
+#[test]
+fn analysis_outputs_match_the_recorded_digest() {
+    let data = |file: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data").join(file);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let bd = |file: &str| decisive::blocks::text::from_text(&data(file)).expect("design parses");
+    let brownout_db =
+        ReliabilityDb::from_csv_str(&data("brownout_reliability.csv")).expect("annex parses");
+    let designs = [
+        ("power_supply.bd", bd("power_supply.bd"), ReliabilityDb::paper_table_ii()),
+        ("brownout_threshold.bd", bd("brownout_threshold.bd"), brownout_db),
+        ("redundant-supply", gallery::redundant_power_supply().0, ReliabilityDb::paper_table_ii()),
+    ];
+    let mut models = vec![("case-study".to_owned(), case_study::ssam_model().0)];
+    for (name, diagram, db) in &designs {
+        let mut model = decisive::blocks::to_ssam(diagram);
+        db.aggregate_into(&mut model);
+        models.push((format!("{name} lowering"), model));
+    }
+    let config = InjectionConfig::default();
+    let bad_threshold = InjectionConfig { threshold: 0.0, ..InjectionConfig::default() };
+    let mut bad_breaker = InjectionConfig::default();
+    bad_breaker.campaign.max_unsolvable_fraction = 2.0;
+
+    let mut h = Hasher::new();
+    let mut lines = Vec::new();
+    let mut line = |h: &mut Hasher, what: String| lines.push(format!("{what} {}", h.finish()));
+    for jobs in [1, 4] {
+        for (name, model) in &models {
+            let top = decisive::engine::execute::top_of(model).expect("top component");
+            let mut e = Engine::builder().jobs(jobs).build().expect("in-memory engine");
+            for pass in ["cold", "warm"] {
+                let graph = e.analyze_graph(model, top);
+                fold_engine_run(&mut h, &mut e, &format!("{name} graph {pass}"), graph);
+            }
+            let fta = e.analyze_fta(model, top, 10_000.0);
+            fold_engine_run(&mut h, &mut e, &format!("{name} fta"), fta);
+            let monitors = e.monitors(model);
+            fold_engine_run(&mut h, &mut e, &format!("{name} monitors"), monitors);
+            line(&mut h, format!("jobs {jobs} {name}"));
+        }
+        for (name, diagram, db) in &designs {
+            let mut e = Engine::builder().jobs(jobs).build().expect("in-memory engine");
+            for pass in ["cold", "warm"] {
+                let table = e.analyze_injection(diagram, db, &config);
+                fold_engine_run(&mut h, &mut e, &format!("{name} injection {pass}"), table);
+            }
+            let mc = e.analyze_montecarlo(diagram, db, &config, 32, 7);
+            fold_engine_run(&mut h, &mut e, &format!("{name} montecarlo"), mc);
+            let recommend = e.analyze_recommend(diagram, db, &config);
+            fold_engine_run(&mut h, &mut e, &format!("{name} recommend"), recommend);
+            for (what, bad) in [("threshold", &bad_threshold), ("breaker", &bad_breaker)] {
+                let refused = e.analyze_injection(diagram, db, bad);
+                fold_engine_run(&mut h, &mut e, &format!("{name} bad {what}"), refused);
+            }
+            line(&mut h, format!("jobs {jobs} {name} engine"));
+        }
+    }
+    for (name, diagram, db) in &designs {
+        let supervised = injection::run_supervised(diagram, db, &config);
+        fold_result(&mut h, &format!("{name} supervised"), &supervised.as_ref().map(|r| &r.0));
+        fold_health(&mut h, &supervised.expect("supervised sweep").1);
+        let dual = injection::run_dual_point(diagram, db, &config).expect("dual-point campaign");
+        fold_result(&mut h, &format!("{name} dual-point"), &Ok::<_, String>(&dual.table));
+        for ((ca, ma), (cb, mb)) in &dual.latent_pairs {
+            h.write_str(ca).write_str(ma).write_str(cb).write_str(mb);
+        }
+        for warning in &dual.pair_warnings {
+            h.write_str(warning);
+        }
+        fold_health(&mut h, &dual.health);
+        for (what, bad) in [("threshold", &bad_threshold), ("breaker", &bad_breaker)] {
+            let refused = injection::run_supervised(diagram, db, bad).map(|r| r.0);
+            fold_result(&mut h, &format!("{name} supervised bad {what}"), &refused);
+            let refused = injection::run_dual_point(diagram, db, bad).map(|r| r.table);
+            fold_result(&mut h, &format!("{name} dual-point bad {what}"), &refused);
+        }
+        line(&mut h, format!("{name} core"));
+    }
+    let digest = h.finish().to_string();
+    if digest != "b4478a857b7bf6dc" {
+        for line in &lines {
+            eprintln!("{line}");
+        }
+    }
+    assert_eq!(digest, "b4478a857b7bf6dc");
 }
