@@ -7,12 +7,13 @@
 //!
 //! - **cold**: the first pipeline request on a fresh daemon (every
 //!   artefact computed);
-//! - **warm**: repeat requests in the same session (pure overlay hits);
+//! - **warm**: repeat requests in the same session (pure store hits);
 //! - **shared**: a brand-new session per request against the populated
 //!   shared store (pure cross-session hits).
 //!
 //! It prints one `BENCH_serve {...}` JSON line; `warm_ok` (warm beats
-//! cold) and `shared_hits > 0` are the CI gates, and the checked-in
+//! cold, `shared_hits > 0`, and no fresh-session request executed a job)
+//! is the CI gate, and the checked-in
 //! `BENCH_serve.json` holds the first recorded baseline.
 //!
 //! Plain `fn main` (`harness = false`), same as the other benches:
@@ -48,12 +49,21 @@ fn request(session: &str, path: &std::path::Path) -> String {
     format!(r#"{{"op":"pipeline","session":"{session}","path":"{}"}}"#, path.display())
 }
 
-fn timed_ok(daemon: &Daemon, line: &str) -> f64 {
+/// Answers `line`, returning the wall time and the response.
+fn timed_ok(daemon: &Daemon, line: &str) -> (f64, String) {
     let t = Instant::now();
     let response = daemon.handle_line(line).expect("request answered");
     let ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(response.contains(r#""ok":true"#), "bench request failed: {response}");
-    ms
+    (ms, response)
+}
+
+/// Jobs a pipeline response executed, summed over its phases.
+fn jobs_executed(response: &str) -> i64 {
+    let value = json::parse(response).expect("response parses");
+    let phases = value.get("result").and_then(|r| r.get("stats")).and_then(|s| s.get("phases"));
+    let phases = phases.and_then(Value::as_list).expect("stats.phases");
+    phases.iter().filter_map(|p| p.get("jobs_executed").and_then(Value::as_i64)).sum()
 }
 
 fn main() {
@@ -66,17 +76,20 @@ fn main() {
 
     let daemon = Daemon::new(ServeOptions::default(), Telemetry::noop()).expect("daemon builds");
 
-    let cold_ms = timed_ok(&daemon, &request("bench", &model));
+    let (cold_ms, _) = timed_ok(&daemon, &request("bench", &model));
 
     let mut warm_ms = f64::INFINITY;
     for _ in 0..ITERS {
-        warm_ms = warm_ms.min(timed_ok(&daemon, &request("bench", &model)));
+        warm_ms = warm_ms.min(timed_ok(&daemon, &request("bench", &model)).0);
     }
 
     // Fresh session every request: served from the shared store alone.
     let mut shared_ms = f64::INFINITY;
+    let mut shared_executed = 0;
     for i in 0..ITERS {
-        shared_ms = shared_ms.min(timed_ok(&daemon, &request(&format!("s{i}"), &model)));
+        let (ms, response) = timed_ok(&daemon, &request(&format!("s{i}"), &model));
+        shared_ms = shared_ms.min(ms);
+        shared_executed += jobs_executed(&response);
     }
     let shared_hits = daemon.shared().shared_hits();
 
@@ -89,7 +102,8 @@ fn main() {
         ("shared_requests_per_sec", Value::Real(1e3 / shared_ms)),
         ("speedup_cold_over_warm", Value::Real(cold_ms / warm_ms)),
         ("shared_hits", Value::Int(shared_hits as i64)),
-        ("warm_ok", Value::Bool(warm_ms < cold_ms && shared_hits > 0)),
+        ("shared_jobs_executed", Value::Int(shared_executed)),
+        ("warm_ok", Value::Bool(warm_ms < cold_ms && shared_hits > 0 && shared_executed == 0)),
     ]);
     println!("BENCH_serve {}", json::to_string(&summary));
     std::fs::remove_dir_all(&dir).ok();

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use decisive::engine::{ArtifactKind, CacheStore, Fingerprint, SegmentStore, StoreOptions};
+use decisive::engine::{ArtifactKind, Fingerprint, SegmentStore, SharedStore, StoreOptions};
 use decisive::federation::{json, Value};
 use decisive::obs::Telemetry;
 
@@ -59,7 +59,7 @@ fn main() {
     let store_dir = dir.join("store");
 
     // One corpus, persisted both ways.
-    let mut cache = CacheStore::new();
+    let cache = SharedStore::new();
     for i in 0..ARTIFACTS {
         cache.put(ArtifactKind::GraphRow, key(i), "bench", &row(i)).expect("seed put");
     }
@@ -79,7 +79,7 @@ fn main() {
         let text = String::from_utf8(std::fs::read(&snapshot).expect("snapshot read"))
             .expect("snapshot is UTF-8");
         let value = json::parse(&text).expect("snapshot parses");
-        let (loaded, skipped) = CacheStore::from_value_audited(&value).expect("v3 snapshot");
+        let (loaded, skipped) = SharedStore::from_value_audited(&value).expect("v3 snapshot");
         for i in 0..TOUCHED {
             assert!(
                 loaded.get::<Vec<f64>>(ArtifactKind::GraphRow, key(i)).is_some(),

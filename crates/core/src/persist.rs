@@ -39,15 +39,20 @@ pub fn artefact_from_value<'de, T: serde::Deserialize<'de>>(value: &'de Value) -
     Ok(serde_bridge::from_value(value)?)
 }
 
+/// Writes `artefact` to `path` as compact JSON, streamed without building
+/// its [`Value`] tree.
+fn save_json<T: serde::Serialize>(artefact: &T, path: &Path) -> Result<()> {
+    let text = serde_bridge::to_json_string(artefact)?;
+    std::fs::write(path, text).map_err(|e| io_error(path, e))
+}
+
 /// Saves an SSAM model as JSON. Pass `&mut f` if the writer is reused.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Federation`] on serialization or I/O failure.
 pub fn save_model(model: &SsamModel, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let value = artefact_to_value(model)?;
-    std::fs::write(path, json::to_string(&value)).map_err(|e| io_error(path, e))
+    save_json(model, path.as_ref())
 }
 
 /// Loads an SSAM model saved by [`save_model`].
@@ -68,9 +73,7 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SsamModel> {
 ///
 /// Returns [`CoreError::Federation`] on serialization or I/O failure.
 pub fn save_table(table: &FmeaTable, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let value = artefact_to_value(table)?;
-    std::fs::write(path, json::to_string(&value)).map_err(|e| io_error(path, e))
+    save_json(table, path.as_ref())
 }
 
 /// Loads an FME(D)A table saved by [`save_table`].
@@ -91,9 +94,7 @@ pub fn load_table(path: impl AsRef<Path>) -> Result<FmeaTable> {
 ///
 /// Returns [`CoreError::Federation`] on serialization or I/O failure.
 pub fn save_concept(concept: &SafetyConcept, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let value = artefact_to_value(concept)?;
-    std::fs::write(path, json::to_string(&value)).map_err(|e| io_error(path, e))
+    save_json(concept, path.as_ref())
 }
 
 #[cfg(test)]

@@ -450,8 +450,7 @@ fn execute_and_render(
             if let Some(table) = output.fmea() {
                 write_table_files(table, args, true)?;
             }
-            let document = output::document(output, engine).map_err(CliError::Failure)?;
-            println!("{}", decisive::federation::json::to_string(&document));
+            println!("{}", output::document(output, engine).map_err(CliError::Failure)?);
         }
         OutputFormat::Text => print_run(&output, engine, args)?,
     }
@@ -1161,7 +1160,7 @@ fn cmd_store(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
             let value =
                 json::parse(&text).map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
-            let (snapshot, skipped) = decisive::engine::CacheStore::from_value_audited(&value)
+            let (snapshot, skipped) = decisive::engine::SharedStore::from_value_audited(&value)
                 .map_err(|e| CliError::Failure(format!("{source}: {e}")))?;
             let imported = log.import(&snapshot).map_err(|e| CliError::Failure(e.to_string()))?;
             println!("# imported {imported} entr(ies) from {source}");

@@ -5,17 +5,18 @@
 //! monitor sets) is stored under `(kind, fingerprint-of-its-inputs)`.
 //! Content addressing makes invalidation automatic — an edited input hashes
 //! to a new key and simply misses — so the explicit
-//! [`CacheStore::invalidate_owner`] pass exists to *garbage-collect* stale
-//! entries and to report how many keys a change dirtied.
+//! [`SharedStore::invalidate_owner`] pass exists to *garbage-collect* stale
+//! entries from memory and to report how many keys a change dirtied.
 //!
-//! This module holds artefacts in memory only. Persistence is the durable
-//! [`SharedStore`] (see [`SharedStore::open_durable`]), backed by the
-//! crash-safe append-only log of [`crate::store`]: every completed pass is
-//! durable immediately and a warm start costs O(touched artifacts).
+//! [`SharedStore`] is each engine's one artefact store: an in-memory map
+//! whose clones share it, optionally backed by the crash-safe append-only
+//! log of [`crate::store`] (see [`SharedStore::open_durable`]), with which
+//! every completed pass is durable immediately and a warm start costs
+//! O(touched artifacts).
 //!
 //! ## Snapshot format (v3)
 //!
-//! [`CacheStore::to_value`] and [`CacheStore::from_value_audited`] are the
+//! [`SharedStore::to_value`] and [`SharedStore::from_value_audited`] are the
 //! portable snapshot codec behind `decisive store export` and `import`.
 //! Every entry carries a fingerprint checksum and the header a whole-file
 //! checksum; decoding skips (and reports) entries failing checksum or shape
@@ -24,7 +25,7 @@
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use decisive_federation::{json, serde_bridge, Value};
 use decisive_obs::Telemetry;
@@ -105,60 +106,47 @@ impl ArtifactKind {
 
 /// One cached artefact: its serialized value plus the name of the model
 /// element it was derived *for* (the invalidation handle). The value is
-/// shared, not copied, between an overlay and its shared layer and out to
-/// every overlay a shared hit serves.
-#[derive(Debug, Clone, PartialEq)]
+/// shared, not copied, out to every lookup it serves.
+#[derive(Debug)]
 struct CacheEntry {
     owner: String,
     value: Arc<Value>,
 }
 
-/// An in-memory artefact store keyed by `(kind, fingerprint)`.
-///
-/// A store may be layered over a [`SharedStore`]: its own entries then act
-/// as a private *overlay* — lookups fall back to the shared layer on a
-/// local miss, and stores write through to it — so many stores (one per
-/// daemon session) deduplicate artefacts across sessions while keeping
-/// invalidation local, and a durable shared layer persists them. See
-/// [`CacheStore::attach_shared`].
-#[derive(Debug, Clone, Default)]
-pub struct CacheStore {
-    entries: HashMap<(ArtifactKind, Fingerprint), CacheEntry>,
-    shared: Option<SharedStore>,
-}
+type Entries = HashMap<(ArtifactKind, Fingerprint), CacheEntry>;
 
-/// A thread-safe artefact store shared by many [`CacheStore`] overlays —
-/// the cross-session dedup layer of the analysis daemon.
+/// The engine's artefact store, keyed by `(kind, fingerprint)`: a
+/// thread-safe in-memory map, optionally backed by the durable log.
 ///
-/// Content addressing is what makes sharing sound: a `(kind, fingerprint)`
-/// key commits to *all* inputs of its artefact, so an entry computed by one
-/// session is, by construction, the entry every other session would compute
-/// for that key. The shared layer therefore only ever grows during a run
-/// (overlays garbage-collect their private entries).
+/// Every engine holds one. Clones are handles onto the same map (and
+/// log), so engines built over clones of one store — the daemon's
+/// sessions, a fleet worker's engines — deduplicate artefacts across each
+/// other. Content addressing is what makes sharing sound: a `(kind,
+/// fingerprint)` key commits to *all* inputs of its artefact, so an entry
+/// computed by one engine is, by construction, the entry every other
+/// engine would compute for that key.
 ///
-/// A shared layer is either purely in-memory or *durable*: backed by the
+/// A store is either purely in-memory or *durable*: backed by the
 /// crash-safe segmented log of [`crate::store`], opened with
-/// [`SharedStore::open_durable`]. A durable layer writes every entry
+/// [`SharedStore::open_durable`]. A durable store writes every entry
 /// through to the log (committed on [`SharedStore::sync_durable`]) and
 /// serves memory misses from the log's index, so a restarted process pays
 /// O(touched artifacts) to get warm, not O(history).
-///
-/// Clones are handles onto the same underlying map (and log).
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
-    entries: Arc<Mutex<HashMap<(ArtifactKind, Fingerprint), CacheEntry>>>,
+    entries: Arc<Mutex<Entries>>,
     hits: Arc<AtomicU64>,
     log: Option<Arc<SegmentStore>>,
 }
 
 impl SharedStore {
-    /// An empty, purely in-memory shared layer.
+    /// An empty, purely in-memory store.
     pub fn new() -> Self {
         SharedStore::default()
     }
 
-    /// Opens a shared layer durably persisted in `dir/store/` as a
-    /// segmented append-only log, running crash recovery.
+    /// Opens a store durably persisted in `dir/store/` as a segmented
+    /// append-only log, running crash recovery.
     ///
     /// # Errors
     ///
@@ -174,18 +162,18 @@ impl SharedStore {
         Ok((SharedStore { log: Some(Arc::new(log)), ..SharedStore::default() }, recovery))
     }
 
-    /// The segmented log backing this layer, when opened durable.
+    /// The segmented log backing this store, when opened durable.
     pub fn durable(&self) -> Option<&Arc<SegmentStore>> {
         self.log.as_ref()
     }
 
-    /// `true` when this layer persists through the segmented log.
+    /// `true` when this store persists through the segmented log.
     pub fn is_durable(&self) -> bool {
         self.log.is_some()
     }
 
     /// Fsyncs appends pending in the backing log — the commit point of
-    /// incremental durability. A no-op for in-memory layers.
+    /// incremental durability. A no-op for in-memory stores.
     ///
     /// # Errors
     ///
@@ -215,69 +203,225 @@ impl SharedStore {
         }
     }
 
-    /// Number of shared artefacts (union of the in-memory map and the
+    /// The in-memory map. Held only to look an entry up or insert it; a
+    /// poisoned lock is recovered, since every insert is a whole entry.
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Number of stored artefacts (union of the in-memory map and the
     /// backing log's live index).
     pub fn len(&self) -> usize {
-        let mut keys: HashSet<(ArtifactKind, Fingerprint)> =
-            self.entries.lock().expect("shared store poisoned").keys().copied().collect();
+        let mut keys: HashSet<(ArtifactKind, Fingerprint)> = self.lock().keys().copied().collect();
         if let Some(log) = &self.log {
             keys.extend(log.keys());
         }
         keys.len()
     }
 
-    /// `true` when nothing is shared yet.
+    /// `true` when nothing is stored yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Keys of one artefact kind across memory and the backing log.
+    /// Keys of one artefact kind across memory and the backing log — the
+    /// per-pass cache status shown by `decisive passes`.
     pub fn keys_of_kind(&self, kind: ArtifactKind) -> Vec<Fingerprint> {
-        let mut keys: HashSet<Fingerprint> = self
-            .entries
-            .lock()
-            .expect("shared store poisoned")
-            .keys()
-            .filter(|(k, _)| *k == kind)
-            .map(|&(_, f)| f)
-            .collect();
+        let mut keys: HashSet<Fingerprint> =
+            self.lock().keys().filter(|(k, _)| *k == kind).map(|&(_, f)| f).collect();
         if let Some(log) = &self.log {
             keys.extend(log.keys_of_kind(kind));
         }
         keys.into_iter().collect()
     }
 
-    /// How many lookups were served by this layer after missing the
-    /// requesting overlay — the cross-session dedup win.
+    /// How many lookups this store has served, from memory or from the
+    /// log, across every engine holding a handle to it.
     pub fn shared_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    fn get_entry(&self, kind: ArtifactKind, key: Fingerprint) -> Option<CacheEntry> {
-        if let Some(entry) =
-            self.entries.lock().expect("shared store poisoned").get(&(kind, key)).cloned()
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(entry);
-        }
-        // Memory miss: read through the durable log's index. The decoded
-        // entry is promoted into memory so the next lookup is cheap —
-        // this is what makes a warm start O(touched artifacts).
-        let (owner, value) = self.log.as_ref()?.get(kind, key)?;
-        let entry = CacheEntry { owner, value: Arc::new(value) };
-        self.entries.lock().expect("shared store poisoned").insert((kind, key), entry.clone());
+    /// Fetches and deserialises a stored artefact. A hit clones the
+    /// entry's shared value under the lock and decodes outside it.
+    ///
+    /// Returns `None` both on a missing key and on a shape mismatch (a
+    /// corrupt entry is treated as a miss and recomputed).
+    pub fn get<T: serde::DeserializeOwned>(
+        &self,
+        kind: ArtifactKind,
+        key: Fingerprint,
+    ) -> Option<T> {
+        let cached = self.lock().get(&(kind, key)).map(|entry| Arc::clone(&entry.value));
+        let value = match cached {
+            Some(value) => value,
+            None => {
+                // Memory miss: read through the durable log's index. The
+                // decoded entry is promoted into memory so the next lookup
+                // is cheap — this is what makes a warm start O(touched
+                // artifacts).
+                let (owner, value) = self.log.as_ref()?.get(kind, key)?;
+                let value = Arc::new(value);
+                self.lock().insert((kind, key), CacheEntry { owner, value: Arc::clone(&value) });
+                value
+            }
+        };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry)
+        serde_bridge::from_value(&value).ok()
     }
 
-    fn put_entry(&self, kind: ArtifactKind, key: Fingerprint, entry: CacheEntry) -> Result<()> {
-        // Log first: if the append fails the memory layer stays in step
-        // with disk and the caller sees the error.
+    /// Stores an artefact under `(kind, key)`, owned by the named model
+    /// element (used by [`SharedStore::invalidate_owner`]). A durable
+    /// store appends it to the log first: if the append fails, memory
+    /// stays in step with disk and the caller sees the error.
+    pub fn put<T: serde::Serialize>(
+        &self,
+        kind: ArtifactKind,
+        key: Fingerprint,
+        owner: &str,
+        artefact: &T,
+    ) -> Result<()> {
+        let value = serde_bridge::to_value(artefact)
+            .map_err(|e| EngineError::Cache(format!("unserialisable artefact: {e}")))?;
         if let Some(log) = &self.log {
-            log.append(kind, key, &entry.owner, &entry.value)?;
+            log.append(kind, key, owner, &value)?;
         }
-        self.entries.lock().expect("shared store poisoned").insert((kind, key), entry);
+        self.insert_value(kind, key, owner.to_owned(), value);
         Ok(())
+    }
+
+    /// Inserts an already-serialised entry into memory only (the store
+    /// export path, which must not re-encode values).
+    pub(crate) fn insert_value(
+        &self,
+        kind: ArtifactKind,
+        key: Fingerprint,
+        owner: String,
+        value: Value,
+    ) {
+        self.lock().insert((kind, key), CacheEntry { owner, value: Arc::new(value) });
+    }
+
+    /// The in-memory entries as `(kind, key, owner, value)`, sorted by
+    /// kind tag and key so snapshots and imports are deterministic.
+    pub(crate) fn sorted_entries(&self) -> Vec<(ArtifactKind, Fingerprint, String, Arc<Value>)> {
+        let mut entries: Vec<_> = self
+            .lock()
+            .iter()
+            .map(|(&(kind, key), e)| (kind, key, e.owner.clone(), Arc::clone(&e.value)))
+            .collect();
+        entries.sort_by_key(|&(kind, key, ..)| (kind.tag(), key));
+        entries
+    }
+
+    /// Drops every in-memory entry owned by `owner`; returns how many were
+    /// dropped. A durable log keeps its frames.
+    pub fn invalidate_owner(&self, owner: &str) -> usize {
+        let mut entries = self.lock();
+        let before = entries.len();
+        entries.retain(|_, e| e.owner != owner);
+        before - entries.len()
+    }
+
+    /// Drops every in-memory entry of one kind; returns how many were
+    /// dropped. A durable log keeps its frames.
+    pub fn invalidate_kind(&self, kind: ArtifactKind) -> usize {
+        let mut entries = self.lock();
+        let before = entries.len();
+        entries.retain(|(k, _), _| *k != kind);
+        before - entries.len()
+    }
+
+    /// Serialises the in-memory entries as a v3 snapshot (a federation
+    /// [`Value`]): a versioned header with a whole-file checksum, and one
+    /// `sum` checksum per entry.
+    pub fn to_value(&self) -> Value {
+        let entries = self.sorted_entries();
+        let mut sums = Vec::with_capacity(entries.len());
+        let entries: Vec<Value> = entries
+            .into_iter()
+            .map(|(kind, key, owner, value)| {
+                let sum = entry_sum(kind, key, &owner, &value);
+                sums.push(sum);
+                Value::record([
+                    ("kind", Value::from(kind.tag())),
+                    ("key", Value::from(key.to_string().as_str())),
+                    ("owner", Value::from(owner.as_str())),
+                    ("sum", Value::from(sum.to_string().as_str())),
+                    ("value", Value::clone(&value)),
+                ])
+            })
+            .collect();
+        Value::record([
+            ("version", Value::Int(FORMAT_VERSION)),
+            ("checksum", Value::from(file_sum(&sums).to_string().as_str())),
+            ("entries", Value::List(entries)),
+        ])
+    }
+
+    /// Rebuilds an in-memory store from a [`SharedStore::to_value`]
+    /// snapshot, skipping anything that fails validation — a cache may
+    /// always be cold, never wrong. Returns one note per skipped entry
+    /// (plus one when the whole-file checksum disagrees), empty for a
+    /// clean snapshot.
+    ///
+    /// Validation per entry: known kind tag, parsable key, string owner,
+    /// present value, and a `sum` matching the recomputed entry checksum.
+    /// Entries of a retired kind (such as `mc-trial`) are skipped silently:
+    /// stale, not corrupt. A whole-file checksum mismatch over individually
+    /// valid entries is noted but keeps the entries.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cache`] when `value` is not a v3 snapshot: another
+    /// `version`, or no `entries` list.
+    pub fn from_value_audited(value: &Value) -> Result<(SharedStore, Vec<String>)> {
+        let not_a_snapshot =
+            |found: String| EngineError::Cache(format!("expected a v3 snapshot, found {found}"));
+        let entries = match (value.get("version").and_then(Value::as_i64), value.get("entries")) {
+            (Some(FORMAT_VERSION), Some(Value::List(entries))) => entries,
+            (Some(FORMAT_VERSION), _) => return Err(not_a_snapshot("no `entries` list".into())),
+            (Some(version), _) => return Err(not_a_snapshot(format!("format version {version}"))),
+            (None, _) => return Err(not_a_snapshot("no `version`".into())),
+        };
+        let store = SharedStore::new();
+        let mut notes = Vec::new();
+        let mut sums = Vec::with_capacity(entries.len());
+        for (idx, entry) in entries.iter().enumerate() {
+            let tag = entry.get("kind").and_then(Value::as_str);
+            let stored_sum = entry.get("sum").and_then(Value::as_str).and_then(Fingerprint::parse);
+            if let (Some(tag), Some(sum)) = (tag, stored_sum) {
+                if ArtifactKind::is_retired(tag) {
+                    // Skipped, but still part of the file the sum covers.
+                    sums.push(sum);
+                    continue;
+                }
+            }
+            let kind = tag.and_then(ArtifactKind::parse);
+            let key = entry.get("key").and_then(Value::as_str).and_then(Fingerprint::parse);
+            let owner = entry.get("owner").and_then(Value::as_str);
+            let (Some(kind), Some(key), Some(owner), Some(sum), Some(value)) =
+                (kind, key, owner, stored_sum, entry.get("value"))
+            else {
+                notes.push(format!("entry {idx}: malformed shape"));
+                continue;
+            };
+            if entry_sum(kind, key, owner, value) != sum {
+                notes.push(format!(
+                    "entry {idx} ({} {key}, owner `{owner}`): checksum mismatch",
+                    kind.tag()
+                ));
+                continue;
+            }
+            sums.push(sum);
+            store.insert_value(kind, key, owner.to_owned(), value.clone());
+        }
+        let stored_file_sum = value.get("checksum").and_then(Value::as_str);
+        if notes.is_empty() && stored_file_sum != Some(file_sum(&sums).to_string().as_str()) {
+            notes.push(
+                "whole-file checksum mismatch; kept the individually verified entries".to_owned(),
+            );
+        }
+        Ok((store, notes))
     }
 }
 
@@ -310,229 +454,6 @@ fn file_sum(sums: &[Fingerprint]) -> Fingerprint {
     h.finish()
 }
 
-impl CacheStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CacheStore::default()
-    }
-
-    /// Number of cached artefacts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Live entries of one kind — the per-pass cache status shown by
-    /// `decisive passes`. With a shared layer attached this is the union
-    /// of overlay, shared memory, and (when durable) the backing log, so
-    /// warm stores report their real coverage.
-    pub fn count_kind(&self, kind: ArtifactKind) -> usize {
-        let local = self.entries.keys().filter(|(k, _)| *k == kind);
-        let Some(shared) = &self.shared else { return local.count() };
-        let mut keys: HashSet<Fingerprint> = local.map(|&(_, f)| f).collect();
-        keys.extend(shared.keys_of_kind(kind));
-        keys.len()
-    }
-
-    /// Layers this store over `shared`: lookups missing the local entries
-    /// fall back to the shared layer (counted by
-    /// [`SharedStore::shared_hits`]) and stores write through to it.
-    /// Snapshots ([`CacheStore::to_value`]) and invalidation stay strictly
-    /// local.
-    pub fn attach_shared(&mut self, shared: SharedStore) {
-        self.shared = Some(shared);
-    }
-
-    /// The shared layer this store is an overlay of, if any.
-    pub fn shared(&self) -> Option<&SharedStore> {
-        self.shared.as_ref()
-    }
-
-    /// Fetches and deserialises a cached artefact, falling back to the
-    /// attached shared layer on a local miss.
-    ///
-    /// Returns `None` both on a missing key and on a shape mismatch (a
-    /// corrupt entry is treated as a miss and recomputed).
-    pub fn get<T: serde::DeserializeOwned>(
-        &self,
-        kind: ArtifactKind,
-        key: Fingerprint,
-    ) -> Option<T> {
-        if let Some(entry) = self.entries.get(&(kind, key)) {
-            return serde_bridge::from_value(&entry.value).ok();
-        }
-        let entry = self.shared.as_ref()?.get_entry(kind, key)?;
-        serde_bridge::from_value(&entry.value).ok()
-    }
-
-    /// Stores an artefact under `(kind, key)`, owned by the named model
-    /// element (used by [`CacheStore::invalidate_owner`]). With a shared
-    /// layer attached the artefact is also published there, so sibling
-    /// overlays see it.
-    pub fn put<T: serde::Serialize>(
-        &mut self,
-        kind: ArtifactKind,
-        key: Fingerprint,
-        owner: &str,
-        artefact: &T,
-    ) -> Result<()> {
-        let value = serde_bridge::to_value(artefact)
-            .map_err(|e| EngineError::Cache(format!("unserialisable artefact: {e}")))?;
-        let entry = CacheEntry { owner: owner.to_owned(), value: Arc::new(value) };
-        if let Some(shared) = &self.shared {
-            shared.put_entry(kind, key, entry.clone())?;
-        }
-        self.entries.insert((kind, key), entry);
-        Ok(())
-    }
-
-    /// Inserts an already-serialised entry (the store export path, which
-    /// must not re-encode values).
-    pub(crate) fn insert_value(
-        &mut self,
-        kind: ArtifactKind,
-        key: Fingerprint,
-        owner: String,
-        value: Value,
-    ) {
-        self.entries.insert((kind, key), CacheEntry { owner, value: Arc::new(value) });
-    }
-
-    /// Iterates the raw local entries (kind, key, owner, value).
-    pub(crate) fn iter_entries(
-        &self,
-    ) -> impl Iterator<Item = (ArtifactKind, Fingerprint, &str, &Value)> {
-        self.entries.iter().map(|(&(kind, key), e)| (kind, key, e.owner.as_str(), &*e.value))
-    }
-
-    /// Fsyncs the attached durable shared layer, if any — the per-pass
-    /// commit point of incremental durability. No-op otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Store`] on fsync failure.
-    pub fn sync_durable(&self) -> Result<()> {
-        match &self.shared {
-            Some(shared) => shared.sync_durable(),
-            None => Ok(()),
-        }
-    }
-
-    /// Drops every entry owned by `owner`; returns how many were dropped.
-    pub fn invalidate_owner(&mut self, owner: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.owner != owner);
-        before - self.entries.len()
-    }
-
-    /// Drops every entry of one kind; returns how many were dropped.
-    pub fn invalidate_kind(&mut self, kind: ArtifactKind) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(k, _), _| *k != kind);
-        before - self.entries.len()
-    }
-
-    /// Serialises the store's own entries as a v3 snapshot (a federation
-    /// [`Value`]): a versioned header with a whole-file checksum, and one
-    /// `sum` checksum per entry.
-    pub fn to_value(&self) -> Value {
-        // Deterministic entry order, so exported snapshots diff cleanly.
-        let mut keys: Vec<&(ArtifactKind, Fingerprint)> = self.entries.keys().collect();
-        keys.sort_by_key(|(kind, fp)| (kind.tag(), *fp));
-        let mut sums = Vec::with_capacity(keys.len());
-        let entries: Vec<Value> = keys
-            .into_iter()
-            .map(|k| {
-                let entry = &self.entries[k];
-                let sum = entry_sum(k.0, k.1, &entry.owner, &entry.value);
-                sums.push(sum);
-                Value::record([
-                    ("kind", Value::from(k.0.tag())),
-                    ("key", Value::from(k.1.to_string().as_str())),
-                    ("owner", Value::from(entry.owner.as_str())),
-                    ("sum", Value::from(sum.to_string().as_str())),
-                    ("value", Value::clone(&entry.value)),
-                ])
-            })
-            .collect();
-        Value::record([
-            ("version", Value::Int(FORMAT_VERSION)),
-            ("checksum", Value::from(file_sum(&sums).to_string().as_str())),
-            ("entries", Value::List(entries)),
-        ])
-    }
-
-    /// Rebuilds a store from a [`CacheStore::to_value`] snapshot, skipping
-    /// anything that fails validation — a cache may always be cold, never
-    /// wrong. Returns one note per skipped entry (plus one when the
-    /// whole-file checksum disagrees), empty for a clean snapshot.
-    ///
-    /// Validation per entry: known kind tag, parsable key, string owner,
-    /// present value, and a `sum` matching the recomputed entry checksum.
-    /// Entries of a retired kind (such as `mc-trial`) are skipped silently:
-    /// stale, not corrupt. A whole-file checksum mismatch over individually
-    /// valid entries is noted but keeps the entries.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cache`] when `value` is not a v3 snapshot: another
-    /// `version`, or no `entries` list.
-    pub fn from_value_audited(value: &Value) -> Result<(CacheStore, Vec<String>)> {
-        let not_a_snapshot =
-            |found: String| EngineError::Cache(format!("expected a v3 snapshot, found {found}"));
-        let entries = match (value.get("version").and_then(Value::as_i64), value.get("entries")) {
-            (Some(FORMAT_VERSION), Some(Value::List(entries))) => entries,
-            (Some(FORMAT_VERSION), _) => return Err(not_a_snapshot("no `entries` list".into())),
-            (Some(version), _) => return Err(not_a_snapshot(format!("format version {version}"))),
-            (None, _) => return Err(not_a_snapshot("no `version`".into())),
-        };
-        let mut store = CacheStore::new();
-        let mut notes = Vec::new();
-        let mut sums = Vec::with_capacity(entries.len());
-        for (idx, entry) in entries.iter().enumerate() {
-            let tag = entry.get("kind").and_then(Value::as_str);
-            let stored_sum = entry.get("sum").and_then(Value::as_str).and_then(Fingerprint::parse);
-            if let (Some(tag), Some(sum)) = (tag, stored_sum) {
-                if ArtifactKind::is_retired(tag) {
-                    // Skipped, but still part of the file the sum covers.
-                    sums.push(sum);
-                    continue;
-                }
-            }
-            let kind = tag.and_then(ArtifactKind::parse);
-            let key = entry.get("key").and_then(Value::as_str).and_then(Fingerprint::parse);
-            let owner = entry.get("owner").and_then(Value::as_str);
-            let (Some(kind), Some(key), Some(owner), Some(sum), Some(value)) =
-                (kind, key, owner, stored_sum, entry.get("value"))
-            else {
-                notes.push(format!("entry {idx}: malformed shape"));
-                continue;
-            };
-            if entry_sum(kind, key, owner, value) != sum {
-                notes.push(format!(
-                    "entry {idx} ({} {key}, owner `{owner}`): checksum mismatch",
-                    kind.tag()
-                ));
-                continue;
-            }
-            sums.push(sum);
-            let entry = CacheEntry { owner: owner.to_owned(), value: Arc::new(value.clone()) };
-            store.entries.insert((kind, key), entry);
-        }
-        let stored_file_sum = value.get("checksum").and_then(Value::as_str);
-        if notes.is_empty() && stored_file_sum != Some(file_sum(&sums).to_string().as_str()) {
-            notes.push(
-                "whole-file checksum mismatch; kept the individually verified entries".to_owned(),
-            );
-        }
-        Ok((store, notes))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,14 +474,12 @@ mod tests {
         SharedStore::open_durable(dir, StoreOptions::default(), Telemetry::noop()).unwrap()
     }
 
-    /// A durable shared layer holding one committed `GraphRow` under
-    /// `fp("a")`, closed again.
+    /// A durable store holding one committed `GraphRow` under `fp("a")`,
+    /// closed again.
     fn seed(dir: &Path, artefact: &[f64]) {
-        let (shared, _) = open(dir);
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared);
-        overlay.put(ArtifactKind::GraphRow, fp("a"), "D1", &artefact.to_vec()).unwrap();
-        overlay.sync_durable().unwrap();
+        let (store, _) = open(dir);
+        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &artefact.to_vec()).unwrap();
+        store.sync_durable().unwrap();
     }
 
     /// The store's first segment file.
@@ -580,10 +499,10 @@ mod tests {
 
     #[test]
     fn roundtrips_through_value_and_disk() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.5f64, 2.5]).unwrap();
         store.put(ArtifactKind::GraphFacts, fp("b"), "top", &"facts".to_owned()).unwrap();
-        let (back, notes) = CacheStore::from_value_audited(&store.to_value()).unwrap();
+        let (back, notes) = SharedStore::from_value_audited(&store.to_value()).unwrap();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(back.len(), 2);
         assert_eq!(back.get::<Vec<f64>>(ArtifactKind::GraphRow, fp("a")), Some(vec![1.5, 2.5]));
@@ -610,7 +529,7 @@ mod tests {
 
     #[test]
     fn owner_invalidation_is_selective() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
         store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
         store.put(ArtifactKind::GraphFacts, fp("c"), "D1", &3i64).unwrap();
@@ -621,7 +540,7 @@ mod tests {
 
     #[test]
     fn kind_namespaces_the_key_space() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("k"), "x", &1i64).unwrap();
         store.put(ArtifactKind::InjectionRow, fp("k"), "x", &2i64).unwrap();
         assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(1));
@@ -631,7 +550,7 @@ mod tests {
 
     #[test]
     fn a_document_that_is_not_a_v3_snapshot_is_rejected() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::MonitorSet, fp("m"), "model", &0i64).unwrap();
         let mut value = store.to_value();
         if let Value::Record(fields) = &mut value {
@@ -639,7 +558,7 @@ mod tests {
         }
         let other = [value, Value::record([("version", Value::Int(3))]), Value::Record(Vec::new())];
         for doc in other {
-            let Err(EngineError::Cache(message)) = CacheStore::from_value_audited(&doc) else {
+            let Err(EngineError::Cache(message)) = SharedStore::from_value_audited(&doc) else {
                 panic!("{doc:?} decoded as a snapshot");
             };
             assert!(message.contains("expected a v3 snapshot"), "{message}");
@@ -648,22 +567,22 @@ mod tests {
 
     #[test]
     fn clean_roundtrip_report_is_clean() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        let (back, notes) = CacheStore::from_value_audited(&store.to_value()).unwrap();
+        let (back, notes) = SharedStore::from_value_audited(&store.to_value()).unwrap();
         assert_eq!(back.len(), 1);
         assert!(notes.is_empty(), "{notes:?}");
     }
 
     #[test]
     fn tampered_entry_is_quarantined_not_loaded() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
         store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
         let mut value = store.to_value();
         // Change one entry's payload without updating its checksum.
         set_entry_field(&mut value, "value", Value::Int(999));
-        let (back, notes) = CacheStore::from_value_audited(&value).unwrap();
+        let (back, notes) = SharedStore::from_value_audited(&value).unwrap();
         assert_eq!(back.len(), 1, "the intact entry survives");
         assert_eq!(notes.len(), 1, "{notes:?}");
         assert!(notes[0].contains("checksum mismatch"), "{notes:?}");
@@ -671,13 +590,13 @@ mod tests {
 
     #[test]
     fn retired_kind_entries_are_skipped_not_quarantined() {
-        let mut store = CacheStore::new();
+        let store = SharedStore::new();
         store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
         store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
         let mut value = store.to_value();
         // Re-tag the first entry as an older build's `mc-trial` artefact.
         set_entry_field(&mut value, "kind", Value::from("mc-trial"));
-        let (back, notes) = CacheStore::from_value_audited(&value).unwrap();
+        let (back, notes) = SharedStore::from_value_audited(&value).unwrap();
         assert_eq!(back.len(), 1, "the retired entry is not loaded");
         assert!(notes.is_empty(), "stale, not corrupt: {notes:?}");
     }
@@ -717,42 +636,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_layer_serves_sibling_overlays() {
-        let shared = SharedStore::new();
-        let mut a = CacheStore::new();
-        a.attach_shared(shared.clone());
-        let mut b = CacheStore::new();
-        b.attach_shared(shared.clone());
-
-        a.put(ArtifactKind::GraphRow, fp("k"), "D1", &41i64).unwrap();
-        assert_eq!(shared.len(), 1, "writes publish to the shared layer");
-        // A's own lookup is a local hit: no shared traffic.
-        assert_eq!(a.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
-        assert_eq!(shared.shared_hits(), 0);
-        // B misses locally and is served by the shared layer.
-        assert_eq!(b.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
-        assert_eq!(shared.shared_hits(), 1);
-        // A detached store sees nothing.
-        assert_eq!(CacheStore::new().get::<i64>(ArtifactKind::GraphRow, fp("k")), None);
-    }
-
-    #[test]
-    fn overlay_invalidation_and_persistence_stay_local() {
-        let shared = SharedStore::new();
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared.clone());
-        overlay.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        overlay.put(ArtifactKind::GraphFacts, fp("b"), "top", &2i64).unwrap();
-
-        assert_eq!(overlay.invalidate_owner("D1"), 1);
-        assert_eq!(shared.len(), 2, "GC of the overlay never touches the shared layer");
-        // The shared copy still serves the invalidated key (content
-        // addressing: same key, same artefact).
-        assert_eq!(overlay.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(1));
-
-        // to_value snapshots only the overlay's own entries.
-        let (persisted, _) = CacheStore::from_value_audited(&overlay.to_value()).unwrap();
-        assert_eq!(persisted.len(), 1);
+    fn clones_share_one_map_and_count_its_hits() {
+        let store = SharedStore::new();
+        let clone = store.clone();
+        store.put(ArtifactKind::GraphRow, fp("k"), "D1", &41i64).unwrap();
+        assert_eq!(clone.len(), 1, "a clone sees every write");
+        assert_eq!(store.shared_hits(), 0, "writes are not hits");
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
+        assert_eq!(clone.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
+        assert_eq!(store.shared_hits(), 2, "every served lookup counts, through any handle");
+        assert_eq!(clone.get::<i64>(ArtifactKind::GraphRow, fp("missing")), None);
+        assert_eq!(clone.shared_hits(), 2, "a miss is not a hit");
+        // A separate store sees nothing.
+        let separate = SharedStore::new();
+        assert_eq!(separate.get::<i64>(ArtifactKind::GraphRow, fp("k")), None);
+        assert_eq!(separate.shared_hits(), 0);
     }
 
     #[test]
@@ -782,23 +680,22 @@ mod tests {
     #[test]
     fn durable_shared_layer_round_trips_across_opens() {
         let dir = scratch("dur");
-        let (shared, recovery) = open(&dir);
+        let (store, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
-        assert!(shared.is_durable());
-        let mut overlay = CacheStore::new();
-        overlay.attach_shared(shared.clone());
-        overlay.put(ArtifactKind::GraphRow, fp("a"), "D1", &41i64).unwrap();
-        overlay.sync_durable().unwrap();
-        drop((overlay, shared));
+        assert!(store.is_durable());
+        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &41i64).unwrap();
+        store.sync_durable().unwrap();
+        drop(store);
 
-        let (shared, recovery) = open(&dir);
+        let (store, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
-        assert_eq!(shared.len(), 1);
-        let mut fresh = CacheStore::new();
-        fresh.attach_shared(shared.clone());
-        assert_eq!(fresh.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(41));
-        assert_eq!(shared.shared_hits(), 1, "served by the log read-through");
-        assert_eq!(fresh.count_kind(ArtifactKind::GraphRow), 1, "union counting sees the log");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.keys_of_kind(ArtifactKind::GraphRow).len(), 1, "counting sees the log");
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(41));
+        assert_eq!(store.shared_hits(), 1, "served by the log read-through");
+        // Dropping the promoted entry from memory leaves the log's frame.
+        assert_eq!(store.invalidate_owner("D1"), 1);
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(41));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,7 +31,7 @@ use decisive_ssam::architecture::Component;
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
-use crate::cache::{ArtifactKind, CacheStore, SharedStore};
+use crate::cache::{ArtifactKind, SharedStore};
 use crate::error::{EngineError, Result};
 use crate::pass::{
     FtaPass, GraphFmeaPass, InjectionFmeaPass, MonitorPass, MonteCarloPass, PipelineInput,
@@ -45,8 +45,6 @@ use crate::stats::EngineStats;
 pub struct EngineConfig {
     /// Worker threads for job batches; `1` runs inline.
     pub jobs: usize,
-    /// Graph FMEA configuration (algorithm, path cap, scope).
-    pub graph: GraphConfig,
     /// Per-job wall-clock deadline in milliseconds. Jobs that exceed it
     /// keep their results but are classified as timed-out in the phase
     /// stats and the degraded-mode report. `None` disables the deadline.
@@ -57,7 +55,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            graph: GraphConfig::default(),
             deadline_ms: None,
         }
     }
@@ -67,12 +64,6 @@ impl EngineConfig {
     /// A configuration with an explicit worker count.
     pub fn with_jobs(jobs: usize) -> Self {
         EngineConfig { jobs: jobs.max(1), ..EngineConfig::default() }
-    }
-
-    /// Sets the per-job deadline (see [`EngineConfig::deadline_ms`]).
-    pub fn with_deadline_ms(mut self, ms: f64) -> Self {
-        self.deadline_ms = Some(ms.max(0.0));
-        self
     }
 }
 
@@ -111,7 +102,7 @@ pub struct FtaSubtreeSummary {
 #[derive(Debug, Default)]
 pub struct Engine {
     pub(crate) config: EngineConfig,
-    pub(crate) cache: CacheStore,
+    pub(crate) cache: SharedStore,
     pub(crate) stats: EngineStats,
     pub(crate) last_campaign: Option<CampaignHealth>,
     pub(crate) degraded: DegradedModeReport,
@@ -160,20 +151,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the graph FMEA configuration.
-    pub fn graph(mut self, graph: GraphConfig) -> Self {
-        self.config.graph = graph;
-        self
-    }
-
-    /// Replaces the whole configuration (for callers that already hold an
-    /// [`EngineConfig`]). Field-level setters called afterwards still
-    /// apply.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Opens the durable store under `dir` at [`EngineBuilder::build`]
     /// time — the engine's persistence. Cannot be combined with
     /// [`EngineBuilder::shared_store`].
@@ -182,11 +159,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Layers the engine's cache over a cross-session [`SharedStore`]:
-    /// the engine's own cache becomes a private overlay, falling back to
-    /// (and publishing into) the shared layer, so sibling engines built
-    /// over the same store deduplicate artefacts by fingerprint. This is
-    /// how the analysis daemon multiplexes sessions.
+    /// Makes the engine's store a handle onto `shared`, so sibling
+    /// engines built over clones of one [`SharedStore`] deduplicate
+    /// artefacts by fingerprint. This is how the analysis daemon
+    /// multiplexes sessions and a fleet worker reuses work across models.
+    /// Cannot be combined with [`EngineBuilder::cache_dir`].
     pub fn shared_store(mut self, shared: SharedStore) -> Self {
         self.shared = Some(shared);
         self
@@ -224,10 +201,10 @@ impl EngineBuilder {
                 engine.stats.quarantined_entries += recovery.quarantined_frames;
                 engine.degraded.quarantined_cache_entries += recovery.quarantined_frames;
                 engine.degraded.notes.extend(recovery.notes.iter().cloned());
-                engine.cache.attach_shared(shared);
+                engine.cache = shared;
             }
             (Some(_), Some(_)) => return Err(EngineError::ConflictingStores),
-            (None, Some(shared)) => engine.cache.attach_shared(shared),
+            (None, Some(shared)) => engine.cache = shared,
             (None, None) => {}
         }
         Ok(engine)
@@ -241,7 +218,7 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// An engine with an empty in-memory cache (shortcut over
+    /// An engine with an empty in-memory store (shortcut over
     /// [`Engine::builder`]).
     pub fn new(config: EngineConfig) -> Self {
         Engine { config, ..Engine::default() }
@@ -257,8 +234,10 @@ impl Engine {
         &self.telemetry
     }
 
-    /// The artefact cache.
-    pub fn cache(&self) -> &CacheStore {
+    /// The engine's artefact store: in memory, durable under
+    /// [`EngineBuilder::cache_dir`], or a handle onto the store given to
+    /// [`EngineBuilder::shared_store`].
+    pub fn cache(&self) -> &SharedStore {
         &self.cache
     }
 
@@ -282,12 +261,6 @@ impl Engine {
         self.last_campaign = None;
     }
 
-    /// The cross-session shared store this engine's cache is layered
-    /// over, if one was attached via [`EngineBuilder::shared_store`].
-    pub fn shared_store(&self) -> Option<&SharedStore> {
-        self.cache.shared()
-    }
-
     /// The health report of the most recent supervised injection campaign
     /// ([`Engine::analyze_injection`]), cold or warm: cached injection
     /// rows carry their outcomes, so a warm run rebuilds the same report.
@@ -305,10 +278,7 @@ impl Engine {
     /// Frames the durable store behind this engine has quarantined so
     /// far, rot caught on read included; 0 without one.
     pub(crate) fn store_quarantined(&self) -> u64 {
-        self.cache
-            .shared()
-            .and_then(SharedStore::durable)
-            .map_or(0, |log| log.health().quarantined_frames)
+        self.cache.durable().map_or(0, |log| log.health().quarantined_frames)
     }
 
     /// Records the frames the store quarantined since `before` — rot
@@ -335,7 +305,7 @@ impl Engine {
     /// [`EngineError::NotDurable`] when the engine has no durable store;
     /// [`EngineError::Store`] on fsync failure.
     pub fn save_cache(&self, _dir: impl AsRef<std::path::Path>) -> Result<()> {
-        if !self.cache.shared().is_some_and(SharedStore::is_durable) {
+        if !self.cache.is_durable() {
             return Err(EngineError::NotDurable);
         }
         self.cache.sync_durable()
@@ -361,10 +331,11 @@ impl Engine {
     }
 
     /// Re-analyses after a model revision: diffs `old` against `new`,
-    /// garbage-collects the cache keys owned by impacted components (the
-    /// counted "invalidated keys"), then runs [`Engine::analyze_graph`] on
-    /// the new revision — unchanged components hit the cache, impacted
-    /// ones recompute.
+    /// garbage-collects the entries owned by impacted components from the
+    /// store's memory (the counted "invalidated keys"; on a store several
+    /// engines share, for all of them, and a durable log keeps its
+    /// frames), then runs [`Engine::analyze_graph`] on the new revision —
+    /// unchanged components hit the cache, impacted ones recompute.
     ///
     /// # Errors
     ///
@@ -406,7 +377,7 @@ impl Engine {
         top: Idx<Component>,
     ) -> Result<FmeaTable> {
         let incremental = self.analyze_graph(model, top)?;
-        let full = graph::run(model, top, &self.config.graph)?;
+        let full = graph::run(model, top, &GraphConfig::default())?;
         if incremental != full {
             return Err(EngineError::Verification(format!(
                 "{} incremental vs {} full rows, verdict disagreement {:.4}",

@@ -12,16 +12,16 @@
 //!
 //! - [`fingerprint`] — the stable 64-bit content hasher;
 //! - [`model_fp`] — what gets hashed for each artefact kind;
-//! - [`cache`] — the content-addressed in-memory store and its portable v3
-//!   snapshot codec;
-//! - [`store`] — the crash-safe segmented append-only log behind durable
-//!   [`SharedStore`]s, the only persistence (incremental durability,
+//! - [`cache`] — [`SharedStore`], each engine's one content-addressed
+//!   artefact store (clones share it), and its portable v3 snapshot codec;
+//! - [`store`] — the crash-safe segmented append-only log behind a durable
+//!   [`SharedStore`], the only persistence (incremental durability,
 //!   frame-level quarantine);
 //! - [`scheduler`] — the deterministic parallel job runner;
 //! - [`stats`] — per-phase observability counters;
 //! - [`pass`] — the typed [`AnalysisPass`] abstraction: each analysis
 //!   (graph FMEA, injection, FTA, monitors, HARA, assurance) as one
-//!   composable pass sharing a single cache/deadline/degradation path;
+//!   composable pass sharing a single store/deadline/degradation path;
 //! - [`pipeline`] — the validated pass DAG executed with cross-pass
 //!   parallelism ([`Engine::run_pipeline`]);
 //! - [`engine`] — the [`Engine`] gluing it all together, with
@@ -43,7 +43,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod store;
 
-pub use cache::{ArtifactKind, CacheStore, SharedStore};
+pub use cache::{ArtifactKind, SharedStore};
 pub use engine::{Engine, EngineBuilder, EngineConfig, FtaSubtreeSummary};
 pub use execute::{OpArtifact, OpOutput};
 

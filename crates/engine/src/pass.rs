@@ -11,7 +11,7 @@
 //! cross-pass parallelism on the shared worker budget.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{DeserializeOwned, Serialize};
@@ -23,7 +23,7 @@ use decisive_assurance::{
 use decisive_blocks::BlockDiagram;
 use decisive_core::campaign::{CampaignHealth, CaseOutcome, CaseReport};
 use decisive_core::degraded::DegradedModeReport;
-use decisive_core::fmea::graph::{self, ContainerFacts};
+use decisive_core::fmea::graph::{self, ContainerFacts, GraphConfig};
 use decisive_core::fmea::injection::{self, InjectionConfig};
 use decisive_core::fmea::{FmeaRow, FmeaTable};
 use decisive_core::monitor::RuntimeMonitor;
@@ -39,7 +39,7 @@ use decisive_ssam::base::IntegrityLevel;
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
-use crate::cache::{ArtifactKind, CacheStore};
+use crate::cache::{ArtifactKind, SharedStore};
 use crate::engine::{EngineConfig, FtaSubtreeSummary};
 use crate::error::{EngineError, Result};
 use crate::fingerprint::{Fingerprint, Hasher};
@@ -350,13 +350,13 @@ impl<'a> PipelineInput<'a> {
 }
 
 /// The execution context handed to [`AnalysisPass::run`]: configuration,
-/// the shared cache, the pipeline input, resolved dependency artefacts,
+/// the engine's artefact store, the pipeline input, resolved dependency artefacts,
 /// and the per-pass observability sinks the runner merges back into the
 /// engine afterwards.
 pub struct PassContext<'a> {
     pub(crate) config: &'a EngineConfig,
     pub(crate) workers: usize,
-    pub(crate) cache: &'a Mutex<CacheStore>,
+    pub(crate) cache: &'a SharedStore,
     pub(crate) input: &'a PipelineInput<'a>,
     pub(crate) deps: HashMap<&'static str, Arc<PassArtifact>>,
     /// The engine's degraded-mode report as of pipeline start; campaign
@@ -393,12 +393,6 @@ impl<'a> PassContext<'a> {
         self.deps.get(id).cloned().ok_or_else(|| {
             EngineError::Pipeline(format!("dependency artefact `{id}` is not available"))
         })
-    }
-
-    fn lock_cache(&self) -> MutexGuard<'a, CacheStore> {
-        // A poisoned cache mutex means another pass panicked mid-update;
-        // the store itself is append-only per key and stays usable.
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn scheduler(&self, label: &str) -> Scheduler {
@@ -447,7 +441,7 @@ impl<'a> PassContext<'a> {
         let mut hit_tags: HashMap<&'static str, u64> = HashMap::new();
         let mut miss_tags: HashMap<&'static str, u64> = HashMap::new();
         for (i, item) in items.iter().enumerate() {
-            match self.lock_cache().get::<A>(item.id.kind, item.id.key) {
+            match self.cache.get::<A>(item.id.kind, item.id.key) {
                 Some(artifact) => {
                     phase.cache_hits += 1;
                     if instrumented {
@@ -501,19 +495,14 @@ impl<'a> PassContext<'a> {
             for (&i, result) in misses.iter().zip(out.results) {
                 let fresh = result?;
                 let item = &items[i];
-                self.lock_cache().put(
-                    item.id.kind,
-                    item.id.key,
-                    &item.owner,
-                    &encode(i, &fresh),
-                )?;
+                self.cache.put(item.id.kind, item.id.key, &item.owner, &encode(i, &fresh))?;
                 merged[i] = Some(fresh);
             }
-            // Incremental durability: with a durable shared layer every
-            // artefact this pass just computed is committed (fsynced)
-            // before the pass reports done, so a crash between passes
-            // loses nothing already paid for.
-            self.lock_cache().sync_durable()?;
+            // Incremental durability: with a durable store every artefact
+            // this pass just computed is committed (fsynced) before the
+            // pass reports done, so a crash between passes loses nothing
+            // already paid for.
+            self.cache.sync_durable()?;
         }
         phase.wall_ms = start.elapsed().as_secs_f64() * 1e3;
         self.phases.push(phase);
@@ -750,7 +739,7 @@ impl AnalysisPass for GraphFmeaPass {
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let model = ctx.input.model.ok_or_else(|| missing_input(self.id(), "a model"))?;
         let top = ctx.input.top.ok_or_else(|| missing_input(self.id(), "an analysis root"))?;
-        let graph_config = ctx.config.graph.clone();
+        let graph_config = GraphConfig::default();
         let config_fp = model_fp::graph_config_fingerprint(model, &graph_config);
 
         // Phase 1: container path facts.
@@ -980,7 +969,7 @@ impl AnalysisPass for FtaPass {
                 message: format!("mission time must be positive and finite, got {mission_hours}"),
             }));
         }
-        let max_paths = ctx.config.graph.max_paths;
+        let max_paths = GraphConfig::default().max_paths;
         let containers = collect_containers(model, top);
         let items: Vec<WorkItem> = containers
             .iter()

@@ -267,7 +267,7 @@ impl Engine {
         let baseline_degraded = self.degraded.clone();
         let telemetry = self.telemetry.clone();
         let store_quarantined = self.store_quarantined();
-        let cache = Mutex::new(std::mem::take(&mut self.cache));
+        let cache = self.cache.clone();
 
         let mut index_of: HashMap<&str, usize> = HashMap::new();
         for (i, pass) in passes.iter().enumerate() {
@@ -427,9 +427,6 @@ impl Engine {
             }
         })
         .map_err(|_| EngineError::Pipeline("a pipeline worker panicked".to_owned()))?;
-
-        // Give the cache back before reporting anything.
-        self.cache = cache.into_inner().unwrap_or_else(|e| e.into_inner());
         self.note_store_rot(store_quarantined);
 
         // Merge sinks in registration order — independent of the actual
@@ -514,7 +511,11 @@ impl Engine {
                     id: pass.id().to_owned(),
                     depends_on: pass.depends_on().iter().map(|d| (*d).to_owned()).collect(),
                     kinds: pass.kinds().to_vec(),
-                    cached_entries: pass.kinds().iter().map(|&k| self.cache.count_kind(k)).sum(),
+                    cached_entries: pass
+                        .kinds()
+                        .iter()
+                        .map(|&k| self.cache.keys_of_kind(k).len())
+                        .sum(),
                 }
             })
             .collect())

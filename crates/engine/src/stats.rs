@@ -45,7 +45,9 @@ impl PhaseStats {
 pub struct EngineStats {
     /// Per-phase counters, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Keys dropped by change-driven invalidation (`rerun`).
+    /// Entries change-driven invalidation (`rerun`) dropped from the
+    /// store's memory. A fresh process holds none before its first
+    /// lookup, so a one-shot `decisive rerun` reports 0.
     pub invalidated_keys: usize,
     /// Persisted cache entries that failed checksum or shape validation
     /// on load and were quarantined (then recomputed).

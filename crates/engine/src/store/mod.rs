@@ -13,7 +13,7 @@
 //! └── store.quarantine.json  frames dropped by recovery, for post-mortem
 //! ```
 //!
-//! The portable v3 JSON snapshot ([`CacheStore::to_value`]) is only the
+//! The portable v3 JSON snapshot ([`SharedStore::to_value`]) is only the
 //! exchange format of [`SegmentStore::export`] and [`SegmentStore::import`]
 //! (`decisive store export|import`).
 //!
@@ -66,7 +66,7 @@ use std::time::Instant;
 use decisive_federation::{json, Value};
 use decisive_obs::Telemetry;
 
-use crate::cache::{ArtifactKind, CacheStore};
+use crate::cache::{ArtifactKind, SharedStore};
 use crate::error::{EngineError, Result};
 use crate::fingerprint::Fingerprint;
 
@@ -1268,11 +1268,11 @@ impl SegmentStore {
         }
     }
 
-    /// Materialises every live frame as a plain [`CacheStore`] — the
-    /// `decisive store export` path back to portable v3 JSON.
-    pub fn export(&self) -> CacheStore {
+    /// Materialises every live frame as an in-memory [`SharedStore`] —
+    /// the `decisive store export` path back to portable v3 JSON.
+    pub fn export(&self) -> SharedStore {
         let keys: Vec<(ArtifactKind, Fingerprint)> = self.lock().index.keys().copied().collect();
-        let mut out = CacheStore::new();
+        let out = SharedStore::new();
         for (kind, key) in keys {
             if let Some((owner, value)) = self.get(kind, key) {
                 out.insert_value(kind, key, owner, value);
@@ -1281,20 +1281,20 @@ impl SegmentStore {
         out
     }
 
-    /// Appends every entry of a v3 store into the log and syncs — the
-    /// `decisive store import` path.
+    /// Appends every in-memory entry of `store` (a decoded v3 snapshot)
+    /// into the log, in snapshot order, and syncs — the `decisive store
+    /// import` path.
     ///
     /// # Errors
     ///
     /// [`EngineError::Store`] on I/O failure.
-    pub fn import(&self, store: &CacheStore) -> Result<usize> {
-        let mut imported = 0usize;
-        for (kind, key, owner, value) in store.iter_entries() {
-            self.append(kind, key, owner, value)?;
-            imported += 1;
+    pub fn import(&self, store: &SharedStore) -> Result<usize> {
+        let entries = store.sorted_entries();
+        for (kind, key, owner, value) in &entries {
+            self.append(*kind, *key, owner, value)?;
         }
         self.sync()?;
-        Ok(imported)
+        Ok(entries.len())
     }
 }
 

@@ -27,7 +27,7 @@ use decisive_engine::pass::ids;
 use decisive_engine::{
     AnalysisPass, AssurancePass, Engine, EngineConfig, EngineError, FtaPass, GraphFmeaPass,
     HaraPass, InjectionFmeaPass, MonteCarloPass, PassArtifact, PassContext, Pipeline,
-    PipelineInput, RecommendPass,
+    PipelineInput, RecommendPass, SharedStore,
 };
 use decisive_federation::Value;
 use decisive_obs::Telemetry;
@@ -179,6 +179,37 @@ fn a_wrongly_typed_upstream_artefact_is_a_typed_error() {
         err.to_string(),
         "pipeline: pass `assurance` expects FTA summaries from `fta`, got opaque"
     );
+}
+
+/// A pass that panics in its own body, outside any scheduled job.
+#[derive(Debug)]
+struct PanicPass;
+
+impl AnalysisPass for PanicPass {
+    fn id(&self) -> &'static str {
+        "panics"
+    }
+
+    fn run(&self, _ctx: &mut PassContext<'_>) -> decisive_engine::Result<PassArtifact> {
+        panic!("the pass fails outside its jobs")
+    }
+}
+
+/// A pass that panics fails the run with a typed error and leaves the
+/// engine its store: the next analysis is served from the shared store
+/// the engine was built over, without executing a job.
+#[test]
+fn a_panicking_pass_leaves_the_engine_its_store() {
+    let (model, top) = case_study::ssam_model();
+    let shared = SharedStore::new();
+    let mut engine = Engine::builder().jobs(2).shared_store(shared).build().unwrap();
+    engine.analyze_graph(&model, top).expect("priming run");
+    let panicking = Pipeline::new().with(PanicPass);
+    let err = engine.run_pipeline(&panicking, &PipelineInput::new()).unwrap_err();
+    assert!(matches!(err, EngineError::Pipeline(_)), "{err:?}");
+    engine.reset_run_state();
+    engine.analyze_graph(&model, top).expect("analysis after the panic");
+    assert_eq!(engine.stats().jobs_executed(), 0, "the engine lost its store to the panic");
 }
 
 // ----------------------------------------------------------------------

@@ -133,7 +133,7 @@ fn crash_at_every_compaction_op_keeps_every_live_entry() {
     }
 }
 
-/// Readers hammering the shared layer (as concurrent serve sessions do)
+/// Readers hammering one store (as concurrent serve sessions do)
 /// while compactions and writes run never observe a missing or partial
 /// entry: the manifest swap happens under the store lock, so every read
 /// sees either the pre- or post-compaction state — both complete.

@@ -100,10 +100,8 @@ impl FleetTask {
         Value::record(fields)
     }
 
-    /// Parses the wire form back (the worker side). Legacy lines without
-    /// an `op`/`spec` pair — journals written before the unified request
-    /// API — still parse: the op defaults to `pipeline` and a loose
-    /// top-level `mission_hours` field, when present, seeds the spec.
+    /// Parses the wire form back (the worker side): the line
+    /// [`FleetTask::to_wire`] wrote, `op` and `spec` included.
     ///
     /// # Errors
     ///
@@ -116,21 +114,13 @@ impl FleetTask {
             .to_owned();
         let attempt = value.get("attempt").and_then(Value::as_i64).unwrap_or(0).max(0) as u32;
         let op = match value.get("op") {
-            None | Some(Value::Null) => AnalysisOp::Pipeline,
             Some(Value::Str(name)) => {
                 AnalysisOp::parse(name).ok_or_else(|| format!("unknown task op `{name}`"))?
             }
             Some(other) => return Err(format!("task `op` must be a string, got {other:?}")),
+            None => return Err("task line lacks an `op`".to_owned()),
         };
-        let mut spec = match value.get("spec") {
-            None | Some(Value::Null) => RunSpec::default(),
-            Some(record) => RunSpec::from_value(record)?,
-        };
-        if spec.mission_hours.is_none() {
-            // Pre-unification task lines carried mission time loose.
-            spec.mission_hours =
-                value.get("mission_hours").and_then(Value::as_f64).filter(|&h| h > 0.0);
-        }
+        let spec = RunSpec::from_value(value.get("spec").ok_or("task line lacks a `spec`")?)?;
         let source = match value.get("kind").and_then(Value::as_str) {
             Some("file") => TaskSource::File(PathBuf::from(
                 value.get("path").and_then(Value::as_str).ok_or("file task lacks a `path`")?,
@@ -233,18 +223,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wire_lines_without_op_or_spec_still_parse() {
+    fn wire_lines_need_an_op_and_a_spec() {
         use decisive_federation::json;
-        // A pre-unification task line: no `op`, no `spec`, loose
-        // `mission_hours` — exactly what an old journal replays.
-        let line = r#"{"id":"Set1#7","kind":"workload","set":"Set1","instance":7,
-                       "seed":99,"attempt":1,"mission_hours":2500}"#;
-        let (task, attempt, op, spec) = FleetTask::from_wire(&json::parse(line).unwrap()).unwrap();
-        assert_eq!(task.id, "Set1#7");
-        assert_eq!(attempt, 1);
-        assert_eq!(op, AnalysisOp::Pipeline);
-        assert_eq!(spec.mission_hours, Some(2500.0));
-        assert_eq!(spec.trials, RunSpec::default().trials);
+        let wire = FleetTask::for_workload("Set1", 7, 99).to_wire(
+            1,
+            AnalysisOp::Pipeline,
+            &RunSpec::default(),
+        );
+        let line = json::to_string(&wire);
+        for (field, message) in [("op", "lacks an `op`"), ("spec", "lacks a `spec`")] {
+            let Value::Record(mut fields) = json::parse(&line).unwrap() else { unreachable!() };
+            fields.retain(|(name, _)| name != field);
+            let err = FleetTask::from_wire(&Value::Record(fields)).unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
     }
 
     #[test]

@@ -69,9 +69,10 @@ pub struct Daemon {
 }
 
 fn lock_session(session: &Arc<Mutex<Session>>) -> std::sync::MutexGuard<'_, Session> {
-    // A panic inside a request poisons the session mutex; the state it
-    // guards is rebuilt per request (stats reset, cache restored by the
-    // pipeline runner), so recover the guard — the session stays usable.
+    // A panic inside a request poisons the session mutex; the run state
+    // it guards is reset per request and the engine's store is a handle
+    // no pass can take away, so recover the guard — the session stays
+    // usable, warm and shared.
     match session.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -184,7 +185,7 @@ impl Daemon {
                 match outcome {
                     Ok(Ok(result)) => {
                         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                        protocol::ok_response(&meta, op, wall_ms, result)
+                        protocol::ok_response(&meta, op, wall_ms, &result)
                     }
                     Ok(Err(message)) => {
                         protocol::error_response(meta.id, Some(&meta.session), &message)
@@ -217,14 +218,15 @@ impl Daemon {
         Some(response)
     }
 
-    fn dispatch(&self, request: &Request) -> Result<Value, String> {
+    /// Runs one parsed request; `Ok` holds the JSON text of its `result`.
+    fn dispatch(&self, request: &Request) -> Result<String, String> {
         match request {
             Request::Analysis { meta, request } => self.execute(meta, request),
-            Request::Status { .. } => Ok(self.status_value()),
+            Request::Status { .. } => Ok(json::to_string(&self.status_value())),
             Request::Shutdown { .. } => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.persist()?;
-                Ok(Value::record([("stopping", Value::Bool(true))]))
+                Ok(json::to_string(&Value::record([("stopping", Value::Bool(true))])))
             }
         }
     }
@@ -233,13 +235,13 @@ impl Daemon {
     /// the same name would, with the daemon's reliability annex and
     /// mission time standing in for those the request leaves unset. The
     /// `strict` verdict is checked before answering.
-    fn execute(&self, meta: &RequestMeta, request: &AnalysisRequest) -> Result<Value, String> {
+    fn execute(&self, meta: &RequestMeta, request: &AnalysisRequest) -> Result<String, String> {
         let session = self.registry.get_or_create(&meta.session)?;
         let mut session = lock_session(&session);
         session.requests += 1;
         let engine = &mut session.engine;
         // Each response reports exactly its own run, as a fresh CLI
-        // invocation would; the cache overlay stays warm.
+        // invocation would; the shared store stays warm.
         engine.reset_run_state();
         let mut request = request.clone();
         let spec = &mut request.spec;
@@ -260,7 +262,6 @@ impl Daemon {
                 Value::record([
                     ("name", Value::from(session.name.as_str())),
                     ("requests", Value::Int(session.requests as i64)),
-                    ("overlay_entries", Value::Int(session.engine.cache().len() as i64)),
                 ])
             })
             .collect();

@@ -7,8 +7,8 @@
 //! JSON protocol (stdin/stdout or a unix socket), multiplexing many
 //! independent model *sessions* against one cross-session
 //! [`decisive_engine::SharedStore`] — each session analyses through its
-//! own engine whose cache is a private overlay over the shared layer, so
-//! two sessions working on overlapping models deduplicate artefacts by
+//! own engine, and every engine's store is a handle onto that one store,
+//! so two sessions working on overlapping models deduplicate artefacts by
 //! fingerprint.
 //!
 //! Layering:
@@ -21,7 +21,7 @@
 //! - [`protocol`] — request parsing and response framing: one JSON value
 //!   per line, every input line answered by exactly one output line;
 //! - [`session`] — the session registry: named sessions, each a warm
-//!   [`decisive_engine::Engine`] layered over the shared store;
+//!   [`decisive_engine::Engine`] over the shared store;
 //! - [`daemon`] — the request loop: panic-isolated dispatch
 //!   ([`daemon::Daemon::handle_line`]) of analysis ops to
 //!   [`decisive_engine::Engine::execute`], the stdio loop and the

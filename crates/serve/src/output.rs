@@ -19,7 +19,7 @@ use decisive_core::patterns::RecommendationReport;
 use decisive_engine::{
     Engine, EngineStats, FtaSubtreeSummary, OpArtifact, OpOutput, PassStatus, PipelineRun,
 };
-use decisive_federation::{serde_bridge, Value};
+use decisive_federation::serde_bridge;
 use decisive_hara::RiskLog;
 
 /// FMEA metric summary shared by the analyze and pipeline documents (the
@@ -204,35 +204,31 @@ impl PassesOutput {
     }
 }
 
-/// The document of one executed request, with `engine`'s account of the
-/// run: what `--format json` prints and what the daemon answers under
-/// `result`.
+/// The JSON text of one executed request's document, with `engine`'s
+/// account of the run: what `--format json` prints and what the daemon
+/// answers under `result`.
 ///
 /// # Errors
 ///
 /// As [`to_json_string`].
-pub fn document(output: OpOutput, engine: &Engine) -> Result<Value, String> {
+pub fn document(output: OpOutput, engine: &Engine) -> Result<String, String> {
     match output.artifact {
-        OpArtifact::Fmea(table) => serde_bridge::to_value(&AnalyzeOutput::new(table, engine)),
-        OpArtifact::Pipeline(run) => serde_bridge::to_value(&PipelineOutput::new(&run, engine)),
-        OpArtifact::MonteCarlo(report) => {
-            serde_bridge::to_value(&MonteCarloOutput::new(report, engine))
-        }
-        OpArtifact::Recommend(report) => {
-            serde_bridge::to_value(&RecommendOutput::new(report, engine))
-        }
+        OpArtifact::Fmea(table) => to_json_string(&AnalyzeOutput::new(table, engine)),
+        OpArtifact::Pipeline(run) => to_json_string(&PipelineOutput::new(&run, engine)),
+        OpArtifact::MonteCarlo(report) => to_json_string(&MonteCarloOutput::new(report, engine)),
+        OpArtifact::Recommend(report) => to_json_string(&RecommendOutput::new(report, engine)),
     }
-    .map_err(|e| e.to_string())
 }
 
 /// Serialises one of the output documents to a single-line JSON string
 /// through the federation bridge ([`serde_bridge::to_json_string`]: the
-/// text of its federation [`Value`], without building the value).
+/// text of its federation [`Value`](decisive_federation::Value), without
+/// building the value).
 ///
 /// # Errors
 ///
 /// A human-readable message when the document cannot be represented as a
-/// federation [`Value`] (practically unreachable for the types above).
+/// federation value (practically unreachable for the types above).
 pub fn to_json_string<T: Serialize>(output: &T) -> Result<String, String> {
     serde_bridge::to_json_string(output).map_err(|e| e.to_string())
 }

@@ -184,18 +184,20 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
 }
 
 /// Frames a successful response: the echoed correlation fields, the
-/// request wall time and the operation's `result` document, as one JSON
-/// line.
-pub fn ok_response(meta: &RequestMeta, op: &str, wall_ms: f64, result: Value) -> String {
-    json::to_string(&Value::record([
+/// request wall time and the operation's `result` document (compact JSON
+/// text, spliced in unparsed as the last field), as one JSON line.
+pub fn ok_response(meta: &RequestMeta, op: &str, wall_ms: f64, result: &str) -> String {
+    let head = json::to_string(&Value::record([
         ("v", Value::Int(PROTOCOL_VERSION)),
         ("id", meta.id.clone().unwrap_or(Value::Null)),
         ("session", Value::from(meta.session.as_str())),
         ("op", Value::from(op)),
         ("ok", Value::Bool(true)),
         ("wall_ms", Value::Real(wall_ms)),
-        ("result", result),
-    ]))
+    ]));
+    // `head` is a one-line record: its closing brace makes way for
+    // `result`.
+    format!("{},\"result\":{result}}}", &head[..head.len() - 1])
 }
 
 /// Frames an error response — the one-line answer to a malformed or
@@ -264,7 +266,7 @@ mod tests {
         assert_eq!(err.id, Some(Value::Int(4)), "version errors still correlate");
 
         let meta = RequestMeta { id: None, session: "s".into() };
-        let ok = json::parse(&ok_response(&meta, "status", 0.1, Value::Null)).unwrap();
+        let ok = json::parse(&ok_response(&meta, "status", 0.1, "null")).unwrap();
         assert_eq!(ok.get("v").and_then(Value::as_i64), Some(PROTOCOL_VERSION));
         let error = json::parse(&error_response(None, None, "boom")).unwrap();
         assert_eq!(error.get("v").and_then(Value::as_i64), Some(PROTOCOL_VERSION));
@@ -307,11 +309,24 @@ mod tests {
     #[test]
     fn responses_are_single_json_lines() {
         let meta = RequestMeta { id: Some(Value::Int(1)), session: "s".into() };
-        let ok = ok_response(&meta, "status", 0.5, Value::record([("x", Value::Int(1))]));
+        let result = Value::record([("x", Value::Int(1))]);
+        let ok = ok_response(&meta, "status", 0.5, &json::to_string(&result));
         assert!(!ok.contains('\n'));
         let parsed = json::parse(&ok).unwrap();
         assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(parsed.get("id").and_then(Value::as_i64), Some(1));
+        assert_eq!(parsed.get("result"), Some(&result));
+        // The spliced frame is the text of the whole record.
+        let whole = Value::record([
+            ("v", Value::Int(PROTOCOL_VERSION)),
+            ("id", Value::Int(1)),
+            ("session", Value::from("s")),
+            ("op", Value::from("status")),
+            ("ok", Value::Bool(true)),
+            ("wall_ms", Value::Real(0.5)),
+            ("result", result),
+        ]);
+        assert_eq!(ok, json::to_string(&whole));
 
         let err = error_response(None, None, "boom");
         let parsed = json::parse(&err).unwrap();

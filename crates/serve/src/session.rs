@@ -1,13 +1,13 @@
 //! The session registry: one warm [`Engine`] per named session, all
-//! layered over a single cross-session [`SharedStore`].
+//! holding a handle onto a single cross-session [`SharedStore`].
 //!
 //! A *session* is an independent line of work — one designer, one model
 //! revision stream — identified by the `session` field of a request and
-//! created on first use. Each session's engine keeps a private cache
-//! overlay (so invalidation and stats stay per-session) while the shared
-//! layer deduplicates artefacts across sessions by content fingerprint:
-//! the second session to request an already-analyzed model is served
-//! entirely from the shared store without recomputing anything.
+//! created on first use. Each session's engine keeps its own stats and
+//! run state, while the one store deduplicates artefacts across sessions
+//! by content fingerprint: the second session to request an
+//! already-analyzed model is served entirely from the store without
+//! recomputing anything.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -20,7 +20,7 @@ use decisive_obs::Telemetry;
 pub struct Session {
     /// The session name requests address it by.
     pub name: String,
-    /// The session's engine; its cache is an overlay over the registry's
+    /// The session's engine; its store is a handle onto the registry's
     /// shared store.
     pub engine: Engine,
     /// Requests dispatched into this session so far.
@@ -60,7 +60,7 @@ impl SessionRegistry {
         }
     }
 
-    /// The shared artefact layer every session overlays.
+    /// The artefact store every session's engine holds a handle onto.
     pub fn shared(&self) -> &SharedStore {
         &self.shared
     }
@@ -138,8 +138,9 @@ mod tests {
         let registry = registry();
         let session = registry.get_or_create("alice").unwrap();
         let session = session.lock().unwrap();
-        let shared = session.engine.shared_store().expect("overlay attached");
-        assert_eq!(shared.len(), registry.shared().len());
+        let key = decisive_engine::fingerprint::Hasher::new().write_str("k").finish();
+        registry.shared().put(decisive_engine::ArtifactKind::GraphRow, key, "D1", &1i64).unwrap();
+        assert_eq!(session.engine.cache().len(), 1, "the session's store is the registry's");
     }
 
     #[test]

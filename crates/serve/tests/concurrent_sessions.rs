@@ -149,9 +149,9 @@ proptest! {
     }
 }
 
-/// The shared-hit counter proves cross-session dedup actually happened:
-/// after two sessions analyse the same model, `status` reports shared
-/// hits and both sessions' overlays.
+/// Cross-session dedup actually happened: after two sessions analyse the
+/// same model, the second executed no job, and `status` reports store
+/// hits and both sessions.
 #[test]
 fn status_accounts_for_cross_session_sharing() {
     let model = scratch_model("status", &model_text(500, 275));
@@ -163,6 +163,9 @@ fn status_accounts_for_cross_session_sharing() {
             json::parse(&response).expect("reparses").get("ok").and_then(Value::as_bool),
             Some(true)
         );
+        if session == "bob" {
+            assert_eq!(executed_jobs(&response), (0, 0), "bob is served from alice's work");
+        }
     }
     let status = daemon.handle_line(r#"{"op":"status"}"#).expect("status answers");
     let value = json::parse(&status).expect("status reparses");

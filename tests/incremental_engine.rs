@@ -277,7 +277,7 @@ fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
     std::fs::write(&segment, "{not a segment").expect("write");
 
     let mut engine = durable(&dir);
-    assert!(engine.shared_store().expect("durable").is_empty(), "corrupt cache loads cold");
+    assert!(engine.cache().is_empty(), "corrupt cache loads cold");
     assert_eq!(engine.degraded_report().quarantined_cache_entries, 1);
     assert!(engine.degraded_report().is_degraded());
     assert!(
@@ -531,4 +531,141 @@ fn analysis_outputs_match_the_recorded_digest() {
         }
     }
     assert_eq!(digest, "b4478a857b7bf6dc");
+}
+
+/// Drops the wall-clock fields (`wall_ms`, `max_job_ms`, `slowest`) from
+/// a document, at every depth.
+fn timeless(value: &mut Value) {
+    match value {
+        Value::Record(fields) => {
+            fields
+                .retain(|(name, _)| !matches!(name.as_str(), "wall_ms" | "max_job_ms" | "slowest"));
+            fields.iter_mut().for_each(|(_, v)| timeless(v));
+        }
+        Value::List(items) => items.iter_mut().for_each(timeless),
+        _ => {}
+    }
+}
+
+/// Folds `document` (JSON text) into `h` without its wall-clock fields.
+fn fold_timeless(h: &mut Hasher, label: &str, document: &str) {
+    let mut value = decisive::federation::json::parse(document).expect("a JSON document");
+    timeless(&mut value);
+    h.write_str(label).write_str(&decisive::federation::json::to_string(&value));
+}
+
+/// Folds what one request left on `engine` into `h`: every phase's
+/// counters, the invalidated and quarantined counts, and the run's
+/// document without timings. The run state is cleared afterwards.
+fn fold_traffic(
+    h: &mut Hasher,
+    engine: &mut Engine,
+    label: &str,
+    run: &decisive::engine::PipelineRun,
+) {
+    let stats = engine.stats();
+    for phase in &stats.phases {
+        h.write_str(&phase.name);
+        let counts = [
+            phase.jobs_total,
+            phase.jobs_executed,
+            phase.cache_hits,
+            phase.cache_misses,
+            phase.retries,
+            phase.timed_out,
+        ];
+        for n in counts {
+            h.write_u64(n as u64);
+        }
+    }
+    h.write_u64(stats.invalidated_keys as u64).write_u64(stats.quarantined_entries as u64);
+    let document = to_json_string(&decisive::output::PipelineOutput::new(run, engine))
+        .expect("document serialises");
+    fold_timeless(h, label, &document);
+    engine.reset_run_state();
+}
+
+/// The cache traffic of the ways an engine meets its store is pinned by a
+/// digest recorded while each engine still layered a private overlay over
+/// its store: phase counters, invalidated and quarantined counts, and
+/// every artefact without timings. Scenarios: one in-memory engine (the
+/// brownout pipeline cold and warm, then a D1 FIT-edit `rerun` of the
+/// case study); engines A, B and A again over one in-memory
+/// `SharedStore`; a `cache_dir` engine cold, then a second one on the
+/// same directory; and a daemon whose sessions `a` and `b` each send two
+/// `pipeline` requests on one design. `shared_hits` is left out: it
+/// counts lookups, and which lookups count changed with the overlay.
+#[test]
+fn store_traffic_matches_the_recorded_digest() {
+    use decisive::engine::SharedStore;
+    use decisive::serve::{Daemon, ServeOptions};
+
+    let data = |file: &str| {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../data")
+            .join(file)
+            .to_string_lossy()
+            .into_owned()
+    };
+    let pipeline = |engine: &mut Engine, design: &str, annex: Option<&str>| {
+        let spec = RunSpec { reliability: annex.map(data), ..RunSpec::default() };
+        let request = AnalysisRequest::new(AnalysisOp::Pipeline, data(design), spec);
+        match engine.execute(&request).expect("pipeline runs").artifact {
+            decisive::engine::OpArtifact::Pipeline(run) => run,
+            _ => unreachable!("a pipeline request yields a pipeline run"),
+        }
+    };
+    let mut h = Hasher::new();
+
+    // One in-memory engine.
+    let mut solo = Engine::builder().jobs(2).build().expect("in-memory engine");
+    for pass in ["cold", "warm"] {
+        let run = pipeline(&mut solo, "brownout_threshold.bd", Some("brownout_reliability.csv"));
+        fold_traffic(&mut h, &mut solo, &format!("solo brownout {pass}"), &run);
+    }
+    let (old, old_top) = case_study::ssam_model();
+    let (mut new, new_top) = case_study::ssam_model();
+    solo.analyze_graph(&old, old_top).expect("case study");
+    solo.reset_run_state();
+    let d1 = new.component_by_name("D1").expect("D1");
+    new.components[d1].fit = Some(Fit::new(20.0));
+    let (table, report) = solo.rerun(&old, &new, new_top).expect("rerun");
+    h.write_str(&to_json_string(&table).expect("table")).write_str(&report.render());
+    let rows = solo.stats().phase("graph-rows").expect("rows phase");
+    h.write_u64(rows.jobs_executed as u64).write_u64(solo.stats().invalidated_keys as u64);
+
+    // Engines A, B, then A again over one in-memory store.
+    let shared = SharedStore::new();
+    let over = || Engine::builder().jobs(2).shared_store(shared.clone()).build().expect("engine");
+    let (mut a, mut b) = (over(), over());
+    for (label, engine) in [("A", &mut a), ("B", &mut b)] {
+        let run = pipeline(engine, "power_supply.bd", None);
+        fold_traffic(&mut h, engine, &format!("shared {label}"), &run);
+    }
+    let run = pipeline(&mut a, "power_supply.bd", None);
+    fold_traffic(&mut h, &mut a, "shared A again", &run);
+
+    // A durable engine cold, then a second one on the same directory.
+    let dir = TempCacheDir::new("traffic");
+    for pass in ["cold", "warm"] {
+        let mut engine = durable(&dir);
+        let run = pipeline(&mut engine, "power_supply.bd", None);
+        engine.save_cache(dir.path()).expect("commit");
+        fold_traffic(&mut h, &mut engine, &format!("durable {pass}"), &run);
+    }
+
+    // A daemon: sessions `a` and `b`, two pipeline requests each.
+    let options = ServeOptions { jobs: Some(2), ..ServeOptions::default() };
+    let daemon = Daemon::new(options, Telemetry::noop()).expect("daemon");
+    let design = data("brownout_threshold.bd");
+    for (id, session) in ["a", "a", "b", "b"].into_iter().enumerate() {
+        let line = format!(
+            r#"{{"op":"pipeline","id":{id},"session":"{session}","path":{}}}"#,
+            decisive::federation::json::to_string(&Value::from(design.as_str()))
+        );
+        let response = daemon.handle_line(&line).expect("one response line");
+        fold_timeless(&mut h, &format!("daemon {id} {session}"), &response);
+    }
+
+    assert_eq!(h.finish().to_string(), "cef7c1a37f9f8f6d");
 }
