@@ -1005,7 +1005,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
         }
         None => 10.0,
     };
-    options.retry = decisive::engine::RetryPolicy::backoff(retries, backoff_ms);
+    options.retry = decisive::fleet::RetryPolicy::backoff(retries, backoff_ms);
     options.poison_kills = uint_flag(args, "--poison-kills", 2)? as u32;
     options.resume = args.iter().any(|a| a == "--resume");
     // The unified run spec travels to every worker on the task line;

@@ -17,8 +17,6 @@ pub enum EngineError {
         /// Which phase scheduled it.
         phase: String,
     },
-    /// The run was cancelled through its [`crate::scheduler::CancelToken`].
-    Cancelled,
     /// An artefact could not be serialised, or a document is not a v3
     /// cache snapshot.
     Cache(String),
@@ -70,7 +68,6 @@ impl std::fmt::Display for EngineError {
             EngineError::JobFailed { index, phase } => {
                 write!(f, "job {index} of phase `{phase}` panicked twice; giving up")
             }
-            EngineError::Cancelled => write!(f, "analysis cancelled"),
             EngineError::Cache(message) => write!(f, "cache: {message}"),
             EngineError::Store(message) => write!(f, "artifact store: {message}"),
             EngineError::Verification(message) => {

@@ -57,7 +57,7 @@ pub use pass::{
     MonitorPass, MonteCarloPass, PassArtifact, PassContext, PipelineInput, RecommendPass, WorkItem,
 };
 pub use pipeline::{PassStatus, Pipeline, PipelineRun};
-pub use scheduler::{CancelToken, RetryPolicy, Scheduler};
+pub use scheduler::Scheduler;
 pub use stats::{EngineStats, PhaseStats};
 pub use store::{
     atomic_write, CompactionSummary, SegmentStore, StoreHealth, StoreOptions, StoreRecovery,

@@ -330,12 +330,6 @@ impl<'a> PipelineInput<'a> {
         self
     }
 
-    /// Sets the HARA fallback policy.
-    pub fn with_policy(mut self, policy: RiskAssessmentPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the Monte-Carlo trial count.
     pub fn with_trials(mut self, trials: usize) -> Self {
         self.trials = trials;
@@ -480,10 +474,12 @@ impl<'a> PassContext<'a> {
                     move || compute(prep, i)
                 })
                 .collect();
-            let out = self
-                .scheduler(phase_name)
-                .run_batch(&jobs)
-                .map_err(|e| batch_error(e, phase_name))?;
+            let out = self.scheduler(phase_name).run_batch(&jobs).map_err(
+                |BatchError::JobFailed { index }| EngineError::JobFailed {
+                    index,
+                    phase: phase_name.to_owned(),
+                },
+            )?;
             phase.retries = out.retries;
             phase.max_job_ms = out.max_job_ms;
             phase.timed_out = out.timed_out.len();
@@ -536,15 +532,6 @@ pub trait AnalysisPass: Send + Sync {
     /// Passes return typed [`EngineError`]s; the pipeline runner marks
     /// dependents of a failed pass as skipped instead of cascading panics.
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact>;
-}
-
-fn batch_error(e: BatchError, phase: &str) -> EngineError {
-    match e {
-        BatchError::JobFailed { index } => {
-            EngineError::JobFailed { index, phase: phase.to_owned() }
-        }
-        BatchError::Cancelled => EngineError::Cancelled,
-    }
 }
 
 /// `view` of the artefact that upstream pass `source` handed pass `pass`,

@@ -19,6 +19,7 @@
 //! block-diagram path is analysed).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use decisive_core::campaign::CampaignHealth;
@@ -385,7 +386,16 @@ impl Engine {
                                     let _span = telemetry.enabled().then(|| {
                                         telemetry.span(format!("pass:{}", pass.id()), "pass")
                                     });
-                                    pass.run(&mut ctx)
+                                    // A panic must not end this worker: a
+                                    // pass it never records leaves every
+                                    // other worker waiting for it.
+                                    catch_unwind(AssertUnwindSafe(|| pass.run(&mut ctx)))
+                                        .unwrap_or_else(|_| {
+                                            Err(EngineError::Pipeline(format!(
+                                                "pass `{}` panicked",
+                                                pass.id()
+                                            )))
+                                        })
                                 };
                                 let PassContext { phases, degraded, campaign, .. } = ctx;
                                 match result {

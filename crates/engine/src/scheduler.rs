@@ -1,6 +1,6 @@
 //! The parallel job scheduler: a bounded worker pool over `crossbeam`
-//! scoped threads, with a configurable per-job retry policy (exponential
-//! backoff + deterministic jitter) and cooperative cancellation.
+//! scoped threads that retries a panicking job once and stops the batch
+//! when a job fails again.
 //!
 //! Determinism: workers pull job *indexes* from a shared atomic counter and
 //! write results back *by index*, so the output order equals the submission
@@ -14,106 +14,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use decisive_obs::Telemetry;
-
-use crate::fingerprint::Hasher;
-
-/// How failed (panicking) jobs are retried: up to [`RetryPolicy::max_retries`]
-/// extra attempts, each preceded by an exponential backoff delay with
-/// deterministic jitter.
-///
-/// The default policy — one retry, zero backoff — reproduces the
-/// scheduler's historical retry-once behaviour exactly; sleeps only enter
-/// the picture when `base_ms` is raised. Jitter is derived from the
-/// repository's standard content [`Hasher`] over `(salt, attempt)` rather
-/// than a random source, so a given (job, attempt) pair always backs off
-/// by the same amount — campaigns replay deterministically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first failure. `0` fails fast.
-    pub max_retries: usize,
-    /// Backoff before the first retry, in milliseconds. `0` never sleeps.
-    pub base_ms: f64,
-    /// Multiplier applied per further retry (`base * factor^attempt`).
-    pub factor: f64,
-    /// Upper bound on one backoff delay, in milliseconds.
-    pub max_ms: f64,
-    /// Fraction of each delay subject to jitter, in `[0, 1]`: the delay is
-    /// scaled by a deterministic factor drawn from `[1 - jitter, 1]`.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 1, base_ms: 0.0, factor: 2.0, max_ms: 30_000.0, jitter: 0.5 }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all: the first panic fails the batch.
-    pub fn none() -> Self {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
-    /// A policy with `max_retries` attempts backing off exponentially from
-    /// `base_ms` (factor 2, jittered, capped by the default `max_ms`).
-    pub fn backoff(max_retries: usize, base_ms: f64) -> Self {
-        RetryPolicy { max_retries, base_ms: base_ms.max(0.0), ..RetryPolicy::default() }
-    }
-
-    /// The backoff before retry `attempt` (0-based) of the job identified
-    /// by `salt`. Deterministic: same `(policy, attempt, salt)` ⇒ same
-    /// delay.
-    pub fn delay_ms(&self, attempt: usize, salt: u64) -> f64 {
-        if self.base_ms <= 0.0 {
-            return 0.0;
-        }
-        let raw = self.base_ms * self.factor.max(1.0).powi(attempt.min(63) as i32);
-        let capped = raw.min(self.max_ms.max(self.base_ms));
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if jitter <= 0.0 {
-            return capped;
-        }
-        let digest = Hasher::new().write_u64(salt).write_u64(attempt as u64).finish().0;
-        // Top 53 bits → a uniform unit interval, exactly representable.
-        let unit = (digest >> 11) as f64 / (1u64 << 53) as f64;
-        capped * (1.0 - jitter * unit)
-    }
-}
-
-/// Cooperative cancellation handle: cheap to clone, checked between jobs.
-/// Cancelling never interrupts a running job; it stops further jobs from
-/// starting.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once [`CancelToken::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// Outcome of one batch run.
 #[derive(Debug)]
 pub struct BatchOutput<T> {
     /// One result per job, in submission order.
     pub results: Vec<T>,
-    /// How many retry attempts were made across the batch (a job that
-    /// panicked twice and succeeded on the third attempt counts two).
+    /// How many jobs panicked and were retried.
     pub retries: usize,
     /// Wall-clock milliseconds of the single slowest job (retry included);
     /// `0` for an empty batch. The straggler detector for campaign health.
@@ -129,23 +40,18 @@ pub struct BatchOutput<T> {
 /// What went wrong running a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
-    /// A job exhausted its retry budget (it panicked on the initial run
-    /// and on every retry the [`RetryPolicy`] allowed).
+    /// A job panicked on its first run and again on its retry.
     JobFailed {
         /// Index of the failed job.
         index: usize,
     },
-    /// The batch was cancelled before every job ran.
-    Cancelled,
 }
 
 /// A bounded worker pool configuration.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     workers: usize,
-    cancel: CancelToken,
     deadline_ms: Option<f64>,
-    retry: RetryPolicy,
     telemetry: Telemetry,
     label: String,
 }
@@ -156,23 +62,10 @@ impl Scheduler {
     pub fn new(workers: usize) -> Self {
         Scheduler {
             workers: workers.max(1),
-            cancel: CancelToken::new(),
             deadline_ms: None,
-            retry: RetryPolicy::default(),
             telemetry: Telemetry::noop(),
             label: "batch".to_owned(),
         }
-    }
-
-    /// Replaces the default retry-once policy (see [`RetryPolicy`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The configured retry policy.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Attaches a telemetry handle (and a batch label naming the job
@@ -199,39 +92,31 @@ impl Scheduler {
         self
     }
 
-    /// The configured per-job deadline, if any.
-    pub fn deadline_ms(&self) -> Option<f64> {
-        self.deadline_ms
-    }
-
-    /// A scheduler sized to the machine.
-    pub fn with_available_parallelism() -> Self {
-        Scheduler::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The pool's cancellation token (clone it into whatever should be
-    /// able to stop the run).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Runs every job, in parallel when the pool has more than one worker.
     ///
-    /// Each job that panics is retried under the configured
-    /// [`RetryPolicy`] (a poisoned job might have tripped on transient
-    /// state) — by default once, immediately; exhausting the budget fails
-    /// the batch and cancels the remaining jobs.
+    /// A job that panics is retried once, immediately; a job that panics
+    /// again fails the batch, and no job starts after that.
     ///
     /// # Errors
     ///
-    /// [`BatchError::JobFailed`] when a job exhausted its retries,
-    /// [`BatchError::Cancelled`] when the token fired before completion.
+    /// [`BatchError::JobFailed`] naming the first failed job in
+    /// submission order.
     pub fn run_batch<T, F>(&self, jobs: &[F]) -> Result<BatchOutput<T>, BatchError>
+    where
+        T: Send,
+        F: Fn() -> T + Sync,
+    {
+        self.run_until_stopped(jobs, &AtomicBool::new(false))
+    }
+
+    /// [`Scheduler::run_batch`] over a stop flag the caller owns. On
+    /// several workers the job that fails raises it, and no worker starts
+    /// a job once it is up; one worker returns at the failed job instead.
+    fn run_until_stopped<T, F>(
+        &self,
+        jobs: &[F],
+        stop: &AtomicBool,
+    ) -> Result<BatchOutput<T>, BatchError>
     where
         T: Send,
         F: Fn() -> T + Sync,
@@ -252,21 +137,14 @@ impl Scheduler {
                 span.arg("index", index.to_string());
                 span
             });
-            let mut attempt = 0usize;
-            let outcome = loop {
-                match catch_unwind(AssertUnwindSafe(&jobs[index])) {
-                    Ok(result) => break Ok(result),
-                    Err(_) if attempt < self.retry.max_retries => {
-                        retries.fetch_add(1, Ordering::SeqCst);
-                        let delay = self.retry.delay_ms(attempt, index as u64);
-                        if delay > 0.0 {
-                            std::thread::sleep(std::time::Duration::from_secs_f64(delay / 1e3));
-                        }
-                        attempt += 1;
-                    }
-                    Err(_) => break Err(BatchError::JobFailed { index }),
-                }
-            };
+            // A panicking job is retried once, at once: a poisoned job
+            // might have tripped on transient state.
+            let outcome = catch_unwind(AssertUnwindSafe(&jobs[index]))
+                .or_else(|_| {
+                    retries.fetch_add(1, Ordering::SeqCst);
+                    catch_unwind(AssertUnwindSafe(&jobs[index]))
+                })
+                .map_err(|_| BatchError::JobFailed { index });
             let elapsed = started.elapsed().as_secs_f64() * 1e3;
             let mut max = max_job_ms.lock().expect("max-job slot");
             if elapsed > *max {
@@ -288,9 +166,6 @@ impl Scheduler {
             let _telemetry =
                 instrumented.then(|| decisive_obs::set_current(self.telemetry.clone()));
             for index in 0..jobs.len() {
-                if self.cancel.is_cancelled() {
-                    return Err(BatchError::Cancelled);
-                }
                 // A failed job fails the batch at once: the jobs after it
                 // never start.
                 out.push(run_one(index)?);
@@ -312,7 +187,7 @@ impl Scheduler {
                             self.telemetry.span(format!("worker:{}", self.label), "worker")
                         });
                         loop {
-                            if self.cancel.is_cancelled() {
+                            if stop.load(Ordering::SeqCst) {
                                 break;
                             }
                             let index = next.fetch_add(1, Ordering::SeqCst);
@@ -325,7 +200,7 @@ impl Scheduler {
                             if failed {
                                 // Stop scheduling further jobs; finished
                                 // work stays valid for the error report.
-                                self.cancel.cancel();
+                                stop.store(true, Ordering::SeqCst);
                                 break;
                             }
                         }
@@ -333,12 +208,14 @@ impl Scheduler {
                 }
             })
             .expect("scheduler workers never propagate panics");
-            // First hard failure wins; any unfilled slot means cancellation.
+            // Workers claim indexes in order and finish every job they
+            // claim, so only slots after a failed job's can be empty: the
+            // first failure in submission order is reached first.
             for slot in results {
                 match slot.into_inner().expect("result slot") {
                     Some(Ok(result)) => out.push(result),
                     Some(Err(e)) => return Err(e),
-                    None => return Err(BatchError::Cancelled),
+                    None => unreachable!("only a failed job stops the batch"),
                 }
             }
         }
@@ -411,18 +288,18 @@ mod tests {
 
     /// A job that exhausts its retries stops the jobs not yet started, on
     /// one worker as on several. Each counting job waits until the batch
-    /// is cancelled, so on two workers both are busy until the failure
-    /// and at most one counter runs; the wait is bounded so a batch that
-    /// is never cancelled still ends.
+    /// is stopped, so on two workers both are busy until the failure and
+    /// at most one counter runs; the wait is bounded so a batch that is
+    /// never stopped still ends.
     #[test]
     fn a_failed_job_stops_the_batch_at_every_width() {
         for workers in [1, 2] {
             let scheduler = Scheduler::new(workers);
-            let token = scheduler.cancel_token();
+            let stop = AtomicBool::new(false);
             let ran = AtomicU32::new(0);
             let count = || {
                 let waited = Instant::now();
-                while !token.is_cancelled() && waited.elapsed().as_secs() < 5 {
+                while !stop.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 5 {
                     std::thread::yield_now();
                 }
                 ran.fetch_add(1, Ordering::SeqCst);
@@ -430,62 +307,13 @@ mod tests {
             };
             let jobs: Vec<Box<dyn Fn() -> u8 + Sync>> =
                 vec![Box::new(|| panic!("always")), Box::new(count), Box::new(count)];
-            let err = scheduler.run_batch(&jobs).unwrap_err();
+            let err = scheduler.run_until_stopped(&jobs, &stop).unwrap_err();
             assert_eq!(err, BatchError::JobFailed { index: 0 });
             assert!(
                 ran.load(Ordering::SeqCst) <= 1,
                 "{workers} worker(s) ran every job after the failure"
             );
         }
-    }
-
-    #[test]
-    fn retry_none_fails_on_the_first_panic() {
-        let attempts = AtomicU32::new(0);
-        let jobs: Vec<Box<dyn Fn() -> u32 + Sync>> = vec![Box::new(|| {
-            attempts.fetch_add(1, Ordering::SeqCst);
-            panic!("always")
-        })];
-        let err = Scheduler::new(1).with_retry(RetryPolicy::none()).run_batch(&jobs).unwrap_err();
-        assert_eq!(err, BatchError::JobFailed { index: 0 });
-        assert_eq!(attempts.load(Ordering::SeqCst), 1, "no retry attempted");
-    }
-
-    #[test]
-    fn raised_retry_budget_survives_repeated_panics() {
-        let attempts = AtomicU32::new(0);
-        let jobs = vec![|| {
-            if attempts.fetch_add(1, Ordering::SeqCst) < 3 {
-                panic!("transient");
-            }
-            7u32
-        }];
-        let out =
-            Scheduler::new(1).with_retry(RetryPolicy::backoff(5, 0.0)).run_batch(&jobs).unwrap();
-        assert_eq!(out.results, vec![7]);
-        assert_eq!(out.retries, 3, "three panics, three retries, fourth attempt succeeds");
-    }
-
-    #[test]
-    fn backoff_delays_are_deterministic_capped_and_growing() {
-        let policy = RetryPolicy { max_retries: 8, base_ms: 10.0, ..RetryPolicy::default() };
-        let first = policy.delay_ms(0, 42);
-        assert_eq!(first, policy.delay_ms(0, 42), "same (attempt, salt) ⇒ same delay");
-        assert!((5.0..=10.0).contains(&first), "jitter stays within [1-j, 1]·base: {first}");
-        assert_ne!(policy.delay_ms(0, 42), policy.delay_ms(0, 43), "salt decorrelates jobs");
-        let late = policy.delay_ms(20, 42);
-        assert!(late <= policy.max_ms, "cap holds: {late}");
-        let no_jitter = RetryPolicy { jitter: 0.0, ..policy.clone() };
-        assert_eq!(no_jitter.delay_ms(2, 9), 40.0, "base·factor² without jitter");
-        assert_eq!(RetryPolicy::default().delay_ms(0, 1), 0.0, "default never sleeps");
-    }
-
-    #[test]
-    fn cancellation_stops_the_batch() {
-        let scheduler = Scheduler::new(2);
-        scheduler.cancel_token().cancel();
-        let jobs: Vec<_> = (0..8).map(|i| move || i).collect();
-        assert_eq!(scheduler.run_batch(&jobs).unwrap_err(), BatchError::Cancelled);
     }
 
     #[test]

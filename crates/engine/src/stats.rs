@@ -1,11 +1,10 @@
-//! Engine observability: per-phase job and cache counters, serialisable as
-//! a federation [`Value`] report and renderable as a CLI summary.
+//! Engine observability: per-phase job and cache counters, serialisable
+//! through serde and renderable as a CLI summary.
 //!
 //! Each [`crate::pass::AnalysisPass`] records its phases into a private
 //! ledger while running; the pipeline runner merges them here in pass
 //! registration order, so a DAG run reads like a sequential one.
 
-use decisive_federation::Value;
 use serde::{Deserialize, Serialize};
 
 /// Counters of one engine phase (e.g. `graph-facts`, `graph-rows`).
@@ -95,38 +94,6 @@ impl EngineStats {
         }
     }
 
-    /// Serialises the report for federation (and `--json` style output).
-    pub fn to_value(&self) -> Value {
-        Value::record([
-            (
-                "phases",
-                Value::List(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Value::record([
-                                ("name", Value::from(p.name.as_str())),
-                                ("wall_ms", Value::Real(p.wall_ms)),
-                                ("jobs_total", Value::Int(p.jobs_total as i64)),
-                                ("jobs_executed", Value::Int(p.jobs_executed as i64)),
-                                ("cache_hits", Value::Int(p.cache_hits as i64)),
-                                ("cache_misses", Value::Int(p.cache_misses as i64)),
-                                ("retries", Value::Int(p.retries as i64)),
-                                ("max_job_ms", Value::Real(p.max_job_ms)),
-                                ("timed_out", Value::Int(p.timed_out as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("invalidated_keys", Value::Int(self.invalidated_keys as i64)),
-            ("quarantined_entries", Value::Int(self.quarantined_entries as i64)),
-            ("cache_hits", Value::Int(self.cache_hits() as i64)),
-            ("cache_misses", Value::Int(self.cache_misses() as i64)),
-            ("hit_rate", Value::Real(self.hit_rate())),
-        ])
-    }
-
     /// A compact human-readable summary for the CLI.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -195,8 +162,7 @@ mod tests {
         assert_eq!(stats.jobs_total(), 14);
         assert_eq!(stats.jobs_executed(), 3);
         assert!((stats.hit_rate() - 11.0 / 14.0).abs() < 1e-12);
-        let value = stats.to_value();
-        assert_eq!(value.get("cache_hits").and_then(Value::as_i64), Some(11));
+        assert_eq!(stats.cache_hits(), 11);
         assert!(stats.render().contains("graph-rows"));
     }
 

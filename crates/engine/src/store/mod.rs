@@ -922,11 +922,6 @@ impl SegmentStore {
         self.len() == 0
     }
 
-    /// Live frames of one kind.
-    pub fn count_kind(&self, kind: ArtifactKind) -> usize {
-        self.lock().index.keys().filter(|(k, _)| *k == kind).count()
-    }
-
     /// Keys of all live frames of one kind.
     pub fn keys_of_kind(&self, kind: ArtifactKind) -> Vec<Fingerprint> {
         self.lock().index.keys().filter(|(k, _)| *k == kind).map(|&(_, f)| f).collect()

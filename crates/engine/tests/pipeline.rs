@@ -11,7 +11,9 @@
 //!   passes, and the whole-pipeline verifier catches nothing on a sound
 //!   cache (warm == cold, artefact by artefact).
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -210,6 +212,41 @@ fn a_panicking_pass_leaves_the_engine_its_store() {
     engine.reset_run_state();
     engine.analyze_graph(&model, top).expect("analysis after the panic");
     assert_eq!(engine.stats().jobs_executed(), 0, "the engine lost its store to the panic");
+}
+
+/// A pass that panics beside an independent pass fails the run with a
+/// typed error naming it; the independent pass still runs and the
+/// dependent is skipped with a note. Two passes with no dependency get
+/// two DAG workers, and a worker that died in the panicking pass used to
+/// leave the other waiting for it forever, so the run goes on a helper
+/// thread and the wait for it is bounded.
+#[test]
+fn a_panicking_pass_beside_a_running_one_fails_the_run_instead_of_hanging() {
+    let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+    let probe = |id, deps| ProbePass { id, deps, log: Arc::clone(&log) };
+    let pipeline = Pipeline::new()
+        .with(PanicPass)
+        .with(probe("independent", vec![]))
+        .with(probe("dependent", vec!["panics"]));
+    let (done, outcome) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let mut engine = Engine::new(EngineConfig::with_jobs(2));
+        let result = engine.run_pipeline(&pipeline, &PipelineInput::new());
+        let _ = done.send((result.map(|_| ()), engine.degraded_report().notes.clone()));
+    });
+    let received = outcome.recv_timeout(Duration::from_secs(30));
+    assert!(!matches!(received, Err(RecvTimeoutError::Timeout)), "run_pipeline hung");
+    runner.join().expect("the run's thread does not panic");
+    let (result, notes) = received.expect("the run sends its outcome");
+    let err = result.unwrap_err();
+    assert!(matches!(&err, EngineError::Pipeline(m) if m == "pass `panics` panicked"), "{err:?}");
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["independent"],
+        "the independent pass ran, the dependent did not"
+    );
+    let skipped = "pass `dependent` skipped: upstream pass `panics` failed";
+    assert!(notes.iter().any(|note| note == skipped), "{notes:?}");
 }
 
 // ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! CSV parsing and printing over [`Value`] — the stand-in for the paper's
 //! Excel reliability and safety-mechanism spreadsheets (Tables II & III).
 
-use crate::error::{FederationDiagnostic, FederationError, ResolvePolicy, Result};
+use crate::error::{FederationDiagnostic, FederationError, Result};
 use crate::value::Value;
 
 /// Parses a CSV document with a header row into a list of records.
@@ -30,7 +30,7 @@ use crate::value::Value;
 /// # }
 /// ```
 pub fn parse(input: &str) -> Result<Value> {
-    parse_policy(input, "csv", ResolvePolicy::Strict).map(|(rows, _)| rows)
+    parse_rows(input, "csv", false).map(|(rows, _)| rows)
 }
 
 /// Parses CSV like [`parse`], but never fails: malformed rows are skipped
@@ -42,25 +42,25 @@ pub fn parse(input: &str) -> Result<Value> {
 /// quoted field (the complete rows before it are kept, one truncation
 /// diagnostic for the tail).
 pub fn parse_lenient(input: &str, source: &str) -> (Value, Vec<FederationDiagnostic>) {
-    match parse_policy(input, source, ResolvePolicy::Lenient) {
+    match parse_rows(input, source, true) {
         Ok(out) => out,
         // Lenient parses report defects as diagnostics, never as errors.
         Err(_) => unreachable!("lenient csv parse is infallible"),
     }
 }
 
-/// Policy-aware CSV parse: [`ResolvePolicy::Strict`] reproduces [`parse`]
-/// exactly (diagnostics always empty), [`ResolvePolicy::Lenient`] is
-/// infallible and reports skipped rows through the diagnostics list.
-pub fn parse_policy(
+/// The one CSV parse behind [`parse`] and [`parse_lenient`]. Strict, it
+/// fails on the first defect and never returns a diagnostic; lenient, it
+/// never fails and reports each skipped row as a diagnostic.
+fn parse_rows(
     input: &str,
     source: &str,
-    policy: ResolvePolicy,
+    lenient: bool,
 ) -> Result<(Value, Vec<FederationDiagnostic>)> {
     let mut diags = Vec::new();
     let (raw, unterminated_at) = parse_raw_inner(input);
     if let Some(line) = unterminated_at {
-        if policy.is_lenient() {
+        if lenient {
             diags.push(FederationDiagnostic::truncated(
                 source,
                 line,
@@ -85,7 +85,7 @@ pub fn parse_policy(
         if cells.len() > header.len() {
             let message =
                 format!("row has {} cells but the header has {}", cells.len(), header.len());
-            if policy.is_lenient() {
+            if lenient {
                 diags.push(FederationDiagnostic::malformed(source, row_idx + 2, message));
                 continue;
             }
@@ -322,13 +322,5 @@ mod tests {
         assert_eq!(v.len(), Some(1));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, crate::error::DiagnosticKind::Truncated);
-    }
-
-    #[test]
-    fn strict_policy_matches_parse() {
-        let (v, diags) = parse_policy("a,b\n1,2\n", "x", ResolvePolicy::Strict).unwrap();
-        assert_eq!(Some(v), parse("a,b\n1,2\n").ok());
-        assert!(diags.is_empty());
-        assert!(parse_policy("a\n1,2\n", "x", ResolvePolicy::Strict).is_err());
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::error::{FederationDiagnostic, FederationError, ResolvePolicy, Result};
+use crate::error::{FederationError, Result};
 use crate::value::Value;
 
 /// An adapter that loads models of one technology.
@@ -25,36 +25,6 @@ pub trait ModelDriver: Send + Sync {
     /// and [`FederationError::Parse`] when its content is malformed.
     fn load(&self, location: &str) -> Result<Value>;
 
-    /// Loads the model at `location` under the given [`ResolvePolicy`].
-    ///
-    /// With [`ResolvePolicy::Lenient`] the driver keeps as much of the
-    /// model as it can, reporting each dropped record or substitution as
-    /// a [`FederationDiagnostic`]. An inaccessible location degrades to
-    /// [`Value::Null`] with an unresolved-reference diagnostic rather
-    /// than failing.
-    ///
-    /// The default implementation delegates to [`ModelDriver::load`]
-    /// (wrapping any error as a diagnostic in lenient mode); drivers with
-    /// record-level recovery override it.
-    ///
-    /// # Errors
-    ///
-    /// Strict mode errors exactly like [`ModelDriver::load`]; lenient
-    /// mode never errors.
-    fn load_with_policy(
-        &self,
-        location: &str,
-        policy: ResolvePolicy,
-    ) -> Result<(Value, Vec<FederationDiagnostic>)> {
-        match (self.load(location), policy) {
-            (Ok(v), _) => Ok((v, Vec::new())),
-            (Err(e), ResolvePolicy::Strict) => Err(e),
-            (Err(e), ResolvePolicy::Lenient) => {
-                Ok((Value::Null, vec![FederationDiagnostic::unresolved(location, e.to_string())]))
-            }
-        }
-    }
-
     /// Evaluates the EQL `query` against the model at `location` — one
     /// `ExternalReference` resolution.
     ///
@@ -69,23 +39,6 @@ pub trait ModelDriver: Send + Sync {
     /// errors.
     fn extract(&self, location: &str, query: &str) -> Result<Value> {
         crate::eql::eval_str(query, &self.load(location)?)
-    }
-}
-
-/// Reads a driver's backing file, degrading to an unresolved-reference
-/// diagnostic (instead of an error) in lenient mode.
-fn read_source(
-    location: &str,
-    policy: ResolvePolicy,
-) -> Result<std::result::Result<String, FederationDiagnostic>> {
-    match std::fs::read_to_string(location) {
-        Ok(text) => Ok(Ok(text)),
-        Err(e) if policy.is_lenient() => {
-            Ok(Err(FederationDiagnostic::unresolved(location, e.to_string())))
-        }
-        Err(e) => {
-            Err(FederationError::Load { location: location.to_owned(), message: e.to_string() })
-        }
     }
 }
 
@@ -105,17 +58,6 @@ impl ModelDriver for CsvDriver {
         })?;
         crate::csv::parse(&text)
     }
-
-    fn load_with_policy(
-        &self,
-        location: &str,
-        policy: ResolvePolicy,
-    ) -> Result<(Value, Vec<FederationDiagnostic>)> {
-        match read_source(location, policy)? {
-            Ok(text) => crate::csv::parse_policy(&text, location, policy),
-            Err(diag) => Ok((Value::Null, vec![diag])),
-        }
-    }
 }
 
 /// Loads `.json` files from the filesystem.
@@ -133,18 +75,6 @@ impl ModelDriver for JsonDriver {
             message: e.to_string(),
         })?;
         crate::json::parse(&text)
-    }
-
-    fn load_with_policy(
-        &self,
-        location: &str,
-        policy: ResolvePolicy,
-    ) -> Result<(Value, Vec<FederationDiagnostic>)> {
-        match read_source(location, policy)? {
-            Ok(text) if policy.is_lenient() => Ok(crate::json::parse_lenient(&text, location)),
-            Ok(text) => crate::json::parse(&text).map(|v| (v, Vec::new())),
-            Err(diag) => Ok((Value::Null, vec![diag])),
-        }
     }
 }
 
@@ -278,36 +208,6 @@ impl DriverRegistry {
             .ok_or_else(|| FederationError::UnknownDriver { kind: kind.to_owned() })
     }
 
-    /// Loads the model at `location` under `policy` — the degraded-mode
-    /// resolution path: in [`ResolvePolicy::Lenient`] mode an unknown
-    /// driver or unresolvable location degrades to [`Value::Null`] with
-    /// an unresolved-reference diagnostic, and record-level defects are
-    /// reported per record instead of failing the load.
-    ///
-    /// # Errors
-    ///
-    /// Strict mode errors exactly like [`DriverRegistry::load`]; lenient
-    /// mode never errors.
-    pub fn load_with_policy(
-        &self,
-        kind: &str,
-        location: &str,
-        policy: ResolvePolicy,
-    ) -> Result<(Value, Vec<FederationDiagnostic>)> {
-        let driver = match self.drivers.read().get(kind).cloned() {
-            Some(d) => d,
-            None if policy.is_lenient() => {
-                let diag = FederationDiagnostic::unresolved(
-                    location,
-                    format!("no model driver registered for technology `{kind}`"),
-                );
-                return Ok((Value::Null, vec![diag]));
-            }
-            None => return Err(FederationError::UnknownDriver { kind: kind.to_owned() }),
-        };
-        driver.load_with_policy(location, policy)
-    }
-
     /// Evaluates an EQL `query` against a model through the driver for
     /// `kind` ([`ModelDriver::extract`]) — the full `ExternalReference`
     /// resolution path of the paper (Fig. 8).
@@ -405,47 +305,6 @@ mod tests {
         assert!(load_error(r.extract("csv", "/definitely/not/here.csv", "1 +").unwrap_err()));
         let parse_error = |e: FederationError| matches!(e, FederationError::Parse { .. });
         assert!(parse_error(r.extract("memory", "rel", "1 +").unwrap_err()));
-    }
-
-    #[test]
-    fn lenient_load_of_missing_file_degrades_to_null() {
-        let r = DriverRegistry::with_defaults();
-        let (v, diags) = r
-            .load_with_policy("csv", "/definitely/not/here.csv", ResolvePolicy::Lenient)
-            .expect("lenient load never errors");
-        assert_eq!(v, Value::Null);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].kind, crate::error::DiagnosticKind::UnresolvedReference);
-    }
-
-    #[test]
-    fn lenient_load_of_unknown_driver_degrades_to_null() {
-        let r = DriverRegistry::with_defaults();
-        let (v, diags) =
-            r.load_with_policy("simulink", "x.slx", ResolvePolicy::Lenient).expect("lenient");
-        assert_eq!(v, Value::Null);
-        assert_eq!(diags.len(), 1);
-    }
-
-    #[test]
-    fn lenient_csv_load_collects_row_diagnostics() {
-        let path = std::env::temp_dir().join("decisive_federation_lenient.csv");
-        std::fs::write(&path, "a,b\n1,2\n1,2,3\n4,5\n").unwrap();
-        let r = DriverRegistry::with_defaults();
-        let (v, diags) =
-            r.load_with_policy("csv", path.to_str().unwrap(), ResolvePolicy::Lenient).unwrap();
-        assert_eq!(v.len(), Some(2));
-        assert_eq!(diags.len(), 1);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn strict_policy_matches_plain_load() {
-        let r = DriverRegistry::with_defaults();
-        assert!(r
-            .load_with_policy("csv", "/definitely/not/here.csv", ResolvePolicy::Strict)
-            .is_err());
-        assert!(r.load_with_policy("simulink", "x.slx", ResolvePolicy::Strict).is_err());
     }
 
     #[test]

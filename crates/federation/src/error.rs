@@ -86,37 +86,11 @@ impl std::error::Error for FederationError {}
 /// Convenient result alias.
 pub type Result<T> = std::result::Result<T, FederationError>;
 
-/// How a loader reacts to records it cannot make sense of.
-///
-/// `Strict` preserves the historical behaviour: the first malformed record
-/// fails the whole load with a [`FederationError`]. `Lenient` keeps every
-/// record that parses, drops the ones that do not, and reports each drop as
-/// a [`FederationDiagnostic`] so the caller can surface how degraded the
-/// resulting model is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResolvePolicy {
-    /// Fail the whole load on the first malformed record.
-    #[default]
-    Strict,
-    /// Skip malformed records, collecting one diagnostic per skip.
-    Lenient,
-}
-
-impl ResolvePolicy {
-    /// True when malformed records should be skipped rather than fatal.
-    pub fn is_lenient(self) -> bool {
-        matches!(self, ResolvePolicy::Lenient)
-    }
-}
-
 /// What kind of degradation a lenient load observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiagnosticKind {
     /// A record was dropped because it failed to parse or validate.
     MalformedRecord,
-    /// An external location could not be resolved; the load substituted
-    /// an empty model.
-    UnresolvedReference,
     /// The document ended early; the records before the truncation point
     /// were kept.
     Truncated,
@@ -126,16 +100,15 @@ impl fmt::Display for DiagnosticKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let label = match self {
             DiagnosticKind::MalformedRecord => "malformed record",
-            DiagnosticKind::UnresolvedReference => "unresolved reference",
             DiagnosticKind::Truncated => "truncated input",
         };
         f.write_str(label)
     }
 }
 
-/// One recoverable problem observed during a [`ResolvePolicy::Lenient`]
-/// load: which source it came from, where in that source, and why the
-/// record was dropped or substituted.
+/// One recoverable problem observed during a lenient load (see
+/// [`crate::csv::parse_lenient`]): which source it came from, where in
+/// that source, and why the record was dropped or substituted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederationDiagnostic {
     /// The degradation category.
@@ -156,16 +129,6 @@ impl FederationDiagnostic {
             kind: DiagnosticKind::MalformedRecord,
             source: source.into(),
             line,
-            reason: reason.into(),
-        }
-    }
-
-    /// Builds an unresolved-reference diagnostic for a whole location.
-    pub fn unresolved(source: impl Into<String>, reason: impl Into<String>) -> Self {
-        FederationDiagnostic {
-            kind: DiagnosticKind::UnresolvedReference,
-            source: source.into(),
-            line: 0,
             reason: reason.into(),
         }
     }

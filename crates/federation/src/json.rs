@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::error::{FederationDiagnostic, FederationError, Result};
+use crate::error::{FederationError, Result};
 use crate::value::Value;
 
 /// Parses a JSON document.
@@ -38,128 +38,6 @@ pub fn parse(input: &str) -> Result<Value> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
-}
-
-/// Parses JSON like [`parse`], but never fails: defects are reported as
-/// [`FederationDiagnostic`]s instead. `source` labels the diagnostics
-/// (typically the file path).
-///
-/// Recovery is record-oriented, matching how federated model files are
-/// shaped (a top-level array of records): when the document is a top-level
-/// array, a malformed element is skipped — scanning past balanced
-/// brackets and strings to the next `,` or `]` — with one diagnostic per
-/// skip, and a truncated array keeps the elements before the cut. Any
-/// other malformed document degrades to [`Value::Null`] with a single
-/// diagnostic.
-pub fn parse_lenient(input: &str, source: &str) -> (Value, Vec<FederationDiagnostic>) {
-    match parse(input) {
-        Ok(v) => (v, Vec::new()),
-        Err(first) => {
-            let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-            p.skip_ws();
-            if p.peek() == Some(b'[') {
-                recover_array(&mut p, source)
-            } else {
-                let (line, reason) = parse_error_parts(first);
-                (Value::Null, vec![FederationDiagnostic::malformed(source, line, reason)])
-            }
-        }
-    }
-}
-
-/// Splits a [`FederationError::Parse`] into (line, message) for a
-/// diagnostic; other variants report line 0 with their display text.
-fn parse_error_parts(err: FederationError) -> (usize, String) {
-    match err {
-        FederationError::Parse { line, message, .. } => (line, message),
-        other => (0, other.to_string()),
-    }
-}
-
-/// Salvages a top-level array whose strict parse failed: keeps every
-/// element that parses, drops the rest with one diagnostic each.
-fn recover_array(p: &mut Parser, source: &str) -> (Value, Vec<FederationDiagnostic>) {
-    let mut items = Vec::new();
-    let mut diags = Vec::new();
-    p.pos += 1; // consume `[`
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-        // The array itself was fine; the failure was trailing garbage.
-        diags.push(FederationDiagnostic::malformed(
-            source,
-            p.line_here(),
-            "trailing characters after document",
-        ));
-        return (Value::List(items), diags);
-    }
-    loop {
-        p.skip_ws();
-        if p.peek().is_none() {
-            diags.push(FederationDiagnostic::truncated(
-                source,
-                p.line_here(),
-                "array not closed; kept the elements before the cut",
-            ));
-            break;
-        }
-        let start = p.pos;
-        let reason = match p.value() {
-            Ok(v) => {
-                p.skip_ws();
-                match p.peek() {
-                    Some(b',') => {
-                        p.pos += 1;
-                        items.push(v);
-                        continue;
-                    }
-                    Some(b']') => {
-                        p.pos += 1;
-                        items.push(v);
-                        break;
-                    }
-                    None => {
-                        items.push(v);
-                        diags.push(FederationDiagnostic::truncated(
-                            source,
-                            p.line_here(),
-                            "array not closed; kept the elements before the cut",
-                        ));
-                        break;
-                    }
-                    Some(c) => format!("unexpected character `{}` after element", c as char),
-                }
-            }
-            Err(e) => parse_error_parts(e).1,
-        };
-        // The element at `start` is unusable: report it and scan past
-        // balanced brackets/strings to the next separator.
-        diags.push(FederationDiagnostic::malformed(source, p.line_at(start), reason));
-        p.pos = start;
-        match p.skip_to_separator() {
-            Separator::Comma => continue,
-            Separator::Close => break,
-            Separator::Eof => {
-                diags.push(FederationDiagnostic::truncated(
-                    source,
-                    p.line_here(),
-                    "array not closed; kept the elements before the cut",
-                ));
-                break;
-            }
-        }
-    }
-    (Value::List(items), diags)
-}
-
-/// What [`Parser::skip_to_separator`] stopped on.
-enum Separator {
-    /// A top-level `,` (consumed).
-    Comma,
-    /// The array's closing `]` (consumed).
-    Close,
-    /// End of input.
-    Eof,
 }
 
 /// Prints `value` as compact JSON.
@@ -268,48 +146,6 @@ impl<'a> Parser<'a> {
             }
         }
         FederationError::Parse { format: "json", line, column, message: message.into() }
-    }
-
-    /// 1-based line of an arbitrary byte offset.
-    fn line_at(&self, pos: usize) -> usize {
-        1 + self.bytes[..pos.min(self.bytes.len())].iter().filter(|&&b| b == b'\n').count()
-    }
-
-    /// 1-based line of the current position.
-    fn line_here(&self) -> usize {
-        self.line_at(self.pos)
-    }
-
-    /// Scans forward to the next `,` or `]` at the current nesting depth,
-    /// stepping over balanced brackets and quoted strings, so a malformed
-    /// array element can be skipped without derailing its neighbours.
-    fn skip_to_separator(&mut self) -> Separator {
-        let mut depth = 0usize;
-        loop {
-            match self.bump() {
-                None => return Separator::Eof,
-                Some(b'"') => loop {
-                    match self.bump() {
-                        None => return Separator::Eof,
-                        Some(b'\\') => {
-                            self.bump();
-                        }
-                        Some(b'"') => break,
-                        Some(_) => {}
-                    }
-                },
-                Some(b'[' | b'{') => depth += 1,
-                Some(b']') => {
-                    if depth == 0 {
-                        return Separator::Close;
-                    }
-                    depth -= 1;
-                }
-                Some(b'}') => depth = depth.saturating_sub(1),
-                Some(b',') if depth == 0 => return Separator::Comma,
-                Some(_) => {}
-            }
-        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -587,42 +423,5 @@ mod tests {
             FederationError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn lenient_on_valid_input_has_no_diagnostics() {
-        let (v, diags) = parse_lenient(r#"[{"a": 1}, {"a": 2}]"#, "m.json");
-        assert_eq!(v.len(), Some(2));
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn lenient_skips_malformed_array_elements() {
-        let (v, diags) = parse_lenient(r#"[{"a": 1}, {"a": oops}, {"a": 3}]"#, "m.json");
-        assert_eq!(v.len(), Some(2));
-        assert_eq!(v.at(1).unwrap().get("a"), Some(&Value::Int(3)));
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].kind, crate::error::DiagnosticKind::MalformedRecord);
-    }
-
-    #[test]
-    fn lenient_keeps_prefix_of_truncated_array() {
-        let (v, diags) = parse_lenient(r#"[1, 2, {"a":"#, "m.json");
-        assert_eq!(v.len(), Some(2));
-        assert_eq!(diags.len(), 2, "one for the bad element, one for the missing `]`");
-    }
-
-    #[test]
-    fn lenient_non_array_garbage_degrades_to_null() {
-        let (v, diags) = parse_lenient("{oops", "m.json");
-        assert_eq!(v, Value::Null);
-        assert_eq!(diags.len(), 1);
-    }
-
-    #[test]
-    fn lenient_skip_respects_nested_strings_and_brackets() {
-        let (v, diags) = parse_lenient(r#"[{"s": "a,]b", "bad": }, 7]"#, "m.json");
-        assert_eq!(v, Value::List(vec![Value::Int(7)]));
-        assert_eq!(diags.len(), 1);
     }
 }

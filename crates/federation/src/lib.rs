@@ -11,9 +11,12 @@
 //! machinery:
 //!
 //! * [`Value`] — the uniform data model every technology is exposed as;
-//! * [`csv`] / [`json`] — self-contained parsers and printers;
+//! * [`csv`] / [`json`] / [`xml`] — self-contained parsers and printers;
+//!   [`csv::parse_lenient`] is the one lenient parse, skipping malformed
+//!   rows with a [`FederationDiagnostic`] each;
 //! * [`eql`] — the extraction/query language (the EOL stand-in);
-//! * [`DriverRegistry`] — pluggable per-technology model drivers;
+//! * [`DriverRegistry`] — pluggable per-technology model drivers (`csv`,
+//!   `json`, `xml`, `memory`), each with one `load` and one `extract`;
 //! * [`store`] — eager (EMF-style, memory-bounded) vs indexed (Hawk-style)
 //!   model stores, reproducing the paper's Table VI scalability behaviour.
 //!
@@ -54,5 +57,5 @@ mod value;
 pub mod xml;
 
 pub use driver::{CsvDriver, DriverRegistry, JsonDriver, MemoryDriver, ModelDriver, XmlDriver};
-pub use error::{DiagnosticKind, FederationDiagnostic, FederationError, ResolvePolicy, Result};
+pub use error::{DiagnosticKind, FederationDiagnostic, FederationError, Result};
 pub use value::Value;

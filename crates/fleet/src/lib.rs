@@ -33,6 +33,6 @@ pub mod task;
 pub mod worker;
 
 pub use report::{FleetReport, FleetRow};
-pub use supervisor::{run_fleet, FleetOptions, STATUS_FILE};
+pub use supervisor::{run_fleet, FleetOptions, RetryPolicy, STATUS_FILE};
 pub use task::{discover, workload_tasks, FleetTask, TaskSource};
 pub use worker::run_worker;

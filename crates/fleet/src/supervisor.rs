@@ -25,11 +25,10 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use decisive_core::request::{AnalysisOp, RunSpec};
+use decisive_engine::fingerprint::Hasher;
 use decisive_engine::obs::metrics::DurationHistogram;
 use decisive_engine::obs::Telemetry;
-use decisive_engine::{
-    atomic_write, ArtifactKind, RetryPolicy, SegmentStore, StoreOptions, StoreRecovery,
-};
+use decisive_engine::{atomic_write, ArtifactKind, SegmentStore, StoreOptions, StoreRecovery};
 use decisive_federation::{json, Value};
 
 use crate::report::{status, FleetReport, FleetRow};
@@ -83,6 +82,68 @@ impl FleetOptions {
             spec: RunSpec::default(),
             worker_exe: worker_exe.into(),
         }
+    }
+}
+
+/// How the supervisor retries a model whose worker died or overran its
+/// deadline: up to [`RetryPolicy::max_retries`] extra attempts, each
+/// preceded by an exponential backoff delay with deterministic jitter.
+///
+/// Jitter is derived from the repository's standard content [`Hasher`]
+/// over `(salt, attempt)` rather than a random source, so a given
+/// (task, attempt) pair always backs off by the same amount — campaigns
+/// replay deterministically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RetryPolicy {
+    /// Extra attempts after the first failure. `0` fails fast.
+    pub max_retries: usize,
+    /// Backoff before the first retry, in milliseconds. `0` never sleeps.
+    pub base_ms: f64,
+    /// Multiplier applied per further retry (`base * factor^attempt`).
+    pub factor: f64,
+    /// Upper bound on one backoff delay, in milliseconds.
+    pub max_ms: f64,
+    /// Fraction of each delay subject to jitter, in `[0, 1]`: the delay is
+    /// scaled by a deterministic factor drawn from `[1 - jitter, 1]`.
+    pub jitter: f64,
+}
+
+impl Default for RetryPolicy {
+    /// One retry without backoff.
+    fn default() -> Self {
+        RetryPolicy { max_retries: 1, base_ms: 0.0, factor: 2.0, max_ms: 30_000.0, jitter: 0.5 }
+    }
+}
+
+impl RetryPolicy {
+    /// No retries at all: the first death is terminal.
+    pub fn none() -> Self {
+        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
+    }
+
+    /// A policy with `max_retries` attempts backing off exponentially from
+    /// `base_ms` (factor 2, jittered, capped by the default `max_ms`).
+    pub fn backoff(max_retries: usize, base_ms: f64) -> Self {
+        RetryPolicy { max_retries, base_ms: base_ms.max(0.0), ..RetryPolicy::default() }
+    }
+
+    /// The backoff before retry `attempt` (0-based) of the task identified
+    /// by `salt`. Deterministic: same `(policy, attempt, salt)` ⇒ same
+    /// delay.
+    pub fn delay_ms(&self, attempt: usize, salt: u64) -> f64 {
+        if self.base_ms <= 0.0 {
+            return 0.0;
+        }
+        let raw = self.base_ms * self.factor.max(1.0).powi(attempt.min(63) as i32);
+        let capped = raw.min(self.max_ms.max(self.base_ms));
+        let jitter = self.jitter.clamp(0.0, 1.0);
+        if jitter <= 0.0 {
+            return capped;
+        }
+        let digest = Hasher::new().write_u64(salt).write_u64(attempt as u64).finish().0;
+        // Top 53 bits → a uniform unit interval, exactly representable.
+        let unit = (digest >> 11) as f64 / (1u64 << 53) as f64;
+        capped * (1.0 - jitter * unit)
     }
 }
 
@@ -495,6 +556,20 @@ mod tests {
             }
             v => panic!("spent budget is terminal, got {v:?}"),
         }
+    }
+
+    #[test]
+    fn backoff_delays_are_deterministic_capped_and_growing() {
+        let policy = RetryPolicy { max_retries: 8, base_ms: 10.0, ..RetryPolicy::default() };
+        let first = policy.delay_ms(0, 42);
+        assert_eq!(first, policy.delay_ms(0, 42), "same (attempt, salt) ⇒ same delay");
+        assert!((5.0..=10.0).contains(&first), "jitter stays within [1-j, 1]·base: {first}");
+        assert_ne!(policy.delay_ms(0, 42), policy.delay_ms(0, 43), "salt decorrelates jobs");
+        let late = policy.delay_ms(20, 42);
+        assert!(late <= policy.max_ms, "cap holds: {late}");
+        let no_jitter = RetryPolicy { jitter: 0.0, ..policy.clone() };
+        assert_eq!(no_jitter.delay_ms(2, 9), 40.0, "base·factor² without jitter");
+        assert_eq!(RetryPolicy::default().delay_ms(0, 1), 0.0, "default never sleeps");
     }
 
     #[test]
