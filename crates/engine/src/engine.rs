@@ -482,12 +482,13 @@ impl Engine {
     // FTA subtrees (S14) and monitor sets (S15)
     // ------------------------------------------------------------------
 
-    /// Quantifies the fault subtree of every container, cached per
-    /// container: the key covers the container's topology, its children's
-    /// content and the mission time, so a FIT edit re-quantifies one
-    /// subtree. Containers without input→output paths (or beyond the path
-    /// cap) come back with `analysable: false`. (Thin wrapper over
-    /// [`crate::pass::FtaPass`].)
+    /// Quantifies the fault subtree of every container. Each subtree's
+    /// minimal cut sets are cached per container under what synthesis
+    /// reads — wiring and failure-mode names, not FITs, mode shares or the
+    /// mission time — and quantified with the current numbers on every
+    /// run, so a FIT edit re-runs no MOCUS. Containers without
+    /// input→output paths (or beyond the path cap) come back with
+    /// `analysable: false`. (Thin wrapper over [`crate::pass::FtaPass`].)
     ///
     /// # Errors
     ///
@@ -616,6 +617,44 @@ mod tests {
         assert_eq!(engine.stats().phase("monitor-set").unwrap().cache_hits, 1);
     }
 
+    /// A component whose parent link names a container that does not list
+    /// it (a model the validator flags) still takes part in that
+    /// container's fault tree, cold and warm.
+    #[test]
+    fn fta_reaches_a_member_its_container_does_not_list() {
+        use decisive_ssam::architecture::{ComponentKind, FailureNature};
+        let (mut model, top) = case_study::ssam_model();
+        let mut x1 = Component::new("X1", ComponentKind::Hardware);
+        x1.parent = Some(top);
+        x1.fit = Some(Fit::new(5.0));
+        let x1 = model.add_component(x1);
+        model.add_failure_mode(x1, "Open", FailureNature::LossOfFunction, 1.0);
+        // In parallel with D1: X1 and D1 form a cut set together.
+        let dc1 = model.component_by_name("DC1").unwrap();
+        let l1 = model.component_by_name("L1").unwrap();
+        model.connect(dc1, x1);
+        model.connect(x1, l1);
+
+        let synthesised = decisive_fta::build_fault_tree(&model, top, 10_000).unwrap();
+        let tree = &synthesised.tree;
+        let cut_sets = tree.minimal_cut_sets();
+        let names: Vec<Vec<String>> = cut_sets
+            .iter()
+            .map(|cs| cs.iter().map(|&e| tree.node(e).name().to_owned()).collect())
+            .collect();
+        assert!(names.contains(&vec!["D1:Open".to_owned(), "X1:Open".to_owned()]));
+        let mut engine = Engine::new(EngineConfig::with_jobs(1));
+        for _ in ["cold", "warm"] {
+            let summaries = engine.analyze_fta(&model, top, 10_000.0).unwrap();
+            assert_eq!(summaries[0].minimal_cut_sets, names);
+            let expected = tree.top_probability(&cut_sets, 10_000.0).unwrap();
+            assert_eq!(summaries[0].top_probability.to_bits(), expected.to_bits());
+        }
+        model.components[x1].fit = Some(Fit::new(50.0));
+        let fresh = Engine::new(EngineConfig::with_jobs(1)).analyze_fta(&model, top, 10_000.0);
+        assert_eq!(engine.analyze_fta(&model, top, 10_000.0).unwrap(), fresh.unwrap());
+    }
+
     #[test]
     fn fta_subtrees_cache_by_content() {
         let (model, top) = case_study::ssam_model();
@@ -626,8 +665,16 @@ mod tests {
         assert_eq!(cold, warm);
         let phase = engine.stats().phase("fta-subtrees").unwrap();
         assert_eq!(phase.cache_misses, 0, "warm pass is pure hits");
-        // A different mission time is a different artefact.
-        engine.analyze_fta(&model, top, 20_000.0).unwrap();
-        assert!(engine.stats().phase("fta-subtrees").unwrap().cache_misses > 0);
+        // The cut sets do not depend on the mission time: a new one is a
+        // hit, quantified at that mission time.
+        engine.reset_stats();
+        let longer = engine.analyze_fta(&model, top, 20_000.0).unwrap();
+        assert_eq!(engine.stats().phase("fta-subtrees").unwrap().cache_misses, 0);
+        let fresh = Engine::new(EngineConfig::with_jobs(2)).analyze_fta(&model, top, 20_000.0);
+        assert_eq!(longer, fresh.unwrap());
+        let top_bits = |s: &[FtaSubtreeSummary]| -> Vec<u64> {
+            s.iter().map(|s| s.top_probability.to_bits()).collect()
+        };
+        assert_ne!(top_bits(&longer), top_bits(&cold), "a longer mission is likelier to fail");
     }
 }

@@ -1,5 +1,6 @@
 //! Fingerprints of analysis *inputs*: per-component content, per-container
-//! topology, analysis configuration, and whole-diagram digests.
+//! topology and fault-tree structure, analysis configuration, and
+//! whole-diagram digests.
 //!
 //! Cache keys are derived from these, so two rules matter:
 //!
@@ -24,7 +25,8 @@ use crate::fingerprint::{Fingerprint, Hasher};
 /// Digest of one component's analysis-relevant content: name, type key,
 /// FIT, failure modes (with natures, distributions, hazard associations,
 /// affected components, modelled effects and cites) and deployed safety
-/// mechanisms.
+/// mechanisms. Failure modes are hashed in declaration order, the order
+/// `graph::component_rows` emits their rows in.
 ///
 /// Deliberately excludes wiring — that belongs to the *container's*
 /// topology fingerprint — so a FIT edit invalidates one component while a
@@ -41,47 +43,37 @@ pub fn component_fingerprint(model: &SsamModel, component: Idx<Component>) -> Fi
     h.write_opt_f64(c.fit.map(|f| f.value()));
     h.write_bool(c.dynamic);
 
-    let mut modes: Vec<Fingerprint> = model
-        .failure_modes_of(component)
-        .map(|(_, fm)| {
-            let mut m = Hasher::new();
-            m.write_str(fm.core.name.value());
-            m.write_str(&fm.nature.to_string());
-            m.write_f64(fm.distribution);
-            let mut hazards: Vec<&str> =
-                fm.hazards.iter().map(|&hz| model.hazards[hz].core.name.value()).collect();
-            hazards.sort_unstable();
-            m.write_u64(hazards.len() as u64);
-            for hz in hazards {
-                m.write_str(hz);
-            }
-            let mut affected: Vec<&str> = fm
-                .affected_components
-                .iter()
-                .map(|&a| model.components[a].core.name.value())
-                .collect();
-            affected.sort_unstable();
-            m.write_u64(affected.len() as u64);
-            for a in affected {
-                m.write_str(a);
-            }
-            m.write_u64(fm.effects.len() as u64);
-            for &e in &fm.effects {
-                let effect = &model.failure_effects[e];
-                m.write_str(&effect.impact.to_string());
-                for cite in &effect.core.cites {
-                    if let CiteRef::Component(cc) = cite {
-                        m.write_str(model.components[*cc].core.name.value());
-                    }
+    h.write_u64(c.failure_modes.len() as u64);
+    for (_, fm) in model.failure_modes_of(component) {
+        let mut m = Hasher::new();
+        m.write_str(fm.core.name.value());
+        m.write_str(&fm.nature.to_string());
+        m.write_f64(fm.distribution);
+        let mut hazards: Vec<&str> =
+            fm.hazards.iter().map(|&hz| model.hazards[hz].core.name.value()).collect();
+        hazards.sort_unstable();
+        m.write_u64(hazards.len() as u64);
+        for hz in hazards {
+            m.write_str(hz);
+        }
+        let mut affected: Vec<&str> =
+            fm.affected_components.iter().map(|&a| model.components[a].core.name.value()).collect();
+        affected.sort_unstable();
+        m.write_u64(affected.len() as u64);
+        for a in affected {
+            m.write_str(a);
+        }
+        m.write_u64(fm.effects.len() as u64);
+        for &e in &fm.effects {
+            let effect = &model.failure_effects[e];
+            m.write_str(&effect.impact.to_string());
+            for cite in &effect.core.cites {
+                if let CiteRef::Component(cc) = cite {
+                    m.write_str(model.components[*cc].core.name.value());
                 }
             }
-            m.finish()
-        })
-        .collect();
-    modes.sort_unstable();
-    h.write_u64(modes.len() as u64);
-    for fp in modes {
-        h.write_fingerprint(fp);
+        }
+        h.write_fingerprint(m.finish());
     }
 
     let mut mechanisms: Vec<Fingerprint> = c
@@ -141,6 +133,63 @@ pub fn topology_fingerprint(model: &SsamModel, container: Idx<Component>) -> Fin
     h.write_u64(edges.len() as u64);
     for (from, to) in edges {
         h.write_str(&from).write_str(&to);
+    }
+    h.finish()
+}
+
+/// The components a container's fault tree can draw basic events from, in
+/// the order the FTA pass's stored subtrees refer to them by position: the
+/// children in `children` order, then any component the container's
+/// relationships reach that `children` does not list (a parent link the
+/// container does not mirror, which the validator flags).
+pub fn fault_tree_members(model: &SsamModel, container: Idx<Component>) -> Vec<Idx<Component>> {
+    let mut members = model.components[container].children.clone();
+    let mut listed = vec![false; model.components.len()];
+    for &c in &members {
+        listed[c.index()] = true;
+    }
+    for (_, rel) in model.relationships_within(container) {
+        for end in [rel.from, rel.to] {
+            if end != container && !std::mem::replace(&mut listed[end.index()], true) {
+                members.push(end);
+            }
+        }
+    }
+    members
+}
+
+/// Digest of everything `decisive_fta::build_fault_tree` reads of one
+/// container, in the order it reads it: the container's name, its
+/// relationships in declaration order as `(from, to)` names (the container
+/// itself playing the boundary role, as in [`topology_fingerprint`]), then
+/// each of `members` ([`fault_tree_members`]) with its name and its
+/// failure modes in declaration order (name, whether it breaks a path).
+///
+/// Path order numbers the basic events and orders each cut set, so
+/// relationships are hashed unsorted. No FIT, mode share or mission time:
+/// cut sets depend on structure alone, and the FTA pass quantifies them
+/// with the current numbers on every run.
+pub fn fault_tree_fingerprint(
+    model: &SsamModel,
+    container: Idx<Component>,
+    members: &[Idx<Component>],
+) -> Fingerprint {
+    let name = |c: Idx<Component>| model.components[c].core.name.value();
+    let end = |c: Idx<Component>| if c == container { "" } else { name(c) };
+    let mut h = Hasher::new();
+    h.write_str("fault-tree");
+    h.write_str(name(container));
+    for (_, rel) in model.relationships_within(container) {
+        h.write_bool(true).write_str(end(rel.from)).write_str(end(rel.to));
+    }
+    h.write_bool(false);
+    h.write_u64(members.len() as u64);
+    for &member in members {
+        h.write_str(name(member));
+        h.write_u64(model.components[member].failure_modes.len() as u64);
+        for (_, fm) in model.failure_modes_of(member) {
+            h.write_str(fm.core.name.value()).write_bool(fm.nature.breaks_path());
+        }
     }
     h.finish()
 }
@@ -281,6 +330,44 @@ mod tests {
         let c1 = new.component_by_name("C1").unwrap();
         new.connect(d1, c1);
         assert_ne!(topology_fingerprint(&old, old_top), topology_fingerprint(&new, new_top));
+    }
+
+    #[test]
+    fn component_digest_follows_failure_mode_order() {
+        let (model, _) = case_study::ssam_model();
+        let mut reordered = model.clone();
+        let d1 = model.component_by_name("D1").unwrap();
+        reordered.components[d1].failure_modes.reverse();
+        assert_ne!(
+            component_fingerprint(&model, d1),
+            component_fingerprint(&reordered, d1),
+            "rows follow the modes' declaration order"
+        );
+    }
+
+    #[test]
+    fn fault_tree_digest_reads_structure_not_numbers() {
+        let (model, top) = case_study::ssam_model();
+        let digest = |m: &SsamModel| fault_tree_fingerprint(m, top, &fault_tree_members(m, top));
+        let d1 = model.component_by_name("D1").unwrap();
+        let mut numbers = model.clone();
+        numbers.components[d1].fit = Some(Fit::new(99.0));
+        let open = numbers.components[d1].failure_modes[0];
+        numbers.failure_modes[open].distribution = 0.5;
+        assert_eq!(digest(&numbers), digest(&model), "FIT and share edits keep the key");
+
+        let mut reordered = model.clone();
+        reordered.components[d1].failure_modes.reverse();
+        assert_ne!(digest(&reordered), digest(&model), "mode order numbers the events");
+
+        let mut rewired = model.clone();
+        let relationships: Vec<_> = model.relationships.iter().map(|(_, r)| r.clone()).collect();
+        rewired.relationships = decisive_ssam::id::Arena::new();
+        for relationship in relationships.into_iter().rev() {
+            rewired.relationships.alloc(relationship);
+        }
+        assert_eq!(topology_fingerprint(&rewired, top), topology_fingerprint(&model, top));
+        assert_ne!(digest(&rewired), digest(&model), "path order follows declaration order");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! cross-pass parallelism on the shared worker budget.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,9 +33,8 @@ use decisive_core::patterns::{self, RecommendationReport};
 use decisive_core::reliability::ReliabilityDb;
 use decisive_core::CoreError;
 use decisive_federation::{DriverRegistry, Value};
-use decisive_fta::CutSet;
 use decisive_hara::{HazardLog, RiskAssessmentPolicy, RiskLog};
-use decisive_ssam::architecture::Component;
+use decisive_ssam::architecture::{Component, Fit};
 use decisive_ssam::base::IntegrityLevel;
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
@@ -641,55 +641,132 @@ pub(crate) fn flatten_work(
     }
 }
 
-/// Persisted form of one fault subtree: the summary *plus* the
-/// degraded-mode note its quantification left, so a warm run reports the
-/// same degradation as the cold one. A frame holding a bare summary, as
-/// older stores do, does not decode as this shape and is recomputed once.
+/// Persisted form of one fault subtree: its structure — the basic events
+/// and minimal cut sets, which depend on the container's wiring and
+/// failure-mode names alone ([`model_fp::fault_tree_fingerprint`]) — plus
+/// the degraded-mode note its MOCUS run left, so a warm run reports the
+/// same degradation as the cold one. Every run quantifies it with the
+/// model's current FITs, mode shares and mission time
+/// ([`FtaArtifact::summary`]). A frame of another shape, such as the
+/// quantified `{summary, note}` of older stores, does not decode as this
+/// one and is recomputed once.
 #[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub(crate) struct FtaArtifact {
-    summary: FtaSubtreeSummary,
+    /// `false` when the subtree could not be synthesised or minimised;
+    /// it then quantifies as a zeroed summary.
+    analysable: bool,
+    /// Each basic event's source, in node order, as positions: the
+    /// member ([`model_fp::fault_tree_members`]) and the failure mode
+    /// within it that `build_fault_tree` resolved the event from. The key
+    /// fixes both positions.
+    events: Vec<(usize, usize)>,
+    /// The minimal cut sets as indices into `events`, in MOCUS order.
+    cut_sets: Vec<Vec<usize>>,
     note: Option<String>,
 }
 
-/// Quantifies one container's fault subtree from one bounded MOCUS run:
-/// the top probability, the single points and the named cut sets all
-/// come from the same minimal cut sets. Synthesis failures (no
-/// input→output paths, path-cap overflow) stay a silent
-/// `analysable: false` — expected for leaf containers — while
-/// quantification errors on a *built* tree surface as a degraded-mode
-/// note.
-fn quantify_subtree(
-    model: &SsamModel,
-    container: Idx<Component>,
-    mission_hours: f64,
-    max_paths: usize,
-) -> FtaArtifact {
-    let name = model.components[container].core.name.value().to_owned();
-    let Ok(synthesised) = decisive_fta::build_fault_tree(model, container, max_paths) else {
-        return FtaArtifact { summary: unanalysable_summary(name), note: None };
-    };
-    let tree = &synthesised.tree;
-    let quantified = tree
-        .try_minimal_cut_sets(decisive_fta::MOCUS_BUDGET)
-        .and_then(|cut_sets| Ok((tree.top_probability(&cut_sets, mission_hours)?, cut_sets)));
-    match quantified {
-        Ok((top_probability, cut_sets)) => {
-            let names = |cs: &CutSet| -> Vec<String> {
-                cs.iter().map(|&e| tree.node(e).name().to_owned()).collect()
-            };
-            let single_points = cut_sets.iter().filter(|cs| cs.len() == 1).flat_map(names);
-            let summary = FtaSubtreeSummary {
-                container: name,
-                analysable: true,
-                top_probability,
-                single_points: single_points.collect(),
-                minimal_cut_sets: cut_sets.iter().map(names).collect(),
-            };
-            FtaArtifact { summary, note: None }
+impl FtaArtifact {
+    /// Synthesises one container's fault subtree and runs one bounded
+    /// MOCUS over it. Synthesis failures (no input→output paths, path-cap
+    /// overflow) stay a silent unanalysable subtree — expected for leaf
+    /// containers — while a MOCUS failure on a *built* tree leaves a
+    /// degraded-mode note.
+    fn compute(
+        model: &SsamModel,
+        container: Idx<Component>,
+        members: &[Idx<Component>],
+        max_paths: usize,
+    ) -> FtaArtifact {
+        let unanalysable = |note| FtaArtifact {
+            analysable: false,
+            events: Vec::new(),
+            cut_sets: Vec::new(),
+            note,
+        };
+        let Ok(synthesised) = decisive_fta::build_fault_tree(model, container, max_paths) else {
+            return unanalysable(None);
+        };
+        let tree = &synthesised.tree;
+        let cut_sets = match tree.try_minimal_cut_sets(decisive_fta::MOCUS_BUDGET) {
+            Ok(cut_sets) => cut_sets,
+            Err(e) => {
+                let name = model.components[container].core.name.value();
+                return unanalysable(Some(format!(
+                    "fta subtree `{name}` could not be quantified: {e}"
+                )));
+            }
+        };
+        // Every path runs through relationship endpoints, all members.
+        let mut position = vec![usize::MAX; model.components.len()];
+        for (i, &member) in members.iter().enumerate().rev() {
+            position[member.index()] = i;
         }
-        Err(e) => {
-            let note = format!("fta subtree `{name}` could not be quantified: {e}");
-            FtaArtifact { summary: unanalysable_summary(name), note: Some(note) }
+        let events = synthesised
+            .sources
+            .iter()
+            .map(|&(component, mode)| {
+                let modes = &model.components[component].failure_modes;
+                let mode = modes.iter().position(|&m| m == mode).expect("a mode of its component");
+                (position[component.index()], mode)
+            })
+            .collect();
+        // Basic events are numbered in node order, so a cut set — ordered
+        // by node id — lists its event indices ascending.
+        let mut event_index = vec![usize::MAX; tree.len()];
+        for (i, (node, _, _)) in tree.basic_events().enumerate() {
+            event_index[node.raw() as usize] = i;
+        }
+        let cut_sets = cut_sets
+            .iter()
+            .map(|cs| cs.iter().map(|node| event_index[node.raw() as usize]).collect())
+            .collect();
+        FtaArtifact { analysable: true, events, cut_sets, note: None }
+    }
+
+    /// The subtree quantified with the model's current FITs, mode shares
+    /// and `mission_hours`: an event's probability is its component's FIT
+    /// times its mode's share over the mission, and the top probability is
+    /// [`decisive_fta::rare_event_probability`] over the cut sets — the
+    /// arithmetic of `FaultTree::top_probability`. Events render as
+    /// `component:mode`.
+    fn summary(
+        &self,
+        model: &SsamModel,
+        container: Idx<Component>,
+        members: &[Idx<Component>],
+        mission_hours: f64,
+    ) -> FtaSubtreeSummary {
+        let container = model.components[container].core.name.value().to_owned();
+        if !self.analysable {
+            return unanalysable_summary(container);
+        }
+        let (probabilities, names): (Vec<f64>, Vec<String>) = self
+            .events
+            .iter()
+            .map(|&(member, mode)| {
+                let c = &model.components[members[member]];
+                let fm = &model.failure_modes[c.failure_modes[mode]];
+                let fit = c.fit.unwrap_or(Fit::ZERO) * fm.distribution;
+                let name = format!("{}:{}", c.core.name.value(), fm.core.name.value());
+                (fit.failure_probability(mission_hours), name)
+            })
+            .unzip();
+        let Ok(top_probability) = decisive_fta::rare_event_probability(&self.cut_sets, |&e| {
+            Ok::<_, Infallible>(probabilities[e])
+        });
+        let named =
+            |cs: &Vec<usize>| -> Vec<String> { cs.iter().map(|&e| names[e].clone()).collect() };
+        FtaSubtreeSummary {
+            container,
+            analysable: true,
+            top_probability,
+            single_points: self
+                .cut_sets
+                .iter()
+                .filter(|cs| cs.len() == 1)
+                .flat_map(named)
+                .collect(),
+            minimal_cut_sets: self.cut_sets.iter().map(named).collect(),
         }
     }
 }
@@ -933,8 +1010,11 @@ impl AnalysisPass for InjectionFmeaPass {
     }
 }
 
-/// Per-container fault-subtree quantification as a pass, cached per
-/// container content and mission time.
+/// Per-container fault-subtree quantification as a pass. Each subtree's
+/// structure — basic events and minimal cut sets — is cached under what
+/// synthesis reads ([`model_fp::fault_tree_fingerprint`]) and the path
+/// cap; every run quantifies it with the current FITs, mode shares and
+/// mission time, so an edit to those re-runs no MOCUS.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FtaPass;
 
@@ -958,35 +1038,42 @@ impl AnalysisPass for FtaPass {
         }
         let max_paths = GraphConfig::default().max_paths;
         let containers = collect_containers(model, top);
+        let members: Vec<Vec<Idx<Component>>> =
+            containers.iter().map(|&c| model_fp::fault_tree_members(model, c)).collect();
         let items: Vec<WorkItem> = containers
             .iter()
-            .map(|&container| {
-                let mut h = Hasher::new();
-                h.write_str("fta-subtree");
-                h.write_fingerprint(model_fp::topology_fingerprint(model, container));
-                for &child in &model.components[container].children {
-                    h.write_fingerprint(model_fp::component_fingerprint(model, child));
-                }
-                h.write_f64(mission_hours);
-                h.write_u64(max_paths as u64);
+            .zip(&members)
+            .map(|(&container, members)| {
+                let key = Hasher::new()
+                    .write_str("fta-subtree")
+                    .write_fingerprint(model_fp::fault_tree_fingerprint(model, container, members))
+                    .write_u64(max_paths as u64)
+                    .finish();
                 let name = model.components[container].core.name.value().to_owned();
                 WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::FtaSubtree, key: h.finish() },
+                    id: ArtifactId { kind: ArtifactKind::FtaSubtree, key },
                     owner: name.clone(),
                     label: name,
                 }
             })
             .collect();
-        let artifacts = ctx.run_keyed(
+        let quantify = |i: usize, structure: FtaArtifact| {
+            let summary = structure.summary(model, containers[i], &members[i], mission_hours);
+            (structure, summary)
+        };
+        let subtrees = ctx.run_keyed(
             "fta-subtrees",
             &items,
-            |_, artifact: FtaArtifact| artifact,
+            quantify,
             |_| Ok(()),
-            |_: &(), i| Ok(quantify_subtree(model, containers[i], mission_hours, max_paths)),
-            |_, artifact| artifact.clone(),
+            |_: &(), i| {
+                let structure = FtaArtifact::compute(model, containers[i], &members[i], max_paths);
+                Ok(quantify(i, structure))
+            },
+            |_, (structure, _)| structure.clone(),
         )?;
-        let mut summaries = Vec::with_capacity(artifacts.len());
-        for FtaArtifact { summary, note } in artifacts {
+        let mut summaries = Vec::with_capacity(subtrees.len());
+        for (FtaArtifact { note, .. }, summary) in subtrees {
             ctx.degraded.notes.extend(note);
             summaries.push(summary);
         }
@@ -1033,7 +1120,8 @@ impl AnalysisPass for MonitorPass {
 
 /// HARA risk-log pass: assesses every FMEA failure mode of an upstream
 /// FMEA-producing pass against the hazard log (or the fallback policy)
-/// and derives the per-mode ASIL.
+/// and derives the per-mode ASIL. Keyed by the rows it assesses, not the
+/// whole table, so a FIT- or share-only edit re-assesses nothing.
 #[derive(Debug, Clone)]
 pub struct HaraPass {
     deps: [&'static str; 1],
@@ -1076,9 +1164,16 @@ impl AnalysisPass for HaraPass {
         )?;
         let hazards = ctx.input.hazards;
         let policy = ctx.input.policy;
+        // Exactly what `RiskLog::assess` reads: the title's system name,
+        // each row's (component, failure mode, safety-related) in order,
+        // the hazard log and the policy.
         let mut h = Hasher::new();
         h.write_str("risk-log");
-        h.write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"));
+        h.write_str(&table.system);
+        h.write_u64(table.rows.len() as u64);
+        for row in &table.rows {
+            h.write_str(&row.component).write_str(&row.failure_mode).write_bool(row.safety_related);
+        }
         match hazards {
             Some(log) => {
                 h.write_bool(true);

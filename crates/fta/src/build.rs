@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use decisive_core::fmea::{FmeaRow, FmeaTable};
-use decisive_ssam::architecture::{Component, Coverage, FailureImpact, Fit};
+use decisive_ssam::architecture::{Component, Coverage, FailureImpact, FailureMode, Fit};
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
@@ -82,6 +82,11 @@ pub struct SynthesisedTree {
     pub tree: FaultTree,
     /// Basic event of each `(component name, failure mode name)`.
     pub event_of: HashMap<(String, String), NodeId>,
+    /// The `(component, failure mode)` each basic event was resolved
+    /// from, in node-id order. Where a `(component name, failure mode
+    /// name)` pair repeats, the event carries the rate of the first one a
+    /// path met.
+    pub sources: Vec<(Idx<Component>, Idx<FailureMode>)>,
 }
 
 /// Synthesises the fault tree of losing `container`'s boundary function.
@@ -102,6 +107,7 @@ pub fn build_fault_tree(
     }
     let mut tree = FaultTree::new(format!("loss of function at `{container_name}`"));
     let mut event_of: HashMap<(String, String), NodeId> = HashMap::new();
+    let mut sources = Vec::new();
     // Each component's loss events, resolved the first time a path meets
     // it, so basic events are numbered in first-seen order.
     let mut loss_of: HashMap<Idx<Component>, Vec<NodeId>> = HashMap::new();
@@ -117,9 +123,10 @@ pub fn build_fault_tree(
                 model
                     .failure_modes_of(component)
                     .filter(|(_, fm)| fm.nature.breaks_path())
-                    .map(|(_, fm)| {
+                    .map(|(mode, fm)| {
                         let key = (c.core.name.value().to_owned(), fm.core.name.value().to_owned());
                         *event_of.entry(key).or_insert_with_key(|key| {
+                            sources.push((component, mode));
                             let fit = c.fit.unwrap_or(Fit::ZERO) * fm.distribution;
                             tree.basic(format!("{}:{}", key.0, key.1), fit)
                         })
@@ -139,7 +146,7 @@ pub fn build_fault_tree(
     let top =
         tree.try_event(format!("loss of function at `{container_name}`"), Gate::And, path_nodes)?;
     tree.try_set_top(top)?;
-    Ok(SynthesisedTree { tree, event_of })
+    Ok(SynthesisedTree { tree, event_of, sources })
 }
 
 /// All simple SRC→SINK paths through `container`'s children, as component
@@ -347,12 +354,14 @@ mod tests {
         let mut model = SsamModel::new("twins");
         let top = model.add_component(Component::new("top", ComponentKind::System));
         let mut prev = top;
+        let mut first_modes = Vec::new();
         for name in ["a", "b", "a"] {
             let c = model.add_child_component(top, Component::new(name, ComponentKind::Hardware));
             model.components[c].fit = Some(Fit::new(10.0));
-            model.add_failure_mode(c, "Open", FailureNature::LossOfFunction, 0.5);
+            let first = model.add_failure_mode(c, "Open", FailureNature::LossOfFunction, 0.5);
             model.add_failure_mode(c, "Open", FailureNature::LossOfFunction, 0.5);
             model.connect(prev, c);
+            first_modes.push((c, first));
             prev = c;
         }
         model.connect(prev, top);
@@ -360,6 +369,7 @@ mod tests {
         let tree = &synthesised.tree;
         let names: Vec<&str> = tree.basic_events().map(|(_, name, _)| name).collect();
         assert_eq!(names, ["a:Open", "b:Open"]);
+        assert_eq!(synthesised.sources, first_modes[..2], "the first `a` and mode a path met");
         let path = tree.nodes().find(|(_, n)| n.name() == "path 1 broken").unwrap().1;
         let crate::tree::Node::Event { children, .. } = path else { panic!("a gate") };
         let ids: Vec<u32> = children.iter().map(|c| c.raw()).collect();

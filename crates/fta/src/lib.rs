@@ -14,7 +14,8 @@
 //! * quantification over mission time ([`FaultTree::quantify`]) with
 //!   Fussell-Vesely and Birnbaum importance, or just the top-event
 //!   probability of cut sets already in hand
-//!   ([`FaultTree::top_probability`]),
+//!   ([`FaultTree::top_probability`], or [`rare_event_probability`] over
+//!   cut sets held in another form),
 //! * automatic synthesis from SSAM architectures ([`build_fault_tree`]),
 //!   using the path-set dual construction, and
 //! * [`fmea_from_fault_tree`] — the baseline FMEA generator, shown to agree
@@ -46,5 +47,5 @@ mod tree;
 pub use build::{build_fault_tree, fmea_from_fault_tree, FtaError, SynthesisedTree};
 pub use cutset::{minimise, CutSet, MOCUS_BUDGET};
 pub use monte_carlo::MonteCarloResult;
-pub use quant::Quantification;
+pub use quant::{rare_event_probability, Quantification};
 pub use tree::{FaultTree, Gate, Node, NodeId};

@@ -55,7 +55,10 @@ impl FaultTree {
         }
         let mcs = self.try_minimal_cut_sets(crate::cutset::MOCUS_BUDGET)?;
         let p_of = |id: NodeId| self.event_probability(id, mission_hours);
-        let cut_set_probabilities = self.cut_set_probabilities(&mcs, mission_hours)?;
+        let cut_set_probabilities = mcs
+            .iter()
+            .map(|cs| cut_set_probability(cs.iter().copied(), p_of))
+            .collect::<Result<Vec<f64>, FtaError>>()?;
         let top_probability = rare_event_sum(&cut_set_probabilities);
 
         let mut fussell_vesely = BTreeMap::new();
@@ -94,7 +97,8 @@ impl FaultTree {
     /// sets the caller already holds (from
     /// [`FaultTree::try_minimal_cut_sets`]): the rare-event approximation
     /// [`FaultTree::try_quantify`] reports, without its importance
-    /// measures or a second MOCUS run.
+    /// measures or a second MOCUS run. Computed by
+    /// [`rare_event_probability`].
     ///
     /// # Errors
     ///
@@ -109,19 +113,7 @@ impl FaultTree {
         if !(mission_hours > 0.0 && mission_hours.is_finite()) {
             return Err(FtaError::InvalidMissionTime { mission_hours });
         }
-        Ok(rare_event_sum(&self.cut_set_probabilities(cut_sets, mission_hours)?))
-    }
-
-    /// Each cut set's probability: the product of its events'.
-    fn cut_set_probabilities(
-        &self,
-        cut_sets: &[CutSet],
-        mission_hours: f64,
-    ) -> Result<Vec<f64>, FtaError> {
-        cut_sets
-            .iter()
-            .map(|cs| cs.iter().map(|&e| self.event_probability(e, mission_hours)).product())
-            .collect()
+        rare_event_probability(cut_sets, |&e| self.event_probability(e, mission_hours))
     }
 
     /// A basic event's failure probability over the mission.
@@ -151,6 +143,41 @@ impl FaultTree {
             .map(|cs: &CutSet| cs.iter().map(|&e| self.node(e).name().to_owned()).collect())
             .collect()
     }
+}
+
+/// The top-event probability of `cut_sets` under the rare-event
+/// approximation: a cut set's probability is the product of its events'
+/// (`event_probability`), taken in cut-set order, and
+/// `P(top) ≈ Σ P(cut set)`, capped at 1.
+///
+/// [`FaultTree::top_probability`] and [`FaultTree::try_quantify`] quantify
+/// through the same arithmetic, so a caller holding the cut sets in
+/// another form — event indices into a table of probabilities, say — gets
+/// the same bits.
+///
+/// # Errors
+///
+/// The first error `event_probability` returns.
+pub fn rare_event_probability<S, E, Error>(
+    cut_sets: impl IntoIterator<Item = S>,
+    mut event_probability: impl FnMut(E) -> Result<f64, Error>,
+) -> Result<f64, Error>
+where
+    S: IntoIterator<Item = E>,
+{
+    let probabilities = cut_sets
+        .into_iter()
+        .map(|cs| cut_set_probability(cs, &mut event_probability))
+        .collect::<Result<Vec<f64>, Error>>()?;
+    Ok(rare_event_sum(&probabilities))
+}
+
+/// A cut set's probability: the product of its events', in cut-set order.
+fn cut_set_probability<E, Error>(
+    events: impl IntoIterator<Item = E>,
+    event_probability: impl FnMut(E) -> Result<f64, Error>,
+) -> Result<f64, Error> {
+    events.into_iter().map(event_probability).product()
 }
 
 /// The rare-event approximation `P(top) ≈ Σ P(cut set)`, capped at 1.
@@ -223,6 +250,28 @@ mod tests {
         let names = ft.cut_sets_by_name();
         assert_eq!(names[0], vec!["a"]);
         assert_eq!(names[1], vec!["b", "c"]);
+    }
+
+    /// Cut sets held as indices into a probability table quantify to the
+    /// bits `top_probability` gives on the tree.
+    #[test]
+    fn indexed_cut_sets_quantify_to_the_same_bits() {
+        let mut ft = FaultTree::new("t");
+        let fits = [3.0, 4.5, 300.0, 0.7];
+        let events: Vec<NodeId> = fits.iter().map(|&f| ft.basic("e", Fit::new(f))).collect();
+        let and = ft.event("and", Gate::And, vec![events[2], events[3]]);
+        let top = ft.event("top", Gate::Or, vec![events[0], events[1], and]);
+        ft.set_top(top);
+        let cut_sets = ft.minimal_cut_sets();
+        let indexed: Vec<Vec<usize>> =
+            cut_sets.iter().map(|cs| cs.iter().map(|e| e.raw() as usize).collect()).collect();
+        for hours in [1.0, 10_000.0, 1e9] {
+            let p: Vec<f64> =
+                fits.iter().map(|&f| Fit::new(f).failure_probability(hours)).collect();
+            let Ok(top) =
+                rare_event_probability(&indexed, |&e| Ok::<f64, std::convert::Infallible>(p[e]));
+            assert_eq!(top.to_bits(), ft.top_probability(&cut_sets, hours).unwrap().to_bits());
+        }
     }
 
     #[test]

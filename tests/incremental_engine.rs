@@ -16,9 +16,11 @@ use decisive::engine::{
     ArtifactKind, Engine, EngineConfig, EngineError, Pipeline, PipelineInput, SegmentStore,
     StoreOptions, STORE_DIR,
 };
-use decisive::federation::serde_bridge::to_json_string;
+use decisive::federation::serde_bridge::{to_json_string, to_value};
 use decisive::federation::Value;
 use decisive::ssam::architecture::Fit;
+use decisive::ssam::id::Arena;
+use decisive::ssam::model::SsamModel;
 use decisive::workload::sets::{chain_model, instance_model, ladder_model, set_by_name};
 
 /// A scratch cache directory, unique per test, removed on drop.
@@ -165,8 +167,9 @@ fn campaign_health_survives_cache_round_trips() {
 
 /// A subtree whose MOCUS outgrows the budget leaves the same degraded-mode
 /// note on a warm run as on the cold one, because the note is cached with
-/// the summary; and a frame holding a bare summary, the shape stores kept
-/// before, is recomputed once rather than quarantined.
+/// the subtree's structure; and a frame holding a quantified
+/// `{summary, note}`, the shape stores kept before subtrees were cached
+/// by structure alone, is recomputed once rather than quarantined.
 #[test]
 fn fta_degradation_survives_cache_round_trips() {
     let dir = TempCacheDir::new("fta_note");
@@ -192,9 +195,14 @@ fn fta_degradation_survives_cache_round_trips() {
     let keys = store.keys_of_kind(ArtifactKind::FtaSubtree);
     assert!(!keys.is_empty());
     for &key in &keys {
-        let (owner, value) = store.get(ArtifactKind::FtaSubtree, key).expect("frame");
-        let bare = value.get("summary").expect("summary field").clone();
-        store.append(ArtifactKind::FtaSubtree, key, &owner, &bare).expect("append");
+        let (owner, _) = store.get(ArtifactKind::FtaSubtree, key).expect("frame");
+        let summary = summaries.iter().find(|s| s.container == owner).expect("owner's summary");
+        let note = notes.iter().find(|n| n.contains(&format!("`{owner}`")));
+        let older = Value::record([
+            ("summary", to_value(summary).expect("summary serialises")),
+            ("note", note.map_or(Value::Null, |n| Value::from(n.as_str()))),
+        ]);
+        store.append(ArtifactKind::FtaSubtree, key, &owner, &older).expect("append");
     }
     store.sync().expect("sync");
     drop(store);
@@ -202,9 +210,75 @@ fn fta_degradation_survives_cache_round_trips() {
     let mut upgraded = durable(&dir);
     assert_eq!(upgraded.analyze_fta(&model, top, 10_000.0).expect("upgrade"), summaries);
     let phase = upgraded.stats().phase("fta-subtrees").expect("phase");
-    assert_eq!(phase.cache_misses, keys.len(), "bare summaries are recomputed");
+    assert_eq!(phase.cache_misses, keys.len(), "quantified summaries are recomputed");
     assert_eq!(upgraded.degraded_report().notes, notes);
     assert_eq!(upgraded.degraded_report().quarantined_cache_entries, 0);
+}
+
+/// The case study and four instances of each of Set1–Set4.
+fn reorder_models() -> Vec<(String, SsamModel)> {
+    let mut models = vec![("case-study".to_owned(), case_study::ssam_model().0)];
+    for set in ["Set1", "Set2", "Set3", "Set4"] {
+        let set = set_by_name(set).expect("a Table VI set");
+        for instance in 0..4 {
+            models.push((format!("{} {instance}", set.name), instance_model(&set, instance, 1).0));
+        }
+    }
+    models
+}
+
+/// Path order numbers a fault tree's basic events and orders each cut
+/// set, and paths follow the relationships in declaration order: with
+/// every model's relationships reversed, a warm engine that analysed the
+/// original serves what a fresh engine computes, not the original order.
+#[test]
+fn relationship_reorder_reaches_the_fta_of_a_warm_engine() {
+    let mut changed = 0;
+    for (name, model) in reorder_models() {
+        let top = decisive::engine::execute::top_of(&model).expect("top component");
+        let mut reversed = model.clone();
+        let relationships: Vec<_> = model.relationships.iter().map(|(_, r)| r.clone()).collect();
+        reversed.relationships = Arena::new();
+        for relationship in relationships.into_iter().rev() {
+            reversed.relationships.alloc(relationship);
+        }
+        let mut warm = Engine::builder().jobs(2).build().expect("in-memory engine");
+        let original = warm.analyze_fta(&model, top, 10_000.0).expect("original");
+        let served = warm.analyze_fta(&reversed, top, 10_000.0).expect("warm reversed");
+        let mut fresh = Engine::builder().jobs(2).build().expect("in-memory engine");
+        let cold = fresh.analyze_fta(&reversed, top, 10_000.0).expect("cold reversed");
+        assert_eq!(served, cold, "{name}: a warm engine serves the original order");
+        changed += usize::from(cold != original);
+    }
+    assert!(changed > 0, "reversing relationships reorders some cut sets");
+}
+
+/// Graph FMEA rows follow each component's failure modes in declaration
+/// order: with one component's modes reversed, a warm engine that
+/// analysed the original serves a fresh engine's table and subtrees.
+#[test]
+fn failure_mode_reorder_reaches_the_rows_of_a_warm_engine() {
+    let mut changed = 0;
+    for (name, model) in reorder_models() {
+        let top = decisive::engine::execute::top_of(&model).expect("top component");
+        let multi_mode = model.components.iter().filter(|(_, c)| c.failure_modes.len() > 1);
+        for (component, _) in multi_mode {
+            let mut reordered = model.clone();
+            reordered.components[component].failure_modes.reverse();
+            let mut warm = Engine::builder().jobs(2).build().expect("in-memory engine");
+            let original = warm.analyze_graph(&model, top).expect("original");
+            warm.analyze_fta(&model, top, 10_000.0).expect("original subtrees");
+            let served = warm.analyze_graph(&reordered, top).expect("warm reordered");
+            let cold = graph::run(&reordered, top, &GraphConfig::default()).expect("cold");
+            let label = format!("{name} {}", model.components[component].core.name);
+            assert_eq!(served, cold, "{label}: a warm engine serves the original row order");
+            let subtrees = warm.analyze_fta(&reordered, top, 10_000.0).expect("warm subtrees");
+            let mut fresh = Engine::builder().jobs(2).build().expect("in-memory engine");
+            assert_eq!(subtrees, fresh.analyze_fta(&reordered, top, 10_000.0).expect("cold"));
+            changed += usize::from(cold != original);
+        }
+    }
+    assert!(changed > 0, "reversing a component's modes reorders its rows");
 }
 
 /// A cache directory carries no campaign report from one run into the
@@ -292,13 +366,17 @@ fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
 
 /// Every work-item key the standard pipeline derives is pinned, over the
 /// two `.bd` designs in `data/` (the brownout one with its reliability
-/// annex), the case-study model and two Set3 instances. The digest of the
-/// keys of every kind but `assurance-case` was recorded before artefact
-/// digests were streamed instead of built as values, so stores written
-/// before that change stay warm. The `assurance-case` keys have a digest
-/// of their own, recorded when the generated case (its statements and
-/// evidence queries) joined the key: a change to the case generator must
-/// change these keys, or stored reports of the old case would be served.
+/// annex), the case-study model and two Set3 instances, in three digests.
+/// The keys of `graph-facts`, `injection-row` and `monitor-set` were
+/// recorded before artefact digests were streamed instead of built as
+/// values, so stores written before that change stay warm. The
+/// `fta-subtree`, `risk-log` and `graph-row` keys were recorded when each
+/// came to cover exactly what its artefact reads: subtree structure
+/// without FITs, shares or mission time; the assessed rows, not the whole
+/// table; failure modes in declaration order. The `assurance-case` keys
+/// were recorded when the generated case (its statements and evidence
+/// queries) joined the key: a change to the case generator must change
+/// these keys, or stored reports of the old case would be served.
 #[test]
 fn pipeline_keys_match_the_recorded_digest() {
     let data = |file: &str| {
@@ -308,7 +386,8 @@ fn pipeline_keys_match_the_recorded_digest() {
             .to_string_lossy()
             .into_owned()
     };
-    let (mut h, mut assurance) = (Hasher::new(), Hasher::new());
+    let (mut h, mut exact, mut assurance) = (Hasher::new(), Hasher::new(), Hasher::new());
+    let exact_kinds = [ArtifactKind::FtaSubtree, ArtifactKind::RiskLog, ArtifactKind::GraphRow];
     let mut kinds = std::collections::BTreeSet::new();
     let mut fold = |engine: &Engine| {
         let snapshot = engine.cache().to_value();
@@ -318,6 +397,8 @@ fn pipeline_keys_match_the_recorded_digest() {
             kinds.insert(field("kind").to_owned());
             let into = if field("kind") == ArtifactKind::AssuranceCase.tag() {
                 &mut assurance
+            } else if exact_kinds.iter().any(|k| k.tag() == field("kind")) {
+                &mut exact
             } else {
                 &mut h
             };
@@ -357,7 +438,8 @@ fn pipeline_keys_match_the_recorded_digest() {
         "risk-log",
     ];
     assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), expected);
-    assert_eq!(h.finish().to_string(), "b425589563da1d90");
+    assert_eq!(h.finish().to_string(), "d91a56afc48f43a5");
+    assert_eq!(exact.finish().to_string(), "555e6bf77bc0e5e1");
     assert_eq!(assurance.finish().to_string(), "eddcc9180a022f8d");
 }
 

@@ -9,11 +9,14 @@ use decisive::core::mechanism::{
     search, DeployedMechanism, Deployment, MechanismCatalog, MechanismSpec,
 };
 use decisive::core::metrics;
-use decisive::engine::{Engine, EngineConfig};
+use decisive::engine::{Engine, EngineConfig, Pipeline, PipelineInput, PipelineRun};
 use decisive::federation::{csv, json, Value};
 use decisive::fta::{build_fault_tree, fmea_from_fault_tree};
-use decisive::ssam::architecture::{Component, ComponentKind, Coverage, FailureNature, Fit};
+use decisive::ssam::architecture::{
+    Component, ComponentKind, Coverage, FailureImpact, FailureNature, Fit,
+};
 use decisive::ssam::model::SsamModel;
+use decisive::workload::sets::{instance_model, set_by_name};
 
 // ---------------------------------------------------------------------------
 // Federation invariants
@@ -222,6 +225,59 @@ proptest! {
     }
 }
 
+/// `table` made self-consistent for Eq. 1: every row of a component takes
+/// the component's first FIT, and rows the FMEA cleared as not
+/// safety-related are indirect violations, so LFM counts latent rates.
+fn consistent(mut table: FmeaTable) -> FmeaTable {
+    let mut fit_of = std::collections::HashMap::new();
+    for row in &mut table.rows {
+        row.fit = *fit_of.entry(row.component.clone()).or_insert(row.fit);
+        row.impact = Some(if row.safety_related {
+            FailureImpact::DirectViolation
+        } else {
+            FailureImpact::IndirectViolation
+        });
+    }
+    table
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Eq. 1 is a ratio of FIT sums, and PMHF is the residual FIT sum:
+    /// scaling every FIT by `k` leaves SPFM and LFM unchanged and scales
+    /// PMHF by `k`.
+    #[test]
+    fn scaling_every_fit_scales_only_pmhf(table in arb_table(), k in 0.01f64..100.0) {
+        let base = consistent(table);
+        let mut scaled = base.clone();
+        for row in &mut scaled.rows {
+            row.fit = Fit::new(row.fit.value() * k);
+        }
+        prop_assert!((scaled.spfm() - base.spfm()).abs() < 1e-12);
+        prop_assert!((scaled.lfm() - base.lfm()).abs() < 1e-12);
+        let (p, q) = (metrics::pmhf(&base), metrics::pmhf(&scaled));
+        prop_assert!((q - k * p).abs() <= 1e-9 * (k * p).abs(), "pmhf {} -> {} under k = {}", p, q, k);
+    }
+
+    /// The metrics are sums over rows: listing the rows in another order
+    /// changes none of SPFM, LFM and PMHF.
+    #[test]
+    fn row_order_changes_no_metric(
+        table in arb_table(),
+        keys in proptest::collection::vec(any::<u64>(), 12..13),
+    ) {
+        let base = consistent(table);
+        let mut order: Vec<usize> = (0..base.rows.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut permuted = base.clone();
+        permuted.rows = order.iter().map(|&i| base.rows[i].clone()).collect();
+        prop_assert!((permuted.spfm() - base.spfm()).abs() < 1e-12);
+        prop_assert!((permuted.lfm() - base.lfm()).abs() < 1e-12);
+        let (p, q) = (metrics::pmhf(&base), metrics::pmhf(&permuted));
+        prop_assert!((q - p).abs() <= 1e-9 * p.abs(), "pmhf {} -> {}", p, q);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Graph FMEA and FTA agreement on random DAGs
 // ---------------------------------------------------------------------------
@@ -423,5 +479,58 @@ proptest! {
         // And the built-in escape hatch agrees on the warm cache.
         let verified = engine.verify_against_full(&new_model, new_top).expect("verification");
         prop_assert_eq!(verified, full);
+    }
+}
+
+/// Every artefact of a pipeline run by pass id, in `Debug` form: floats
+/// print their shortest round-trip text, so equal text is equal bits.
+fn artefact_texts(run: &PipelineRun) -> std::collections::BTreeMap<String, String> {
+    run.artifacts().map(|(id, artefact)| (id.to_owned(), format!("{artefact:?}"))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    /// The FTA and HARA passes are keyed by exactly what they read —
+    /// subtree structure, and the assessed rows' names and verdicts — so
+    /// random FIT, mode-share and mission-time edits on Set1 and Set3
+    /// instances and on the edit chain re-run no MOCUS and no risk
+    /// assessment on a warm engine, whose artefacts still equal a fresh
+    /// engine's bit for bit.
+    #[test]
+    fn numeric_edits_rerun_no_fta_or_hara_and_match_a_fresh_engine(
+        which in 0usize..3,
+        instance in 0u64..4,
+        edits in proptest::collection::vec((0usize..1000, 0.0f64..500.0, 0.0f64..=1.0), 1..6),
+        mission_hours in 1.0f64..1e6,
+    ) {
+        let (model, top) = match which {
+            0 => instance_model(&set_by_name("Set1").expect("Set1"), instance, 1),
+            1 => instance_model(&set_by_name("Set3").expect("Set3"), instance, 2),
+            _ => materialize_chain(
+                &(0..6).map(|id| CompSpec { id, fit: 10.0, mechanism: id % 2 == 0 }).collect::<Vec<_>>(),
+            ),
+        };
+        let mut edited = model.clone();
+        let components: Vec<_> = edited.components.indices().filter(|&c| c != top).collect();
+        for &(at, fit, share) in &edits {
+            let c = components[at % components.len()];
+            edited.components[c].fit = Some(Fit::new(fit));
+            let fm = edited.components[c].failure_modes[0];
+            edited.failure_modes[fm].distribution = share;
+        }
+        let pipeline = Pipeline::standard(false);
+        let mut warm = Engine::new(EngineConfig::with_jobs(2));
+        warm.run_pipeline(&pipeline, &PipelineInput::for_model(&model, top)).expect("priming run");
+        warm.reset_stats();
+        let input = PipelineInput::for_model(&edited, top).with_mission_hours(mission_hours);
+        let served = warm.run_pipeline(&pipeline, &input).expect("warm run");
+        let fresh = Engine::new(EngineConfig::with_jobs(2))
+            .run_pipeline(&pipeline, &input)
+            .expect("fresh run");
+        prop_assert_eq!(artefact_texts(&served), artefact_texts(&fresh));
+        for phase in ["fta-subtrees", "risk-log"] {
+            let executed = warm.stats().phase(phase).expect("phase ran").jobs_executed;
+            prop_assert!(executed == 0, "{} executed {} job(s)", phase, executed);
+        }
     }
 }
