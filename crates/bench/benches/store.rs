@@ -61,7 +61,7 @@ fn main() {
     // One corpus, persisted both ways.
     let cache = SharedStore::new();
     for i in 0..ARTIFACTS {
-        cache.put(ArtifactKind::GraphRow, key(i), "bench", &row(i)).expect("seed put");
+        cache.put(ArtifactKind::GraphFacts, key(i), "bench", &row(i)).expect("seed put");
     }
     std::fs::write(&snapshot, json::to_string(&cache.to_value())).expect("snapshot write");
     {
@@ -82,7 +82,7 @@ fn main() {
         let (loaded, skipped) = SharedStore::from_value_audited(&value).expect("v3 snapshot");
         for i in 0..TOUCHED {
             assert!(
-                loaded.get::<Vec<f64>>(ArtifactKind::GraphRow, key(i)).is_some(),
+                loaded.get::<Vec<f64>>(ArtifactKind::GraphFacts, key(i)).is_some(),
                 "json path serves artefact {i}"
             );
         }
@@ -102,7 +102,7 @@ fn main() {
         assert!(recovery.is_clean(), "clean corpus recovers clean");
         for i in 0..TOUCHED {
             assert!(
-                log.get(ArtifactKind::GraphRow, key(i)).is_some(),
+                log.get(ArtifactKind::GraphFacts, key(i)).is_some(),
                 "store path serves artefact {i}"
             );
         }

@@ -1,12 +1,13 @@
 //! The content-addressed artefact cache.
 //!
-//! Every derived analysis artefact (per-component FMEA rows, container
-//! path facts, per-candidate injection rows, FTA subtree quantifications,
-//! monitor sets) is stored under `(kind, fingerprint-of-its-inputs)`.
-//! Content addressing makes invalidation automatic — an edited input hashes
-//! to a new key and simply misses — so the explicit
-//! [`SharedStore::invalidate_owner`] pass exists to *garbage-collect* stale
-//! entries from memory and to report how many keys a change dirtied.
+//! Stored artefacts — container path facts, per-candidate injection rows,
+//! FTA subtree structures, assurance and recommendation reports, and the
+//! fleet journal's rows — live under `(kind, fingerprint-of-its-inputs)`.
+//! Content addressing makes invalidation automatic: an edited input hashes
+//! to a new key and simply misses, and the stale entry is never served
+//! again. Graph rows, monitor sets and risk logs cost about as much to
+//! serve as to compute, so the passes compute them on every run and store
+//! nothing for them.
 //!
 //! [`SharedStore`] is each engine's one artefact store: an in-memory map
 //! whose clones share it, optionally backed by the crash-safe append-only
@@ -42,16 +43,11 @@ use crate::store::{
 pub enum ArtifactKind {
     /// Path-criticality facts of one container (`graph::container_facts`).
     GraphFacts,
-    /// FMEA rows of one component on the SSAM graph path (Algorithm 1).
-    GraphRow,
     /// FMEA row of one fault-injection candidate (the simulation path).
     InjectionRow,
-    /// Quantified fault subtree of one container.
+    /// Fault-subtree structure of one container: its basic events and
+    /// minimal cut sets, quantified with the current numbers on every run.
     FtaSubtree,
-    /// Generated runtime monitor checks of one model.
-    MonitorSet,
-    /// Assessed risk log of one FMEA table (the HARA pass).
-    RiskLog,
     /// Evaluated assurance-case report (the assurance pass).
     AssuranceCase,
     /// Completed per-model row of a fleet sweep (the fleet journal: the
@@ -63,13 +59,10 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// All kinds, for iteration.
-    pub const ALL: [ArtifactKind; 9] = [
+    pub const ALL: [ArtifactKind; 6] = [
         ArtifactKind::GraphFacts,
-        ArtifactKind::GraphRow,
         ArtifactKind::InjectionRow,
         ArtifactKind::FtaSubtree,
-        ArtifactKind::MonitorSet,
-        ArtifactKind::RiskLog,
         ArtifactKind::AssuranceCase,
         ArtifactKind::FleetRow,
         ArtifactKind::Recommendation,
@@ -80,11 +73,8 @@ impl ArtifactKind {
     pub fn tag(self) -> &'static str {
         match self {
             ArtifactKind::GraphFacts => "graph-facts",
-            ArtifactKind::GraphRow => "graph-row",
             ArtifactKind::InjectionRow => "injection-row",
             ArtifactKind::FtaSubtree => "fta-subtree",
-            ArtifactKind::MonitorSet => "monitor-set",
-            ArtifactKind::RiskLog => "risk-log",
             ArtifactKind::AssuranceCase => "assurance-case",
             ArtifactKind::FleetRow => "fleet-row",
             ArtifactKind::Recommendation => "recommendation",
@@ -96,17 +86,18 @@ impl ArtifactKind {
     }
 
     /// `true` for the tag of a kind older builds wrote but this one no
-    /// longer produces (`mc-trial`: per-trial Monte-Carlo metrics, now
-    /// re-weighted from the injection rows). Such artefacts are stale,
-    /// not corrupt: loading skips them and compaction drops them.
+    /// longer produces: `mc-trial` (per-trial Monte-Carlo metrics, now
+    /// re-weighted from the injection rows), and `graph-row`, `monitor-set`
+    /// and `risk-log` (now computed on every run). Such artefacts are
+    /// stale, not corrupt: loading skips them and compaction drops them.
     pub(crate) fn is_retired(tag: &str) -> bool {
-        tag == "mc-trial"
+        matches!(tag, "mc-trial" | "graph-row" | "monitor-set" | "risk-log")
     }
 }
 
 /// One cached artefact: its serialized value plus the name of the model
-/// element it was derived *for* (the invalidation handle). The value is
-/// shared, not copied, out to every lookup it serves.
+/// element it was derived *for*. The value is shared, not copied, out to
+/// every lookup it serves.
 #[derive(Debug)]
 struct CacheEntry {
     owner: String,
@@ -270,9 +261,9 @@ impl SharedStore {
     }
 
     /// Stores an artefact under `(kind, key)`, owned by the named model
-    /// element (used by [`SharedStore::invalidate_owner`]). A durable
-    /// store appends it to the log first: if the append fails, memory
-    /// stays in step with disk and the caller sees the error.
+    /// element. A durable store appends it to the log first: if the append
+    /// fails, memory stays in step with disk and the caller sees the
+    /// error.
     pub fn put<T: serde::Serialize>(
         &self,
         kind: ArtifactKind,
@@ -313,24 +304,6 @@ impl SharedStore {
         entries
     }
 
-    /// Drops every in-memory entry owned by `owner`; returns how many were
-    /// dropped. A durable log keeps its frames.
-    pub fn invalidate_owner(&self, owner: &str) -> usize {
-        let mut entries = self.lock();
-        let before = entries.len();
-        entries.retain(|_, e| e.owner != owner);
-        before - entries.len()
-    }
-
-    /// Drops every in-memory entry of one kind; returns how many were
-    /// dropped. A durable log keeps its frames.
-    pub fn invalidate_kind(&self, kind: ArtifactKind) -> usize {
-        let mut entries = self.lock();
-        let before = entries.len();
-        entries.retain(|(k, _), _| *k != kind);
-        before - entries.len()
-    }
-
     /// Serialises the in-memory entries as a v3 snapshot (a federation
     /// [`Value`]): a versioned header with a whole-file checksum, and one
     /// `sum` checksum per entry.
@@ -366,7 +339,7 @@ impl SharedStore {
     ///
     /// Validation per entry: known kind tag, parsable key, string owner,
     /// present value, and a `sum` matching the recomputed entry checksum.
-    /// Entries of a retired kind (such as `mc-trial`) are skipped silently:
+    /// Entries of a retired kind (such as `graph-row`) are skipped silently:
     /// stale, not corrupt. A whole-file checksum mismatch over individually
     /// valid entries is noted but keeps the entries.
     ///
@@ -474,11 +447,11 @@ mod tests {
         SharedStore::open_durable(dir, StoreOptions::default(), Telemetry::noop()).unwrap()
     }
 
-    /// A durable store holding one committed `GraphRow` under `fp("a")`,
+    /// A durable store holding one committed `GraphFacts` under `fp("a")`,
     /// closed again.
     fn seed(dir: &Path, artefact: &[f64]) {
         let (store, _) = open(dir);
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &artefact.to_vec()).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("a"), "D1", &artefact.to_vec()).unwrap();
         store.sync_durable().unwrap();
     }
 
@@ -500,12 +473,12 @@ mod tests {
     #[test]
     fn roundtrips_through_value_and_disk() {
         let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &vec![1.5f64, 2.5]).unwrap();
+        store.put(ArtifactKind::InjectionRow, fp("a"), "D1", &vec![1.5f64, 2.5]).unwrap();
         store.put(ArtifactKind::GraphFacts, fp("b"), "top", &"facts".to_owned()).unwrap();
         let (back, notes) = SharedStore::from_value_audited(&store.to_value()).unwrap();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(back.len(), 2);
-        assert_eq!(back.get::<Vec<f64>>(ArtifactKind::GraphRow, fp("a")), Some(vec![1.5, 2.5]));
+        assert_eq!(back.get::<Vec<f64>>(ArtifactKind::InjectionRow, fp("a")), Some(vec![1.5, 2.5]));
         assert_eq!(back.get::<String>(ArtifactKind::GraphFacts, fp("b")), Some("facts".into()));
 
         // Imported into the durable store and exported after a reopen,
@@ -528,30 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn owner_invalidation_is_selective() {
-        let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
-        store.put(ArtifactKind::GraphFacts, fp("c"), "D1", &3i64).unwrap();
-        assert_eq!(store.invalidate_owner("D1"), 2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("b")), Some(2));
-    }
-
-    #[test]
     fn kind_namespaces_the_key_space() {
         let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("k"), "x", &1i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("k"), "x", &1i64).unwrap();
         store.put(ArtifactKind::InjectionRow, fp("k"), "x", &2i64).unwrap();
-        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(1));
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphFacts, fp("k")), Some(1));
         assert_eq!(store.get::<i64>(ArtifactKind::InjectionRow, fp("k")), Some(2));
-        assert_eq!(store.invalidate_kind(ArtifactKind::InjectionRow), 1);
     }
 
     #[test]
     fn a_document_that_is_not_a_v3_snapshot_is_rejected() {
         let store = SharedStore::new();
-        store.put(ArtifactKind::MonitorSet, fp("m"), "model", &0i64).unwrap();
+        store.put(ArtifactKind::AssuranceCase, fp("m"), "model", &0i64).unwrap();
         let mut value = store.to_value();
         if let Value::Record(fields) = &mut value {
             fields[0].1 = Value::Int(999);
@@ -568,7 +529,7 @@ mod tests {
     #[test]
     fn clean_roundtrip_report_is_clean() {
         let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("a"), "D1", &1i64).unwrap();
         let (back, notes) = SharedStore::from_value_audited(&store.to_value()).unwrap();
         assert_eq!(back.len(), 1);
         assert!(notes.is_empty(), "{notes:?}");
@@ -577,8 +538,8 @@ mod tests {
     #[test]
     fn tampered_entry_is_quarantined_not_loaded() {
         let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("a"), "D1", &1i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("b"), "L1", &2i64).unwrap();
         let mut value = store.to_value();
         // Change one entry's payload without updating its checksum.
         set_entry_field(&mut value, "value", Value::Int(999));
@@ -590,15 +551,19 @@ mod tests {
 
     #[test]
     fn retired_kind_entries_are_skipped_not_quarantined() {
-        let store = SharedStore::new();
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &1i64).unwrap();
-        store.put(ArtifactKind::GraphRow, fp("b"), "L1", &2i64).unwrap();
-        let mut value = store.to_value();
-        // Re-tag the first entry as an older build's `mc-trial` artefact.
-        set_entry_field(&mut value, "kind", Value::from("mc-trial"));
-        let (back, notes) = SharedStore::from_value_audited(&value).unwrap();
-        assert_eq!(back.len(), 1, "the retired entry is not loaded");
-        assert!(notes.is_empty(), "stale, not corrupt: {notes:?}");
+        for tag in ["mc-trial", "graph-row", "monitor-set", "risk-log"] {
+            let store = SharedStore::new();
+            store.put(ArtifactKind::GraphFacts, fp("a"), "D1", &1i64).unwrap();
+            store.put(ArtifactKind::GraphFacts, fp("b"), "L1", &2i64).unwrap();
+            let mut value = store.to_value();
+            // Re-tag the first entry as an older build's artefact of a
+            // retired kind.
+            set_entry_field(&mut value, "kind", Value::from(tag));
+            let (back, notes) = SharedStore::from_value_audited(&value).unwrap();
+            assert_eq!(back.len(), 1, "the retired {tag} entry is not loaded");
+            assert!(notes.is_empty(), "stale, not corrupt: {notes:?}");
+            assert_eq!(back.get::<i64>(ArtifactKind::GraphFacts, fp("b")), Some(2));
+        }
     }
 
     #[test]
@@ -639,17 +604,17 @@ mod tests {
     fn clones_share_one_map_and_count_its_hits() {
         let store = SharedStore::new();
         let clone = store.clone();
-        store.put(ArtifactKind::GraphRow, fp("k"), "D1", &41i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("k"), "D1", &41i64).unwrap();
         assert_eq!(clone.len(), 1, "a clone sees every write");
         assert_eq!(store.shared_hits(), 0, "writes are not hits");
-        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
-        assert_eq!(clone.get::<i64>(ArtifactKind::GraphRow, fp("k")), Some(41));
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphFacts, fp("k")), Some(41));
+        assert_eq!(clone.get::<i64>(ArtifactKind::GraphFacts, fp("k")), Some(41));
         assert_eq!(store.shared_hits(), 2, "every served lookup counts, through any handle");
-        assert_eq!(clone.get::<i64>(ArtifactKind::GraphRow, fp("missing")), None);
+        assert_eq!(clone.get::<i64>(ArtifactKind::GraphFacts, fp("missing")), None);
         assert_eq!(clone.shared_hits(), 2, "a miss is not a hit");
         // A separate store sees nothing.
         let separate = SharedStore::new();
-        assert_eq!(separate.get::<i64>(ArtifactKind::GraphRow, fp("k")), None);
+        assert_eq!(separate.get::<i64>(ArtifactKind::GraphFacts, fp("k")), None);
         assert_eq!(separate.shared_hits(), 0);
     }
 
@@ -683,19 +648,16 @@ mod tests {
         let (store, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert!(store.is_durable());
-        store.put(ArtifactKind::GraphRow, fp("a"), "D1", &41i64).unwrap();
+        store.put(ArtifactKind::GraphFacts, fp("a"), "D1", &41i64).unwrap();
         store.sync_durable().unwrap();
         drop(store);
 
         let (store, recovery) = open(&dir);
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(store.len(), 1);
-        assert_eq!(store.keys_of_kind(ArtifactKind::GraphRow).len(), 1, "counting sees the log");
-        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(41));
+        assert_eq!(store.keys_of_kind(ArtifactKind::GraphFacts).len(), 1, "counting sees the log");
+        assert_eq!(store.get::<i64>(ArtifactKind::GraphFacts, fp("a")), Some(41));
         assert_eq!(store.shared_hits(), 1, "served by the log read-through");
-        // Dropping the promoted entry from memory leaves the log's frame.
-        assert_eq!(store.invalidate_owner("D1"), 1);
-        assert_eq!(store.get::<i64>(ArtifactKind::GraphRow, fp("a")), Some(41));
         std::fs::remove_dir_all(&dir).ok();
     }
 

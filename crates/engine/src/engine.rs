@@ -1,8 +1,8 @@
 //! The incremental analysis engine: ties the content-addressed cache, the
 //! model fingerprints and the parallel scheduler together and re-derives
 //! the repository's analysis artefacts — graph FMEA tables, injection FMEA
-//! tables, FTA subtree quantifications and runtime monitor sets — touching
-//! only the work whose inputs changed.
+//! tables, FTA subtree quantifications and runtime monitor sets —
+//! recomputing only the cached work whose inputs changed.
 //!
 //! Each analysis is an [`crate::pass::AnalysisPass`], and
 //! [`Engine::run_pipeline`] (in [`crate::pipeline`]) is the only code that
@@ -22,7 +22,7 @@ use decisive_core::degraded::DegradedModeReport;
 use decisive_core::fmea::graph::{self, GraphConfig};
 use decisive_core::fmea::injection::InjectionConfig;
 use decisive_core::fmea::FmeaTable;
-use decisive_core::impact::{self, ImpactReport, ModelChange};
+use decisive_core::impact::{self, ImpactReport};
 use decisive_core::monitor::RuntimeMonitor;
 use decisive_core::montecarlo::MonteCarloReport;
 use decisive_core::patterns::RecommendationReport;
@@ -31,7 +31,7 @@ use decisive_ssam::architecture::Component;
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
-use crate::cache::{ArtifactKind, SharedStore};
+use crate::cache::SharedStore;
 use crate::error::{EngineError, Result};
 use crate::pass::{
     FtaPass, GraphFmeaPass, InjectionFmeaPass, MonitorPass, MonteCarloPass, PipelineInput,
@@ -96,8 +96,8 @@ pub struct FtaSubtreeSummary {
 /// let cold = engine.analyze_graph(&model, top).unwrap();
 /// let warm = engine.analyze_graph(&model, top).unwrap();
 /// assert_eq!(cold, warm);
-/// let rows = engine.stats().phase("graph-rows").unwrap();
-/// assert_eq!(rows.cache_misses, 0, "second run is fully cached");
+/// let facts = engine.stats().phase("graph-facts").unwrap();
+/// assert_eq!(facts.cache_misses, 0, "second run serves the container facts");
 /// ```
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -128,7 +128,9 @@ pub struct Engine {
 ///     .unwrap();
 /// let (model, top) = case_study::ssam_model();
 /// engine.analyze_graph(&model, top).unwrap();
-/// assert!(sink.drain().counters["cache.graph-row.misses"] > 0);
+/// let report = sink.drain();
+/// assert!(report.counters["cache.graph-facts.misses"] > 0);
+/// assert!(report.counters["scheduler.jobs"] > 0, "the facts phase ran its jobs");
 /// ```
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
@@ -316,10 +318,11 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs the graph FMEA of Algorithm 1 incrementally: container path
-    /// facts and per-component rows are fetched from the cache when their
-    /// input fingerprints match and recomputed in parallel otherwise. The
-    /// merged table is identical — rows, order and all — to
-    /// [`graph::run`]. (Thin wrapper over [`crate::pass::GraphFmeaPass`].)
+    /// facts are fetched from the cache when their topology fingerprints
+    /// match and recomputed in parallel otherwise, and every component's
+    /// rows are computed from them. The merged table is identical — rows,
+    /// order and all — to [`graph::run`]. (Thin wrapper over
+    /// [`crate::pass::GraphFmeaPass`].)
     ///
     /// # Errors
     ///
@@ -330,12 +333,10 @@ impl Engine {
         run.fmea().cloned().ok_or_else(|| no_artifact("graph FMEA"))
     }
 
-    /// Re-analyses after a model revision: diffs `old` against `new`,
-    /// garbage-collects the entries owned by impacted components from the
-    /// store's memory (the counted "invalidated keys"; on a store several
-    /// engines share, for all of them, and a durable log keeps its
-    /// frames), then runs [`Engine::analyze_graph`] on the new revision —
-    /// unchanged components hit the cache, impacted ones recompute.
+    /// Re-analyses after a model revision: diffs `old` against `new` into
+    /// an impact report, then runs [`Engine::analyze_graph`] on the new
+    /// revision. Content addressing decides what recomputes: containers
+    /// whose topology is unchanged serve their facts from the cache.
     ///
     /// # Errors
     ///
@@ -347,16 +348,6 @@ impl Engine {
         new_top: Idx<Component>,
     ) -> Result<(FmeaTable, ImpactReport)> {
         let report = impact::diff_models(old, new);
-        let mut invalidated = 0;
-        for name in &report.impacted_components {
-            invalidated += self.cache.invalidate_owner(name);
-        }
-        if report.changes.iter().any(|c| matches!(c, ModelChange::HazardsChanged)) {
-            // Hazard-set changes can re-scope every row under per-hazard
-            // analysis; drop the row artefacts wholesale.
-            invalidated += self.cache.invalidate_kind(ArtifactKind::GraphRow);
-        }
-        self.stats.invalidated_keys += invalidated;
         let table = self.analyze_graph(new, new_top)?;
         Ok((table, report))
     }
@@ -504,13 +495,13 @@ impl Engine {
         run.fta().map(<[FtaSubtreeSummary]>::to_vec).ok_or_else(|| no_artifact("fta"))
     }
 
-    /// Generates (or fetches) the runtime monitor of `model`, keyed by the
-    /// monitor-relevant model slice (limited IO nodes and their dynamic
-    /// context). (Thin wrapper over [`crate::pass::MonitorPass`].)
+    /// Generates the runtime monitor of `model`, on every call: the limited
+    /// IO nodes and their dynamic context. (Thin wrapper over
+    /// [`crate::pass::MonitorPass`].)
     ///
     /// # Errors
     ///
-    /// Propagates cache serialisation failures.
+    /// Propagates pipeline failures.
     pub fn monitors(&mut self, model: &SsamModel) -> Result<RuntimeMonitor> {
         let input = PipelineInput::new().with_model(model);
         let run = self.run_pipeline(&Pipeline::new().with(MonitorPass), &input)?;
@@ -538,8 +529,18 @@ mod tests {
         assert!((table.spfm() - 0.0538).abs() < 5e-4);
     }
 
+    /// A warm store's run executes no job of a store-backed phase and
+    /// misses nothing; the phases that compute on every run execute all
+    /// their units, with no hits and no misses.
+    fn assert_warm(stats: &EngineStats) {
+        assert_eq!(stats.cache_misses(), 0, "{stats:?}");
+        for phase in stats.phases.iter().filter(|p| p.jobs_executed > 0) {
+            assert_eq!((phase.cache_hits, phase.cache_misses), (0, 0), "{phase:?}");
+        }
+    }
+
     #[test]
-    fn fit_edit_reruns_exactly_one_row_job() {
+    fn fit_edit_recomputes_rows_from_cached_facts() {
         let (old, old_top) = case_study::ssam_model();
         let (mut new, new_top) = case_study::ssam_model();
         let mut engine = Engine::new(EngineConfig::with_jobs(2));
@@ -550,11 +551,9 @@ mod tests {
         engine.reset_stats();
         let (table, report) = engine.rerun(&old, &new, new_top).unwrap();
         assert!(report.requires_reanalysis());
-        assert_eq!(engine.stats().invalidated_keys, 1, "only D1's row artefact");
-        let rows = engine.stats().phase("graph-rows").unwrap();
-        assert_eq!(rows.jobs_executed, 1, "only D1 recomputes");
         let facts = engine.stats().phase("graph-facts").unwrap();
         assert_eq!(facts.jobs_executed, 0, "topology unchanged");
+        assert_eq!(facts.cache_hits, facts.jobs_total);
         assert_eq!(table, graph::run(&new, new_top, &GraphConfig::default()).unwrap());
     }
 
@@ -569,8 +568,7 @@ mod tests {
         let mut second = Engine::builder().jobs(1).shared_store(shared.clone()).build().unwrap();
         let warm = second.analyze_graph(&model, top).unwrap();
         assert_eq!(cold, warm);
-        assert_eq!(second.stats().jobs_executed(), 0, "second engine is pure shared hits");
-        assert_eq!(second.stats().cache_misses(), 0);
+        assert_warm(second.stats());
         assert!(shared.shared_hits() > 0);
     }
 
@@ -603,18 +601,21 @@ mod tests {
         assert!(engine.stats().phases.is_empty());
         assert!(engine.campaign_health().is_none());
         engine.analyze_graph(&model, top).unwrap();
-        assert_eq!(engine.stats().jobs_executed(), 0, "cache survived the reset");
+        assert_warm(engine.stats());
+        assert!(engine.stats().cache_hits() > 0, "cache survived the reset");
     }
 
     #[test]
-    fn monitor_set_round_trips_through_the_cache() {
+    fn monitor_pass_equals_generate() {
         let (model, _) = case_study::ssam_model();
         let mut engine = Engine::new(EngineConfig::with_jobs(1));
-        let cold = engine.monitors(&model).unwrap();
-        assert!(!cold.checks().is_empty());
-        let warm = engine.monitors(&model).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(engine.stats().phase("monitor-set").unwrap().cache_hits, 1);
+        for _ in ["first", "second"] {
+            let monitor = engine.monitors(&model).unwrap();
+            assert!(!monitor.checks().is_empty());
+            assert_eq!(monitor, RuntimeMonitor::generate(&model));
+        }
+        let phase = engine.stats().phase("monitor-set").unwrap();
+        assert_eq!((phase.jobs_executed, phase.cache_hits, phase.cache_misses), (1, 0, 0));
     }
 
     /// A component whose parent link names a container that does not list

@@ -112,18 +112,6 @@ impl Hasher {
         self
     }
 
-    /// Mixes an optional presence tag, then the value if present.
-    pub fn write_opt_f64(&mut self, value: Option<f64>) -> &mut Self {
-        match value {
-            None => self.mix_byte(0x06),
-            Some(v) => {
-                self.mix_byte(0x07);
-                self.write_f64(v);
-            }
-        }
-        self
-    }
-
     /// Mixes another fingerprint (for composing sub-digests).
     pub fn write_fingerprint(&mut self, fp: Fingerprint) -> &mut Self {
         self.mix_byte(0x08);

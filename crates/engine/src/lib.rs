@@ -3,10 +3,12 @@
 //!
 //! The DECISIVE flow is iterative by design — analyse, refine the
 //! architecture, analyse again. This crate makes the "again" cheap: every
-//! derived artefact is cached under a fingerprint of exactly the inputs it
-//! depends on, so a re-run after an edit recomputes only the artefacts
-//! whose inputs actually changed, and independent recomputations run on a
-//! bounded worker pool.
+//! derived artefact that costs more to compute than to serve is cached
+//! under a fingerprint of exactly the inputs it depends on, so a re-run
+//! after an edit recomputes only those whose inputs actually changed, and
+//! independent recomputations run on a bounded worker pool. The cheap
+//! rest (graph rows, the monitor set, the risk log) is computed on every
+//! run.
 //!
 //! Layering:
 //!

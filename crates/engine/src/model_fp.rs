@@ -1,6 +1,6 @@
-//! Fingerprints of analysis *inputs*: per-component content, per-container
-//! topology and fault-tree structure, analysis configuration, and
-//! whole-diagram digests.
+//! Fingerprints of analysis *inputs*: per-container topology and
+//! fault-tree structure, analysis configuration, injection candidates, and
+//! whole-artefact digests.
 //!
 //! Cache keys are derived from these, so two rules matter:
 //!
@@ -16,85 +16,10 @@
 use decisive_core::fmea::graph::{AnalysisScope, GraphAlgorithm, GraphConfig};
 use decisive_core::fmea::injection::Candidate;
 use decisive_ssam::architecture::Component;
-use decisive_ssam::base::CiteRef;
 use decisive_ssam::id::Idx;
 use decisive_ssam::model::SsamModel;
 
 use crate::fingerprint::{Fingerprint, Hasher};
-
-/// Digest of one component's analysis-relevant content: name, type key,
-/// FIT, failure modes (with natures, distributions, hazard associations,
-/// affected components, modelled effects and cites) and deployed safety
-/// mechanisms. Failure modes are hashed in declaration order, the order
-/// `graph::component_rows` emits their rows in.
-///
-/// Deliberately excludes wiring — that belongs to the *container's*
-/// topology fingerprint — so a FIT edit invalidates one component while a
-/// rewire invalidates one container.
-pub fn component_fingerprint(model: &SsamModel, component: Idx<Component>) -> Fingerprint {
-    let c = &model.components[component];
-    let mut h = Hasher::new();
-    h.write_str("component");
-    h.write_str(c.core.name.value());
-    match &c.type_key {
-        Some(key) => h.write_bool(true).write_str(key),
-        None => h.write_bool(false),
-    };
-    h.write_opt_f64(c.fit.map(|f| f.value()));
-    h.write_bool(c.dynamic);
-
-    h.write_u64(c.failure_modes.len() as u64);
-    for (_, fm) in model.failure_modes_of(component) {
-        let mut m = Hasher::new();
-        m.write_str(fm.core.name.value());
-        m.write_str(&fm.nature.to_string());
-        m.write_f64(fm.distribution);
-        let mut hazards: Vec<&str> =
-            fm.hazards.iter().map(|&hz| model.hazards[hz].core.name.value()).collect();
-        hazards.sort_unstable();
-        m.write_u64(hazards.len() as u64);
-        for hz in hazards {
-            m.write_str(hz);
-        }
-        let mut affected: Vec<&str> =
-            fm.affected_components.iter().map(|&a| model.components[a].core.name.value()).collect();
-        affected.sort_unstable();
-        m.write_u64(affected.len() as u64);
-        for a in affected {
-            m.write_str(a);
-        }
-        m.write_u64(fm.effects.len() as u64);
-        for &e in &fm.effects {
-            let effect = &model.failure_effects[e];
-            m.write_str(&effect.impact.to_string());
-            for cite in &effect.core.cites {
-                if let CiteRef::Component(cc) = cite {
-                    m.write_str(model.components[*cc].core.name.value());
-                }
-            }
-        }
-        h.write_fingerprint(m.finish());
-    }
-
-    let mut mechanisms: Vec<Fingerprint> = c
-        .safety_mechanisms
-        .iter()
-        .map(|&sm| {
-            let m = &model.safety_mechanisms[sm];
-            let mut s = Hasher::new();
-            s.write_str(m.core.name.value());
-            s.write_f64(m.coverage.value());
-            s.write_str(model.failure_modes[m.covers].core.name.value());
-            s.finish()
-        })
-        .collect();
-    mechanisms.sort_unstable();
-    h.write_u64(mechanisms.len() as u64);
-    for fp in mechanisms {
-        h.write_fingerprint(fp);
-    }
-    h.finish()
-}
 
 /// Digest of one container's internal wiring: its sorted child names and
 /// the sorted name-level edge multiset (with the container itself playing
@@ -102,6 +27,8 @@ pub fn component_fingerprint(model: &SsamModel, component: Idx<Component>) -> Fi
 ///
 /// This is exactly the input of `graph::container_facts`, so a FIT or
 /// failure-mode edit leaves it unchanged and the cached facts stay valid.
+/// The graph FMEA pass computes each component's rows from those facts on
+/// every run.
 pub fn topology_fingerprint(model: &SsamModel, container: Idx<Component>) -> Fingerprint {
     let mut h = Hasher::new();
     h.write_str("topology");
@@ -256,44 +183,6 @@ pub fn serialized_fingerprint<T: serde::Serialize + ?Sized>(
     h.finish()
 }
 
-/// Digest of the monitor-relevant slice of a model: every limited IO node
-/// with its owner, limits, and whether a dynamic component encloses it —
-/// exactly the inputs of `RuntimeMonitor::generate`.
-pub fn monitor_fingerprint(model: &SsamModel) -> Fingerprint {
-    let mut entries: Vec<Fingerprint> = model
-        .io_nodes
-        .iter()
-        .filter(|(_, node)| node.lower_limit.is_some() || node.upper_limit.is_some())
-        .map(|(_, node)| {
-            let owner = &model.components[node.owner];
-            let mut dynamic_context = owner.dynamic;
-            let mut cur = owner.parent;
-            while let Some(p) = cur {
-                if model.components[p].dynamic {
-                    dynamic_context = true;
-                    break;
-                }
-                cur = model.components[p].parent;
-            }
-            let mut h = Hasher::new();
-            h.write_str(owner.core.name.value());
-            h.write_str(node.core.name.value());
-            h.write_opt_f64(node.lower_limit);
-            h.write_opt_f64(node.upper_limit);
-            h.write_bool(dynamic_context);
-            h.finish()
-        })
-        .collect();
-    entries.sort_unstable();
-    let mut h = Hasher::new();
-    h.write_str("monitor-set");
-    h.write_u64(entries.len() as u64);
-    for fp in entries {
-        h.write_fingerprint(fp);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,11 +195,6 @@ mod tests {
         let (mut new, _) = case_study::ssam_model();
         let d1 = new.component_by_name("D1").unwrap();
         new.components[d1].fit = Some(Fit::new(99.0));
-        let d1_old = old.component_by_name("D1").unwrap();
-        assert_ne!(component_fingerprint(&old, d1_old), component_fingerprint(&new, d1));
-        let l1_old = old.component_by_name("L1").unwrap();
-        let l1_new = new.component_by_name("L1").unwrap();
-        assert_eq!(component_fingerprint(&old, l1_old), component_fingerprint(&new, l1_new));
         // Topology sees no change at all.
         let top_old = old
             .component_by_name("PSU")
@@ -330,19 +214,6 @@ mod tests {
         let c1 = new.component_by_name("C1").unwrap();
         new.connect(d1, c1);
         assert_ne!(topology_fingerprint(&old, old_top), topology_fingerprint(&new, new_top));
-    }
-
-    #[test]
-    fn component_digest_follows_failure_mode_order() {
-        let (model, _) = case_study::ssam_model();
-        let mut reordered = model.clone();
-        let d1 = model.component_by_name("D1").unwrap();
-        reordered.components[d1].failure_modes.reverse();
-        assert_ne!(
-            component_fingerprint(&model, d1),
-            component_fingerprint(&reordered, d1),
-            "rows follow the modes' declaration order"
-        );
     }
 
     #[test]

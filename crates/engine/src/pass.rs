@@ -4,7 +4,10 @@
 //! [`PassArtifact`] from content-addressed inputs. The incremental cache,
 //! per-job deadlines, campaign health and degraded-mode reporting live in
 //! **one** code path (`PassContext::run_keyed`) instead of one copy per
-//! analysis.
+//! analysis. Phases whose artefact costs about as much to serve from the
+//! store as to compute — graph rows, the monitor set, the risk log and
+//! Monte-Carlo trials — compute on every run through one timing helper
+//! (`PassContext::run_uncached`).
 //!
 //! Passes declare their dependencies by id ([`AnalysisPass::depends_on`]);
 //! the [`crate::pipeline::Pipeline`] runner schedules them as a DAG with
@@ -82,8 +85,8 @@ pub struct ArtifactId {
 pub struct WorkItem {
     /// The artefact this item produces.
     pub id: ArtifactId,
-    /// Cache-entry owner (a component or candidate name), used by
-    /// impact-driven invalidation.
+    /// The model element the artefact is derived for (a container,
+    /// candidate or system name), stored with the entry.
     pub owner: String,
     /// Human-readable label for deadline / degraded-mode reporting.
     pub label: String,
@@ -504,6 +507,31 @@ impl<'a> PassContext<'a> {
         self.phases.push(phase);
         Ok(merged.into_iter().map(|t| t.expect("every work item resolved")).collect())
     }
+
+    /// A phase that computes all its `units` on every run, in one
+    /// sequential call with no store lookup and no scheduler batch: times
+    /// `compute` under a `phase:<name>` span and records a [`PhaseStats`]
+    /// entry with every unit executed and no hits or misses.
+    pub(crate) fn run_uncached<T>(
+        &mut self,
+        phase_name: &str,
+        units: usize,
+        compute: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let start = Instant::now();
+        let _phase_span = self
+            .telemetry
+            .enabled()
+            .then(|| self.telemetry.span(format!("phase:{phase_name}"), "phase"));
+        let out = compute()?;
+        self.phases.push(PhaseStats {
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            jobs_total: units,
+            jobs_executed: units,
+            ..PhaseStats::new(phase_name)
+        });
+        Ok(out)
+    }
 }
 
 /// One composable analysis step: a typed transformation from
@@ -787,7 +815,9 @@ fn unanalysable_summary(container: String) -> FtaSubtreeSummary {
 // ----------------------------------------------------------------------
 
 /// Algorithm 1 as a pass: container path facts, the criticality chain and
-/// per-component rows, merged into one FMEA table.
+/// per-component rows, merged into one FMEA table. The facts are cached
+/// per container under its topology; the rows are computed from them on
+/// every run, which costs less than serving them from the store.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GraphFmeaPass;
 
@@ -797,7 +827,7 @@ impl AnalysisPass for GraphFmeaPass {
     }
 
     fn kinds(&self) -> &[ArtifactKind] {
-        &[ArtifactKind::GraphFacts, ArtifactKind::GraphRow]
+        &[ArtifactKind::GraphFacts]
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
@@ -808,16 +838,12 @@ impl AnalysisPass for GraphFmeaPass {
 
         // Phase 1: container path facts.
         let containers = collect_containers(model, top);
-        let mut topo_fp: HashMap<Idx<Component>, Fingerprint> = HashMap::new();
-        for &container in &containers {
-            topo_fp.insert(container, model_fp::topology_fingerprint(model, container));
-        }
         let items: Vec<WorkItem> = containers
             .iter()
             .map(|&container| {
                 let key = Hasher::new()
                     .write_str("graph-facts")
-                    .write_fingerprint(topo_fp[&container])
+                    .write_fingerprint(model_fp::topology_fingerprint(model, container))
                     .write_fingerprint(config_fp)
                     .finish();
                 let name = model.components[container].core.name.value().to_owned();
@@ -853,52 +879,19 @@ impl AnalysisPass for GraphFmeaPass {
             }
         }
 
-        // Phase 2: per-component rows.
+        // Phase 2: per-component rows, in table order.
         let mut work: Vec<(Idx<Component>, Idx<Component>)> = Vec::new();
         flatten_work(model, top, &mut work);
-        let items: Vec<WorkItem> = work
-            .iter()
-            .map(|&(container, child)| {
-                let key = Hasher::new()
-                    .write_str("graph-row")
-                    .write_fingerprint(model_fp::component_fingerprint(model, child))
-                    .write_fingerprint(topo_fp[&container])
-                    .write_bool(critical_flag[&container])
-                    .write_fingerprint(config_fp)
-                    .finish();
-                let name = model.components[child].core.name.value().to_owned();
-                WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::GraphRow, key },
-                    owner: name.clone(),
-                    label: name,
+        let table = ctx.run_uncached("graph-rows", work.len(), || {
+            let mut table = FmeaTable::new(model.components[top].core.name.value());
+            for &(container, child) in &work {
+                let (flag, facts) = (critical_flag[&container], &facts[&container]);
+                for row in graph::component_rows(model, child, flag, facts, &graph_config) {
+                    table.push(row);
                 }
-            })
-            .collect();
-        let row_groups = ctx.run_keyed(
-            "graph-rows",
-            &items,
-            |_, rows: Vec<FmeaRow>| rows,
-            |_| Ok(()),
-            |_: &(), i| {
-                let (container, child) = work[i];
-                Ok(graph::component_rows(
-                    model,
-                    child,
-                    critical_flag[&container],
-                    &facts[&container],
-                    &graph_config,
-                ))
-            },
-            |_, rows| rows.clone(),
-        )?;
-
-        // Deterministic merge.
-        let mut table = FmeaTable::new(model.components[top].core.name.value());
-        for rows in row_groups {
-            for row in rows {
-                table.push(row);
             }
-        }
+            Ok(table)
+        })?;
         Ok(PassArtifact::Fmea(table))
     }
 }
@@ -1081,8 +1074,8 @@ impl AnalysisPass for FtaPass {
     }
 }
 
-/// Runtime monitor synthesis as a pass, keyed by the monitor-relevant
-/// model slice.
+/// Runtime monitor synthesis as a pass, generated on every run: it walks
+/// the same IO nodes a key over them would.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MonitorPass;
 
@@ -1091,37 +1084,17 @@ impl AnalysisPass for MonitorPass {
         ids::MONITORS
     }
 
-    fn kinds(&self) -> &[ArtifactKind] {
-        &[ArtifactKind::MonitorSet]
-    }
-
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let model = ctx.input.model.ok_or_else(|| missing_input(self.id(), "a model"))?;
-        let name = model.name.value().to_owned();
-        let items = [WorkItem {
-            id: ArtifactId {
-                kind: ArtifactKind::MonitorSet,
-                key: model_fp::monitor_fingerprint(model),
-            },
-            owner: name.clone(),
-            label: name,
-        }];
-        let mut monitors = ctx.run_keyed(
-            "monitor-set",
-            &items,
-            |_, monitor: RuntimeMonitor| monitor,
-            |_| Ok(()),
-            |_: &(), _| Ok(RuntimeMonitor::generate(model)),
-            |_, monitor| monitor.clone(),
-        )?;
-        Ok(PassArtifact::Monitor(monitors.pop().expect("one monitor item")))
+        let monitor = ctx.run_uncached("monitor-set", 1, || Ok(RuntimeMonitor::generate(model)))?;
+        Ok(PassArtifact::Monitor(monitor))
     }
 }
 
 /// HARA risk-log pass: assesses every FMEA failure mode of an upstream
 /// FMEA-producing pass against the hazard log (or the fallback policy)
-/// and derives the per-mode ASIL. Keyed by the rows it assesses, not the
-/// whole table, so a FIT- or share-only edit re-assesses nothing.
+/// and derives the per-mode ASIL, on every run: the assessment costs less
+/// than serving the log from the store.
 #[derive(Debug, Clone)]
 pub struct HaraPass {
     deps: [&'static str; 1],
@@ -1149,10 +1122,6 @@ impl AnalysisPass for HaraPass {
         &self.deps
     }
 
-    fn kinds(&self) -> &[ArtifactKind] {
-        &[ArtifactKind::RiskLog]
-    }
-
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassArtifact> {
         let source = ctx.dep_arc(self.deps[0])?;
         let table = expect_upstream(
@@ -1162,55 +1131,19 @@ impl AnalysisPass for HaraPass {
             self.id(),
             self.deps[0],
         )?;
-        let hazards = ctx.input.hazards;
-        let policy = ctx.input.policy;
-        // Exactly what `RiskLog::assess` reads: the title's system name,
-        // each row's (component, failure mode, safety-related) in order,
-        // the hazard log and the policy.
-        let mut h = Hasher::new();
-        h.write_str("risk-log");
-        h.write_str(&table.system);
-        h.write_u64(table.rows.len() as u64);
-        for row in &table.rows {
-            h.write_str(&row.component).write_str(&row.failure_mode).write_bool(row.safety_related);
-        }
-        match hazards {
-            Some(log) => {
-                h.write_bool(true);
-                h.write_fingerprint(model_fp::serialized_fingerprint(log, "hazard-log"));
-            }
-            None => {
-                h.write_bool(false);
-            }
-        }
-        h.write_u64(policy.severity as u64);
-        h.write_u64(policy.exposure as u64);
-        h.write_u64(policy.controllability as u64);
-        let items = [WorkItem {
-            id: ArtifactId { kind: ArtifactKind::RiskLog, key: h.finish() },
-            owner: table.system.clone(),
-            label: table.system.clone(),
-        }];
-        let title = format!("{} risk log", table.system);
-        let mut logs = ctx.run_keyed(
-            "risk-log",
-            &items,
-            |_, log: RiskLog| log,
-            |_| Ok(()),
-            |_: &(), _| {
-                Ok(RiskLog::assess(
-                    title.clone(),
-                    table
-                        .rows
-                        .iter()
-                        .map(|r| (r.component.as_str(), r.failure_mode.as_str(), r.safety_related)),
-                    hazards,
-                    &policy,
-                ))
-            },
-            |_, log| log.clone(),
-        )?;
-        Ok(PassArtifact::RiskLog(logs.pop().expect("one risk-log item")))
+        let (hazards, policy) = (ctx.input.hazards, ctx.input.policy);
+        let log = ctx.run_uncached("risk-log", 1, || {
+            Ok(RiskLog::assess(
+                format!("{} risk log", table.system),
+                table
+                    .rows
+                    .iter()
+                    .map(|r| (r.component.as_str(), r.failure_mode.as_str(), r.safety_related)),
+                hazards,
+                &policy,
+            ))
+        })?;
+        Ok(PassArtifact::RiskLog(log))
     }
 }
 
@@ -1257,25 +1190,18 @@ impl AnalysisPass for MonteCarloPass {
             ids::INJECTION,
         )?;
 
-        let start = Instant::now();
-        let _phase_span =
-            ctx.telemetry.enabled().then(|| ctx.telemetry.span("phase:mc-trials", "phase"));
-        // One working copy: every trial re-stamps every row of it.
-        let mut table = verdicts.clone();
-        let samples = (0..trials)
-            .map(|trial| {
-                let drawn =
-                    montecarlo::perturb(reliability, &mut montecarlo::trial_rng(seed, trial));
-                montecarlo::reweight(&mut table, &injection::candidates(diagram, &drawn))?;
-                Ok(TrialMetrics::of(&table))
-            })
-            .collect::<Result<Vec<TrialMetrics>>>()?;
-        ctx.phases.push(PhaseStats {
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            jobs_total: trials,
-            jobs_executed: trials,
-            ..PhaseStats::new("mc-trials")
-        });
+        let samples = ctx.run_uncached("mc-trials", trials, || {
+            // One working copy: every trial re-stamps every row of it.
+            let mut table = verdicts.clone();
+            (0..trials)
+                .map(|trial| {
+                    let drawn =
+                        montecarlo::perturb(reliability, &mut montecarlo::trial_rng(seed, trial));
+                    montecarlo::reweight(&mut table, &injection::candidates(diagram, &drawn))?;
+                    Ok(TrialMetrics::of(&table))
+                })
+                .collect::<Result<Vec<TrialMetrics>>>()
+        })?;
         Ok(PassArtifact::MonteCarlo(MonteCarloReport::from_trials(seed, &samples)))
     }
 }

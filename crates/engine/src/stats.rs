@@ -16,7 +16,8 @@ pub struct PhaseStats {
     pub wall_ms: f64,
     /// Work units the phase covered (cached + executed).
     pub jobs_total: usize,
-    /// Work units actually executed (the cache misses).
+    /// Work units actually executed: the cache misses of a store-backed
+    /// phase, every unit of a phase that computes on every run.
     pub jobs_executed: usize,
     /// Artefacts served from the cache.
     pub cache_hits: usize,
@@ -44,10 +45,6 @@ impl PhaseStats {
 pub struct EngineStats {
     /// Per-phase counters, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Entries change-driven invalidation (`rerun`) dropped from the
-    /// store's memory. A fresh process holds none before its first
-    /// lookup, so a one-shot `decisive rerun` reports 0.
-    pub invalidated_keys: usize,
     /// Persisted cache entries that failed checksum or shape validation
     /// on load and were quarantined (then recomputed).
     pub quarantined_entries: usize,
@@ -121,11 +118,10 @@ impl EngineStats {
         }
         let _ = writeln!(
             out,
-            "# cache hit rate {:.1}% ({} hits / {} lookups), {} key(s) invalidated{}",
+            "# cache hit rate {:.1}% ({} hits / {} lookups){}",
             self.hit_rate() * 100.0,
             self.cache_hits(),
             self.cache_hits() + self.cache_misses(),
-            self.invalidated_keys,
             if self.quarantined_entries > 0 {
                 format!(", {} entr(ies) quarantined", self.quarantined_entries)
             } else {

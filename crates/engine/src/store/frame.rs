@@ -217,14 +217,14 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        encode(ArtifactKind::GraphRow, Fingerprint(0xfeed), "D1", r#"{"x":1}"#)
+        encode(ArtifactKind::GraphFacts, Fingerprint(0xfeed), "D1", r#"{"x":1}"#)
     }
 
     #[test]
     fn roundtrips() {
         let frame = sample();
         let body = decode(&frame).unwrap();
-        assert_eq!(body.kind, ArtifactKind::GraphRow);
+        assert_eq!(body.kind, ArtifactKind::GraphFacts);
         assert_eq!(body.key, Fingerprint(0xfeed));
         assert_eq!(body.owner, "D1");
         assert_eq!(body.value_json, r#"{"x":1}"#);
@@ -261,12 +261,14 @@ mod tests {
 
     #[test]
     fn retired_kinds_scan_as_dead_frames_and_unknown_kinds_as_corrupt() {
-        let retired = encode_tagged("mc-trial", Fingerprint(3), "design", "{}");
-        match scan_step(&retired) {
-            ScanStep::Retired { len } => assert_eq!(len, retired.len()),
-            other => panic!("expected a retired frame, got {other:?}"),
+        for tag in ["mc-trial", "graph-row", "monitor-set", "risk-log"] {
+            let retired = encode_tagged(tag, Fingerprint(3), "design", "{}");
+            match scan_step(&retired) {
+                ScanStep::Retired { len } => assert_eq!(len, retired.len(), "{tag}"),
+                other => panic!("expected a retired {tag} frame, got {other:?}"),
+            }
+            assert!(decode(&retired).is_err(), "a retired {tag} frame never serves a read");
         }
-        assert!(decode(&retired).is_err(), "a retired frame never serves a read");
         let unknown = encode_tagged("no-such-kind", Fingerprint(3), "design", "{}");
         assert!(matches!(scan_step(&unknown), ScanStep::Corrupt { .. }));
     }
@@ -286,12 +288,12 @@ mod tests {
         let first_len = bytes.len();
         // Flip one body byte of the first frame, then append a clean one.
         bytes[HEADER_BYTES + 3] ^= 0xff;
-        bytes.extend(encode(ArtifactKind::MonitorSet, Fingerprint(7), "top", "[]"));
+        bytes.extend(encode(ArtifactKind::AssuranceCase, Fingerprint(7), "top", "[]"));
         let step = scan_step(&bytes);
         let ScanStep::Corrupt { len, .. } = step else { panic!("expected corrupt, got {step:?}") };
         assert_eq!(len, first_len, "scan resyncs exactly after the corrupt frame");
         match scan_step(&bytes[len..]) {
-            ScanStep::Frame { kind, .. } => assert_eq!(kind, ArtifactKind::MonitorSet),
+            ScanStep::Frame { kind, .. } => assert_eq!(kind, ArtifactKind::AssuranceCase),
             other => panic!("clean second frame expected, got {other:?}"),
         }
     }

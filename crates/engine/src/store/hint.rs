@@ -188,7 +188,7 @@ mod tests {
 
     fn entries() -> Vec<Entry> {
         vec![
-            Entry { kind: Some(ArtifactKind::GraphRow), key: Fingerprint(1), offset: 8, len: 40 },
+            Entry { kind: Some(ArtifactKind::GraphFacts), key: Fingerprint(1), offset: 8, len: 40 },
             Entry { kind: None, key: Fingerprint(2), offset: 48, len: 30 },
             Entry {
                 kind: Some(ArtifactKind::FtaSubtree),

@@ -1313,7 +1313,7 @@ mod tests {
 
     fn put(store: &SegmentStore, key: u64, text: &str) {
         store
-            .append(ArtifactKind::GraphRow, Fingerprint(key), "D1", &Value::from(text))
+            .append(ArtifactKind::GraphFacts, Fingerprint(key), "D1", &Value::from(text))
             .expect("append succeeds");
     }
 
@@ -1330,10 +1330,10 @@ mod tests {
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(recovery.live_frames, 2);
-        let (owner, value) = store.get(ArtifactKind::GraphRow, Fingerprint(1)).unwrap();
+        let (owner, value) = store.get(ArtifactKind::GraphFacts, Fingerprint(1)).unwrap();
         assert_eq!(owner, "D1");
         assert_eq!(value, Value::from("one"));
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(9)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(9)).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1351,7 +1351,7 @@ mod tests {
         let (store, recovery) = open(&dir, small());
         assert!(recovery.is_clean(), "{recovery:?}");
         for i in 0..32 {
-            let (_, value) = store.get(ArtifactKind::GraphRow, Fingerprint(i)).unwrap();
+            let (_, value) = store.get(ArtifactKind::GraphFacts, Fingerprint(i)).unwrap();
             assert_eq!(value, Value::from(format!("value-{i}").as_str()));
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1379,7 +1379,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), committed_len as u64);
         assert!(dir.join(STORE_QUARANTINE_FILE).exists(), "torn bytes kept for post-mortem");
         assert!(
-            store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_some(),
+            store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_some(),
             "the committed frame before the tear survives"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1406,8 +1406,8 @@ mod tests {
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(recovery.scanned_bytes, 0);
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_some());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(2)).is_some());
         assert_eq!(store.health().quarantined_frames, 1);
         assert_eq!(store.len(), 1);
         assert!(dir.join(STORE_QUARANTINE_FILE).exists(), "read rot kept for post-mortem");
@@ -1418,8 +1418,8 @@ mod tests {
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert_eq!(recovery.quarantined_frames, 1);
         assert_eq!(recovery.live_frames, 1, "scan resynced past the corrupt frame");
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_some());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(2)).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1434,9 +1434,9 @@ mod tests {
 
         // A valid hint that swaps the two (equal-sized) frames' keys: it
         // tiles and checksums, but each slot locates the other frame.
-        let len = frame::encode(ArtifactKind::GraphRow, Fingerprint(1), "D1", "\"one\"").len();
+        let len = frame::encode(ArtifactKind::GraphFacts, Fingerprint(1), "D1", "\"one\"").len();
         let entry = |key, offset| hint::Entry {
-            kind: Some(ArtifactKind::GraphRow),
+            kind: Some(ArtifactKind::GraphFacts),
             key: Fingerprint(key),
             offset,
             len: len as u32,
@@ -1451,8 +1451,8 @@ mod tests {
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert_eq!((recovery.hinted_segments, recovery.scanned_bytes), (1, 0));
         assert_eq!(store.len(), 2);
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_none());
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(2)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(2)).is_none());
         assert_eq!(store.health().quarantined_frames, 2, "both mismatches are read rot");
         assert!(store.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -1475,7 +1475,7 @@ mod tests {
         assert_eq!(recovery.scanned_bytes, 0, "every synced byte is hinted");
         assert_eq!(recovery.hinted_segments, segments);
         assert_eq!(store.len(), 32);
-        let (_, value) = store.get(ArtifactKind::GraphRow, Fingerprint(31)).unwrap();
+        let (_, value) = store.get(ArtifactKind::GraphFacts, Fingerprint(31)).unwrap();
         assert_eq!(value, Value::from("value-31"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1503,14 +1503,14 @@ mod tests {
         assert!(after.segments < before.segments);
 
         // The compacted store keeps serving, accepts appends, and reopens.
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(3)).is_some());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(3)).is_some());
         put(&store, 9, "post-compaction");
         store.sync().unwrap();
         drop(store);
         let (store, recovery) = open(&dir, small());
         assert!(recovery.is_clean(), "{recovery:?}");
         assert_eq!(recovery.live_frames, 5);
-        let (_, value) = store.get(ArtifactKind::GraphRow, Fingerprint(0)).unwrap();
+        let (_, value) = store.get(ArtifactKind::GraphFacts, Fingerprint(0)).unwrap();
         assert_eq!(value, Value::from("round-7-key-0"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1561,7 +1561,7 @@ mod tests {
         let (store, recovery) = open(&dir, StoreOptions::default());
         assert!(!recovery.is_clean(), "{recovery:?}");
         assert!(dir.join(format!("{MANIFEST_FILE}.quarantined")).exists(), "kept for post-mortem");
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_some(), "segment 1 served");
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_some(), "segment 1 served");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1575,7 +1575,7 @@ mod tests {
         // An interrupted swap leaves an unlisted segment behind.
         let mut orphan = SEGMENT_MAGIC.to_vec();
         orphan.extend(frame::encode(
-            ArtifactKind::GraphRow,
+            ArtifactKind::GraphFacts,
             Fingerprint(99),
             "ghost",
             "\"never committed\"",
@@ -1586,7 +1586,7 @@ mod tests {
         assert!(recovery.is_clean(), "orphan removal is routine: {recovery:?}");
         assert_eq!(recovery.removed_orphan_segments, 1);
         assert!(!dir.join(segment_name(7)).exists());
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(99)).is_none());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(99)).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1603,7 +1603,7 @@ mod tests {
         let dir2 = scratch("exim2");
         let (fresh, _) = open(&dir2, StoreOptions::default());
         assert_eq!(fresh.import(&snapshot).unwrap(), 2);
-        let (_, value) = fresh.get(ArtifactKind::GraphRow, Fingerprint(2)).unwrap();
+        let (_, value) = fresh.get(ArtifactKind::GraphFacts, Fingerprint(2)).unwrap();
         assert_eq!(value, Value::from("two"));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
@@ -1630,16 +1630,19 @@ mod tests {
         put(&store, 2, "unsynced");
         assert!(store.sync().is_err(), "injected fsync failure");
         assert!(matches!(
-            store.append(ArtifactKind::GraphRow, Fingerprint(3), "D1", &Value::Null),
+            store.append(ArtifactKind::GraphFacts, Fingerprint(3), "D1", &Value::Null),
             Err(EngineError::Store(_))
         ));
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_some(), "reads keep working");
+        assert!(
+            store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_some(),
+            "reads keep working"
+        );
 
         // Reopen repairs: the committed frame survives, the torn one is
         // at most quarantined.
         drop(store);
         let (store, _) = open(&dir, StoreOptions::default());
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(1)).is_some());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(1)).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

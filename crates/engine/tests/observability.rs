@@ -37,11 +37,10 @@ proptest! {
         prop_assert!(well_formed.is_ok(), "trace violation: {:?}", well_formed);
         prop_assert_eq!(report.span_count("phase:graph-facts"), 1);
         prop_assert_eq!(report.span_count("phase:graph-rows"), 1);
-        prop_assert_eq!(report.counters.get("scheduler.jobs").copied(), Some(n as u64 + 1));
-        prop_assert_eq!(
-            report.counters.get("cache.graph-row.misses").copied(),
-            Some(n as u64)
-        );
+        // One container: one facts job, scheduled on a miss; the rows are
+        // computed outside the scheduler.
+        prop_assert_eq!(report.counters.get("scheduler.jobs").copied(), Some(1));
+        prop_assert_eq!(report.counters.get("cache.graph-facts.misses").copied(), Some(1));
     }
 
     /// The full standard pipeline under a recording sink equals the noop
@@ -94,13 +93,15 @@ fn drain_resets_and_warm_runs_record_hits() {
 
     engine.analyze_graph(&model, top).expect("cold run");
     let cold = sink.drain();
-    assert_eq!(cold.counters.get("cache.graph-row.misses").copied(), Some(4));
-    assert_eq!(cold.counters.get("cache.graph-row.hits").copied(), None);
+    assert_eq!(cold.counters.get("cache.graph-facts.misses").copied(), Some(1));
+    assert_eq!(cold.counters.get("cache.graph-facts.hits").copied(), None);
+    assert_eq!(cold.counters.get("scheduler.jobs").copied(), Some(1));
 
     engine.analyze_graph(&model, top).expect("warm run");
     let warm = sink.drain();
-    assert_eq!(warm.counters.get("cache.graph-row.hits").copied(), Some(4));
-    assert_eq!(warm.counters.get("cache.graph-row.misses").copied(), None);
+    assert_eq!(warm.counters.get("cache.graph-facts.hits").copied(), Some(1));
+    assert_eq!(warm.counters.get("cache.graph-facts.misses").copied(), None);
+    assert_eq!(warm.counters.get("scheduler.jobs").copied(), None, "a warm run schedules nothing");
     assert_eq!(warm.span_count("phase:graph-rows"), 1);
     warm.check_well_formed().expect("warm trace well-formed");
 }

@@ -199,7 +199,7 @@ impl AnalysisPass for PanicPass {
 
 /// A pass that panics fails the run with a typed error and leaves the
 /// engine its store: the next analysis is served from the shared store
-/// the engine was built over, without executing a job.
+/// the engine was built over, without a cache miss.
 #[test]
 fn a_panicking_pass_leaves_the_engine_its_store() {
     let (model, top) = case_study::ssam_model();
@@ -211,7 +211,11 @@ fn a_panicking_pass_leaves_the_engine_its_store() {
     assert!(matches!(err, EngineError::Pipeline(_)), "{err:?}");
     engine.reset_run_state();
     engine.analyze_graph(&model, top).expect("analysis after the panic");
-    assert_eq!(engine.stats().jobs_executed(), 0, "the engine lost its store to the panic");
+    let stats = engine.stats();
+    assert_eq!(stats.cache_misses(), 0, "the engine lost its store to the panic");
+    for phase in stats.phases.iter().filter(|p| p.jobs_executed > 0) {
+        assert_eq!((phase.cache_hits, phase.cache_misses), (0, 0), "{phase:?}");
+    }
 }
 
 /// A pass that panics beside an independent pass fails the run with a
@@ -274,9 +278,10 @@ fn standard_pipeline_covers_the_case_study() {
     assert_eq!(assurance.total, assurance.satisfied + assurance.open.len());
 }
 
-/// Whole-pipeline verification after an edit: the warm artefacts (served
-/// partly from cache) are equivalent to a cold engine's from-scratch run,
-/// artefact by artefact — and the warm run really did hit the cache.
+/// Whole-pipeline verification after an edit: the warm artefacts (built
+/// partly from cached ones) are equivalent to a cold engine's from-scratch
+/// run, artefact by artefact — and the warm run really did hit the cache:
+/// a FIT edit leaves every container's path facts valid.
 #[test]
 fn warm_pipeline_after_edit_verifies_against_cold() {
     let (model, top) = case_study::ssam_model();
@@ -288,12 +293,14 @@ fn warm_pipeline_after_edit_verifies_against_cold() {
     let d1 = edited.component_by_name("D1").expect("case-study diode");
     edited.components[d1].fit = Some(Fit::new(20.0));
     engine.reset_stats();
-    engine
+    let run = engine
         .verify_pipeline_against_full(&pipeline, &PipelineInput::for_model(&edited, edited_top))
         .expect("warm-after-edit run equals the cold recomputation");
-    let rows = engine.stats().phase("graph-rows").expect("graph-rows phase ran");
-    assert!(rows.cache_hits > 0, "the edit invalidated some rows, not all of them");
-    assert_eq!(rows.jobs_executed, 1, "only the edited component's row recomputes");
+    let facts = engine.stats().phase("graph-facts").expect("graph-facts phase ran");
+    assert_eq!(facts.jobs_executed, 0, "a FIT edit leaves the topology alone");
+    assert_eq!(facts.cache_hits, facts.jobs_total);
+    let full = graph::run(&edited, edited_top, &GraphConfig::default()).expect("full run");
+    assert_eq!(run.fmea(), Some(&full));
 }
 
 // ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ fn seed(store: &SegmentStore, keys: u64, versions: u64) -> HashMap<u64, u64> {
     for version in 0..versions {
         for key in 0..keys {
             store
-                .append(ArtifactKind::GraphRow, Fingerprint(key), "D1", &payload(key, version))
+                .append(ArtifactKind::GraphFacts, Fingerprint(key), "D1", &payload(key, version))
                 .expect("seed append");
             live.insert(key, version);
         }
@@ -81,7 +81,7 @@ fn seed(store: &SegmentStore, keys: u64, versions: u64) -> HashMap<u64, u64> {
 fn assert_live(store: &SegmentStore, live: &HashMap<u64, u64>, context: &str) {
     for (&key, &version) in live {
         let (_, value) = store
-            .get(ArtifactKind::GraphRow, Fingerprint(key))
+            .get(ArtifactKind::GraphFacts, Fingerprint(key))
             .unwrap_or_else(|| panic!("{context}: live key {key} unreadable"));
         let got = value.get("version").and_then(Value::as_i64).unwrap() as u64;
         assert_eq!(got, version, "{context}: key {key} serves the wrong version");
@@ -156,7 +156,7 @@ fn concurrent_readers_never_observe_a_partial_swap() {
             while !stop.load(Ordering::Relaxed) {
                 let key = reader % keys;
                 let (owner, value) = log
-                    .get(ArtifactKind::GraphRow, Fingerprint(key))
+                    .get(ArtifactKind::GraphFacts, Fingerprint(key))
                     .expect("a seeded key is always readable");
                 assert_eq!(owner, "D1");
                 let version =
@@ -170,7 +170,7 @@ fn concurrent_readers_never_observe_a_partial_swap() {
     // Writer + compactor: bump versions and compact continuously.
     for round in 3..40u64 {
         for key in 0..keys {
-            log.append(ArtifactKind::GraphRow, Fingerprint(key), "D1", &payload(key, round))
+            log.append(ArtifactKind::GraphFacts, Fingerprint(key), "D1", &payload(key, round))
                 .expect("append during reads");
         }
         log.sync().expect("sync during reads");

@@ -112,7 +112,7 @@ fn run_workload(
         let key = version % keys.max(1);
         appended.insert(key, version);
         if store
-            .append(ArtifactKind::GraphRow, Fingerprint(key), "D1", &payload(key, version))
+            .append(ArtifactKind::GraphFacts, Fingerprint(key), "D1", &payload(key, version))
             .is_err()
         {
             return (committed, appended);
@@ -141,7 +141,7 @@ fn check_invariants(
     let (store, _recovery) = reopen(dir);
     for (&key, &version) in committed {
         let (_, value) = store
-            .get(ArtifactKind::GraphRow, Fingerprint(key))
+            .get(ArtifactKind::GraphFacts, Fingerprint(key))
             .ok_or_else(|| format!("committed key {key} (version {version}) lost by recovery"))?;
         let got = version_of(&value);
         if got < version {
@@ -150,11 +150,11 @@ fn check_invariants(
             ));
         }
     }
-    for key in store.keys_of_kind(ArtifactKind::GraphRow) {
+    for key in store.keys_of_kind(ArtifactKind::GraphFacts) {
         let latest = appended
             .get(&key.0)
             .ok_or_else(|| format!("recovered key {} was never appended", key.0))?;
-        if let Some((_, value)) = store.get(ArtifactKind::GraphRow, key) {
+        if let Some((_, value)) = store.get(ArtifactKind::GraphFacts, key) {
             let got = version_of(&value);
             if got > *latest {
                 return Err(format!(
@@ -354,8 +354,8 @@ fn bit_flips_at_rest_never_panic_recovery() {
         // No invariant on how *much* survives (the manifest itself may
         // have been hit), only on integrity: whatever is served decodes
         // to a value the workload wrote.
-        for key in store.keys_of_kind(ArtifactKind::GraphRow) {
-            if let Some((owner, value)) = store.get(ArtifactKind::GraphRow, key) {
+        for key in store.keys_of_kind(ArtifactKind::GraphFacts) {
+            if let Some((owner, value)) = store.get(ArtifactKind::GraphFacts, key) {
                 assert_eq!(owner, "D1");
                 assert!(version_of(&value) < 12);
             }
@@ -383,9 +383,10 @@ fn legacy_frame(tag: &str, key: u64, owner: &str, value_json: &str) -> Vec<u8> {
 }
 
 /// A store written by a build that still kept per-trial Monte-Carlo
-/// artefacts (`mc-trial` frames) opens cleanly: those frames are stale,
-/// not corrupt, so nothing is quarantined. They serve nothing, count as
-/// dead, and compaction drops them.
+/// artefacts (`mc-trial` frames), graph rows, monitor sets or risk logs
+/// opens cleanly: those frames are stale, not corrupt, so nothing is
+/// quarantined. They serve nothing, count as dead, and compaction drops
+/// them; the live kinds keep serving.
 #[test]
 fn retired_mc_trial_frames_open_clean_and_compact_away() {
     let dir = TempDir::new("retired");
@@ -397,13 +398,16 @@ fn retired_mc_trial_frames_open_clean_and_compact_away() {
     }
     let segment = dir.path().join("seg-000001.seg");
     let mut bytes = std::fs::read(&segment).expect("the only segment");
-    for trial in 0..3u64 {
-        bytes.extend(legacy_frame(
-            "mc-trial",
-            trial,
-            "System B",
-            r#"{"spfm":0.9,"lfm":1.0,"pmhf":1e-7}"#,
-        ));
+    let retired = [
+        ("mc-trial", "System B", r#"{"spfm":0.9,"lfm":1.0,"pmhf":1e-7}"#),
+        ("graph-row", "D1", r#"[{"component":"D1","failure_mode":"Open"}]"#),
+        ("monitor-set", "System B", r#"{"checks":[]}"#),
+        ("risk-log", "System B", r#"{"title":"System B risk log","entries":[]}"#),
+    ];
+    for (tag, owner, value) in retired {
+        for key in 0..3u64 {
+            bytes.extend(legacy_frame(tag, key, owner, value));
+        }
     }
     std::fs::write(&segment, &bytes).expect("append legacy frames");
 
@@ -418,7 +422,7 @@ fn retired_mc_trial_frames_open_clean_and_compact_away() {
     assert!(recovery.scanned_bytes > 0, "the unhinted legacy frames were scanned");
     assert!(!dir.path().join(STORE_QUARANTINE_FILE).exists());
     let health = store.health();
-    assert_eq!(health.dead_frames, 3, "the retired frames are dead weight");
+    assert_eq!(health.dead_frames, 12, "the retired frames are dead weight");
     drop(store);
 
     // That open hinted them as dead frames: the next one reads no
@@ -426,17 +430,20 @@ fn retired_mc_trial_frames_open_clean_and_compact_away() {
     let (store, recovery) = open();
     assert!(recovery.is_clean(), "{recovery:?}");
     assert_eq!((recovery.scanned_bytes, recovery.live_frames), (0, 4));
-    assert_eq!(store.health().dead_frames, 3, "dead through the hint log");
+    assert_eq!(store.health().dead_frames, 12, "dead through the hint log");
+    for key in 0..4 {
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(key)).is_some());
+    }
 
     let summary = store.compact().expect("compaction");
-    assert_eq!(summary.dropped_frames, 3);
+    assert_eq!(summary.dropped_frames, 12);
     assert_eq!(summary.live_frames, 4);
     drop(store);
     let (store, recovery) = open();
     assert!(recovery.is_clean(), "{recovery:?}");
     assert_eq!(store.health().dead_frames, 0, "compaction dropped them for good");
     for key in 0..4 {
-        assert!(store.get(ArtifactKind::GraphRow, Fingerprint(key)).is_some());
+        assert!(store.get(ArtifactKind::GraphFacts, Fingerprint(key)).is_some());
     }
 }
 
@@ -464,10 +471,10 @@ fn frame_bytes(dir: &Path) -> u64 {
 fn served(dir: &Path) -> (BTreeMap<u64, u64>, usize, usize, usize, StoreRecovery) {
     let (store, recovery) = reopen(dir);
     let map: BTreeMap<u64, u64> = store
-        .keys_of_kind(ArtifactKind::GraphRow)
+        .keys_of_kind(ArtifactKind::GraphFacts)
         .into_iter()
         .filter_map(|key| {
-            store.get(ArtifactKind::GraphRow, key).map(|(_, v)| (key.0, version_of(&v)))
+            store.get(ArtifactKind::GraphFacts, key).map(|(_, v)| (key.0, version_of(&v)))
         })
         .collect();
     let health = store.health();
@@ -495,7 +502,7 @@ fn three_batches(dir: &Path) -> BTreeMap<u64, u64> {
         for key in 0..4u64 {
             let id = batch * 4 + key;
             store
-                .append(ArtifactKind::GraphRow, Fingerprint(id), "D1", &payload(id, id))
+                .append(ArtifactKind::GraphFacts, Fingerprint(id), "D1", &payload(id, id))
                 .expect("append");
             expected.insert(id, id);
         }
@@ -510,10 +517,10 @@ fn open_default(dir: &Path) -> (SegmentStore, StoreRecovery) {
 
 fn versions(store: &SegmentStore) -> BTreeMap<u64, u64> {
     store
-        .keys_of_kind(ArtifactKind::GraphRow)
+        .keys_of_kind(ArtifactKind::GraphFacts)
         .into_iter()
         .map(|key| {
-            let (_, value) = store.get(ArtifactKind::GraphRow, key).expect("indexed key serves");
+            let (_, value) = store.get(ArtifactKind::GraphFacts, key).expect("indexed key serves");
             (key.0, version_of(&value))
         })
         .collect()
@@ -600,7 +607,12 @@ fn a_hint_beyond_the_segment_end_is_ignored_and_dropped() {
     // Grow the segment past the stale batch's end with other frames.
     for key in 0..8u64 {
         store
-            .append(ArtifactKind::GraphRow, Fingerprint(100 + key), "D1", &payload(key, 100 + key))
+            .append(
+                ArtifactKind::GraphFacts,
+                Fingerprint(100 + key),
+                "D1",
+                &payload(key, 100 + key),
+            )
             .unwrap();
     }
     store.sync().unwrap();
@@ -681,7 +693,7 @@ fn run_ops(store: &SegmentStore, ops: &[Op]) {
     for (version, op) in ops.iter().enumerate() {
         let result = match op {
             Op::Append(key) => store.append(
-                ArtifactKind::GraphRow,
+                ArtifactKind::GraphFacts,
                 Fingerprint(*key),
                 "D1",
                 &payload(*key, version as u64),

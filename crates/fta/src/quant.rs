@@ -181,8 +181,11 @@ fn cut_set_probability<E, Error>(
 }
 
 /// The rare-event approximation `P(top) ≈ Σ P(cut set)`, capped at 1.
+/// Folds from +0.0: an empty `Iterator::<f64>::sum` is −0.0, which would
+/// print a tree with no cut sets as a negative top probability. Every
+/// probability is non-negative, so a non-empty sum keeps its bits.
 fn rare_event_sum(cut_set_probabilities: &[f64]) -> f64 {
-    cut_set_probabilities.iter().sum::<f64>().min(1.0)
+    cut_set_probabilities.iter().fold(0.0, |sum, p| sum + p).min(1.0)
 }
 
 #[cfg(test)]

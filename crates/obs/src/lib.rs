@@ -108,9 +108,9 @@ impl Telemetry {
         &self.sink
     }
 
-    /// Microseconds since this handle's epoch.
-    pub(crate) fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
+    /// Microseconds from this handle's epoch to `at`.
+    pub(crate) fn us_at(&self, at: Instant) -> f64 {
+        at.duration_since(self.epoch).as_secs_f64() * 1e6
     }
 
     /// Opens a span; it ends (and is recorded) when the returned guard

@@ -96,14 +96,18 @@ impl<'a> Span<'a> {
             stack.push(id);
             parent
         });
+        // One clock read fixes both the start and, with the elapsed time
+        // at drop, the end: a span's interval then nests inside its
+        // parent's even if the thread is preempted while opening it.
+        let started = Instant::now();
         Span {
             live: Some(LiveSpan {
                 id,
                 parent,
                 name: name.into(),
                 category,
-                start_us: telemetry.now_us(),
-                started: Instant::now(),
+                start_us: telemetry.us_at(started),
+                started,
                 args: Vec::new(),
             }),
             telemetry,

@@ -489,19 +489,14 @@ mod tests {
         let parsed = json::parse(&response).unwrap();
         assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(true));
         let stats = parsed.get("result").unwrap().get("stats").unwrap();
-        let executed: i64 = stats
-            .get("phases")
-            .and_then(|p| match p {
-                Value::List(items) => Some(
-                    items
-                        .iter()
-                        .filter_map(|i| i.get("jobs_executed").and_then(Value::as_i64))
-                        .sum(),
-                ),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(executed, 0, "zero recomputed artifacts in the second session");
+        let phases = stats.get("phases").and_then(Value::as_list).unwrap();
+        let int = |p: &Value, key: &str| p.get(key).and_then(Value::as_i64).unwrap();
+        let misses: i64 = phases.iter().map(|p| int(p, "cache_misses")).sum();
+        assert_eq!(misses, 0, "zero recomputed artifacts in the second session");
+        for phase in phases.iter().filter(|p| int(p, "jobs_executed") > 0) {
+            let lookups = int(phase, "cache_hits") + int(phase, "cache_misses");
+            assert_eq!(lookups, 0, "only phases that compute every run execute: {phase:?}");
+        }
         assert!(daemon.shared().shared_hits() > 0);
         std::fs::remove_file(&path).ok();
     }

@@ -139,7 +139,7 @@ mod tests {
         let session = registry.get_or_create("alice").unwrap();
         let session = session.lock().unwrap();
         let key = decisive_engine::fingerprint::Hasher::new().write_str("k").finish();
-        registry.shared().put(decisive_engine::ArtifactKind::GraphRow, key, "D1", &1i64).unwrap();
+        registry.shared().put(decisive_engine::ArtifactKind::GraphFacts, key, "D1", &1i64).unwrap();
         assert_eq!(session.engine.cache().len(), 1, "the session's store is the registry's");
     }
 

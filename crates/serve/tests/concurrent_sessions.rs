@@ -77,7 +77,12 @@ fn strip_timing(value: Value) -> Value {
     }
 }
 
-fn executed_jobs(response: &str) -> (i64, i64) {
+/// What a response's run recomputed that a store could have served: its
+/// cache misses, and the phases that executed jobs while looking the
+/// store up. A run on an analysed model gives `(0, [])`: store-backed
+/// phases serve everything, and only the phases that compute on every run
+/// (no hits, no misses) execute jobs.
+fn cold_work(response: &str) -> (i64, Vec<String>) {
     let value = json::parse(response).expect("response reparses");
     let phases = value
         .get("result")
@@ -86,10 +91,16 @@ fn executed_jobs(response: &str) -> (i64, i64) {
         .and_then(Value::as_list)
         .expect("stats.phases present")
         .to_vec();
-    let sum = |key: &str| {
-        phases.iter().map(|p| p.get(key).and_then(Value::as_i64).unwrap_or(0)).sum::<i64>()
-    };
-    (sum("jobs_executed"), sum("cache_misses"))
+    let int = |p: &Value, key: &str| p.get(key).and_then(Value::as_i64).unwrap_or(0);
+    let misses = phases.iter().map(|p| int(p, "cache_misses")).sum();
+    let looked_up = phases
+        .iter()
+        .filter(|p| {
+            int(p, "jobs_executed") > 0 && int(p, "cache_hits") + int(p, "cache_misses") > 0
+        })
+        .filter_map(|p| p.get("name").and_then(Value::as_str).map(str::to_owned))
+        .collect();
+    (misses, looked_up)
 }
 
 proptest! {
@@ -136,22 +147,20 @@ proptest! {
         }
 
         // A latecomer session is served entirely from the shared store:
-        // zero executed jobs, zero cache misses.
+        // zero cache misses, and no store-backed phase executes a job.
         let response = racing
             .handle_line(&pipeline_request("late", &model))
             .expect("latecomer answers");
         prop_assert_eq!(semantic(&response), baseline[0].clone());
-        let (executed, misses) = executed_jobs(&response);
-        prop_assert_eq!(executed, 0);
-        prop_assert_eq!(misses, 0);
+        prop_assert_eq!(cold_work(&response), (0, Vec::new()));
 
         std::fs::remove_dir_all(model.parent().expect("scratch parent")).ok();
     }
 }
 
 /// Cross-session dedup actually happened: after two sessions analyse the
-/// same model, the second executed no job, and `status` reports store
-/// hits and both sessions.
+/// same model, the second missed nothing in the store, and `status`
+/// reports store hits and both sessions.
 #[test]
 fn status_accounts_for_cross_session_sharing() {
     let model = scratch_model("status", &model_text(500, 275));
@@ -164,7 +173,7 @@ fn status_accounts_for_cross_session_sharing() {
             Some(true)
         );
         if session == "bob" {
-            assert_eq!(executed_jobs(&response), (0, 0), "bob is served from alice's work");
+            assert_eq!(cold_work(&response), (0, Vec::new()), "bob is served from alice's work");
         }
     }
     let status = daemon.handle_line(r#"{"op":"status"}"#).expect("status answers");

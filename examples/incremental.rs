@@ -1,6 +1,6 @@
 //! Incremental re-analysis with `decisive-engine`: analyse the case study
-//! cold, edit one component, and watch the engine recompute only the work
-//! that edit dirtied — then prove the shortcut changed nothing with
+//! cold, edit one component, and watch the engine serve the cached work
+//! that edit left valid — then prove the shortcut changed nothing with
 //! `verify_against_full`.
 //!
 //! ```sh
@@ -25,8 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d1 = revised.component_by_name("D1").expect("case study has D1");
     revised.components[d1].fit = Some(Fit::new(20.0));
 
-    // Step 3: `rerun` diffs the revisions, drops exactly the artefacts the
-    // change dirtied, and re-derives the table mostly from cache.
+    // Step 3: `rerun` diffs the revisions and re-derives the table: the
+    // container facts are cache hits (a FIT edit leaves the wiring
+    // alone), and the rows are computed from them.
     engine.reset_stats();
     let (refreshed, report) = engine.rerun(&model, &revised, revised_top)?;
     print!("{}", report.render());

@@ -13,10 +13,10 @@ use decisive::core::{case_study, metrics};
 use decisive::engine::fingerprint::Hasher;
 use decisive::engine::obs::Telemetry;
 use decisive::engine::{
-    ArtifactKind, Engine, EngineConfig, EngineError, Pipeline, PipelineInput, SegmentStore,
-    StoreOptions, STORE_DIR,
+    ArtifactKind, Engine, EngineConfig, EngineError, EngineStats, Pipeline, PipelineInput,
+    SegmentStore, StoreOptions, STORE_DIR,
 };
-use decisive::federation::serde_bridge::{to_json_string, to_value};
+use decisive::federation::serde_bridge::{from_value, to_json_string, to_value};
 use decisive::federation::Value;
 use decisive::ssam::architecture::Fit;
 use decisive::ssam::id::Arena;
@@ -53,6 +53,8 @@ fn durable(dir: &TempCacheDir) -> Engine {
 /// A persisted cache warms a brand-new engine instance, and the warmed
 /// result passes `verify_against_full` — the cache survives "CLI
 /// invocations" (here: engine lifetimes) without going stale or wrong.
+/// Warm means no cache miss; the rows, computed on every run, look
+/// nothing up.
 #[test]
 fn cache_persists_across_engine_instances() {
     let dir = TempCacheDir::new("persist");
@@ -67,14 +69,19 @@ fn cache_persists_across_engine_instances() {
     let mut second = durable(&dir);
     let warm = second.verify_against_full(&model, top).expect("verified warm analysis");
     assert_eq!(warm, cold);
-    let rows = second.stats().phase("graph-rows").expect("rows phase");
-    assert_eq!(rows.cache_misses, 0, "fully served from the persisted cache");
-    assert_eq!(rows.jobs_executed, 0);
+    let stats = second.stats();
+    assert_eq!(stats.cache_misses(), 0, "fully served from the persisted cache");
+    assert!(stats.cache_hits() > 0);
+    for phase in stats.phases.iter().filter(|p| p.jobs_executed > 0) {
+        assert_eq!((phase.cache_hits, phase.cache_misses), (0, 0), "{phase:?}");
+    }
 }
 
 /// The headline incremental bound: a single-component FIT edit on the
 /// Set3-scale chain (5689 model elements) re-runs fewer than 10 % of the
-/// per-component jobs, and still produces exactly the full result.
+/// store-backed jobs — none of the container path-fact jobs, since the
+/// topology is unchanged — and still produces exactly the full result
+/// from the cached facts.
 #[test]
 fn set3_single_edit_reruns_under_ten_percent_of_jobs() {
     let (old_model, old_top) = chain_model(1896);
@@ -88,13 +95,14 @@ fn set3_single_edit_reruns_under_ten_percent_of_jobs() {
 
     let (table, report) = engine.rerun(&old_model, &new_model, new_top).expect("rerun");
     assert!(report.requires_reanalysis());
-    let rows = engine.stats().phase("graph-rows").expect("rows phase");
+    let facts = engine.stats().phase("graph-facts").expect("facts phase");
     assert!(
-        rows.jobs_executed * 10 < rows.jobs_total,
-        "{} of {} row jobs re-ran — not incremental",
-        rows.jobs_executed,
-        rows.jobs_total
+        facts.jobs_executed * 10 < facts.jobs_total,
+        "{} of {} facts jobs re-ran — not incremental",
+        facts.jobs_executed,
+        facts.jobs_total
     );
+    assert_eq!(facts.jobs_executed, 0, "the topology is unchanged");
     assert_eq!(table, graph::run(&new_model, new_top, &GraphConfig::default()).expect("full run"),);
 }
 
@@ -367,16 +375,18 @@ fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
 /// Every work-item key the standard pipeline derives is pinned, over the
 /// two `.bd` designs in `data/` (the brownout one with its reliability
 /// annex), the case-study model and two Set3 instances, in three digests.
-/// The keys of `graph-facts`, `injection-row` and `monitor-set` were
-/// recorded before artefact digests were streamed instead of built as
-/// values, so stores written before that change stay warm. The
-/// `fta-subtree`, `risk-log` and `graph-row` keys were recorded when each
-/// came to cover exactly what its artefact reads: subtree structure
-/// without FITs, shares or mission time; the assessed rows, not the whole
-/// table; failure modes in declaration order. The `assurance-case` keys
-/// were recorded when the generated case (its statements and evidence
-/// queries) joined the key: a change to the case generator must change
-/// these keys, or stored reports of the old case would be served.
+/// The keys of `graph-facts` and `injection-row` were recorded before
+/// artefact digests were streamed instead of built as values, so stores
+/// written before that change stay warm. The `fta-subtree` keys were
+/// recorded when they came to cover exactly what a subtree's structure
+/// reads: no FITs, shares or mission time. The `assurance-case` keys carry
+/// the generated case (its statements and evidence queries), so a change
+/// to the case generator must change them, or stored reports of the old
+/// case would be served; they were last re-recorded when a fault subtree
+/// without cut sets came to quantify as +0.0 instead of −0.0 (the
+/// brownout design's FTA summaries key its case). Graph rows, the risk
+/// log and the monitor set are computed on every run, so a pipeline
+/// stores no other kind.
 #[test]
 fn pipeline_keys_match_the_recorded_digest() {
     let data = |file: &str| {
@@ -387,22 +397,27 @@ fn pipeline_keys_match_the_recorded_digest() {
             .into_owned()
     };
     let (mut h, mut exact, mut assurance) = (Hasher::new(), Hasher::new(), Hasher::new());
-    let exact_kinds = [ArtifactKind::FtaSubtree, ArtifactKind::RiskLog, ArtifactKind::GraphRow];
     let mut kinds = std::collections::BTreeSet::new();
     let mut fold = |engine: &Engine| {
         let snapshot = engine.cache().to_value();
         let entries = snapshot.get("entries").and_then(Value::as_list).expect("snapshot entries");
         for entry in entries {
             let field = |name: &str| entry.get(name).and_then(Value::as_str).expect("entry field");
-            kinds.insert(field("kind").to_owned());
-            let into = if field("kind") == ArtifactKind::AssuranceCase.tag() {
+            let kind = field("kind");
+            kinds.insert(kind.to_owned());
+            let into = if kind == ArtifactKind::AssuranceCase.tag() {
                 &mut assurance
-            } else if exact_kinds.iter().any(|k| k.tag() == field("kind")) {
+            } else if kind == ArtifactKind::FtaSubtree.tag() {
                 &mut exact
-            } else {
+            } else if [ArtifactKind::GraphFacts, ArtifactKind::InjectionRow]
+                .iter()
+                .any(|k| k.tag() == kind)
+            {
                 &mut h
+            } else {
+                continue;
             };
-            into.write_str(field("kind")).write_str(field("key")).write_str(field("owner"));
+            into.write_str(kind).write_str(field("key")).write_str(field("owner"));
         }
     };
     let engine = || Engine::builder().jobs(1).build().expect("in-memory engine");
@@ -428,19 +443,46 @@ fn pipeline_keys_match_the_recorded_digest() {
             .expect("pipeline on a model");
         fold(&e);
     }
-    let expected = [
-        "assurance-case",
-        "fta-subtree",
-        "graph-facts",
-        "graph-row",
-        "injection-row",
-        "monitor-set",
-        "risk-log",
-    ];
+    let expected = ["assurance-case", "fta-subtree", "graph-facts", "injection-row"];
     assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), expected);
-    assert_eq!(h.finish().to_string(), "d91a56afc48f43a5");
-    assert_eq!(exact.finish().to_string(), "555e6bf77bc0e5e1");
-    assert_eq!(assurance.finish().to_string(), "eddcc9180a022f8d");
+    assert_eq!(h.finish().to_string(), "82a7e27c8353a19a");
+    assert_eq!(exact.finish().to_string(), "256b90e8a0ce4270");
+    assert_eq!(assurance.finish().to_string(), "9d260196a0437859");
+}
+
+/// The phases that compute on every run: they look nothing up in the
+/// store.
+const UNCACHED_PHASES: [&str; 4] = ["graph-rows", "monitor-set", "risk-log", "mc-trials"];
+
+/// Folds a run's engine counters into `h`: each phase's name and units,
+/// the executed, hit, miss, retry and timed-out counts of each
+/// store-backed phase, then the quarantined count. An uncached phase must
+/// execute every unit, with no hit, miss, retry or timeout.
+fn fold_counters(h: &mut Hasher, label: &str, stats: &EngineStats) {
+    h.write_str(label);
+    for phase in &stats.phases {
+        h.write_str(&phase.name).write_u64(phase.jobs_total as u64);
+        let counts = [
+            phase.jobs_executed,
+            phase.cache_hits,
+            phase.cache_misses,
+            phase.retries,
+            phase.timed_out,
+        ];
+        if UNCACHED_PHASES.contains(&phase.name.as_str()) {
+            assert_eq!(
+                counts,
+                [phase.jobs_total, 0, 0, 0, 0],
+                "{label}: phase `{}` computes every unit",
+                phase.name
+            );
+        } else {
+            for n in counts {
+                h.write_u64(n as u64);
+            }
+        }
+    }
+    h.write_u64(stats.quarantined_entries as u64);
 }
 
 /// Folds a campaign health report's semantic fields into `h`: the
@@ -480,33 +522,20 @@ fn fold_result<T: serde::Serialize, E: std::fmt::Display>(
     };
 }
 
-/// Folds one `analyze_*` call and the run it left on `engine` into `h`:
-/// the result, every phase's counters (not `wall_ms` or `max_job_ms`),
-/// the campaign health's semantic fields and the degraded-mode report.
-/// The run state is cleared afterwards, so each call reports only itself.
+/// Folds one `analyze_*` call and the run it left on `engine`: the
+/// result, the campaign health's semantic fields and the degraded-mode
+/// report into `h`, and the engine counters into `counters`
+/// ([`fold_counters`]). The run state is cleared afterwards, so each call
+/// reports only itself.
 fn fold_engine_run<T: serde::Serialize>(
     h: &mut Hasher,
+    counters: &mut Hasher,
     engine: &mut Engine,
     label: &str,
     result: Result<T, EngineError>,
 ) {
     fold_result(h, label, &result);
-    let stats = engine.stats();
-    for phase in &stats.phases {
-        h.write_str(&phase.name);
-        let counts = [
-            phase.jobs_total,
-            phase.jobs_executed,
-            phase.cache_hits,
-            phase.cache_misses,
-            phase.retries,
-            phase.timed_out,
-        ];
-        for n in counts {
-            h.write_u64(n as u64);
-        }
-    }
-    h.write_u64(stats.invalidated_keys as u64).write_u64(stats.quarantined_entries as u64);
+    fold_counters(counters, label, engine.stats());
     match engine.campaign_health() {
         Some(health) => fold_health(h.write_bool(true), health),
         None => {
@@ -520,7 +549,9 @@ fn fold_engine_run<T: serde::Serialize>(
 /// What every `analyze_*` wrapper, `injection::run_supervised` and
 /// `injection::run_dual_point` return is pinned by a digest recorded
 /// before the wrappers ran through the pipeline runner and the core sweep
-/// became sequential. Inputs: the case-study model,
+/// became sequential, and re-recorded when a fault subtree without cut
+/// sets came to quantify as +0.0 instead of −0.0; the engine counters of
+/// those calls are pinned by a second digest ([`fold_counters`]). Inputs: the case-study model,
 /// `data/power_supply.bd`, `data/brownout_threshold.bd` with its
 /// reliability annex and the gallery's redundant supply; each design is
 /// analysed as a diagram and as its SSAM lowering, on engines of 1 and 4
@@ -551,38 +582,41 @@ fn analysis_outputs_match_the_recorded_digest() {
     let mut bad_breaker = InjectionConfig::default();
     bad_breaker.campaign.max_unsolvable_fraction = 2.0;
 
-    let mut h = Hasher::new();
+    let (mut h, mut c) = (Hasher::new(), Hasher::new());
     let mut lines = Vec::new();
-    let mut line = |h: &mut Hasher, what: String| lines.push(format!("{what} {}", h.finish()));
+    let mut line = |h: &mut Hasher, c: &mut Hasher, what: String| {
+        lines.push(format!("{what} {} {}", h.finish(), c.finish()))
+    };
     for jobs in [1, 4] {
         for (name, model) in &models {
             let top = decisive::engine::execute::top_of(model).expect("top component");
             let mut e = Engine::builder().jobs(jobs).build().expect("in-memory engine");
             for pass in ["cold", "warm"] {
                 let graph = e.analyze_graph(model, top);
-                fold_engine_run(&mut h, &mut e, &format!("{name} graph {pass}"), graph);
+                fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} graph {pass}"), graph);
             }
             let fta = e.analyze_fta(model, top, 10_000.0);
-            fold_engine_run(&mut h, &mut e, &format!("{name} fta"), fta);
+            fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} fta"), fta);
             let monitors = e.monitors(model);
-            fold_engine_run(&mut h, &mut e, &format!("{name} monitors"), monitors);
-            line(&mut h, format!("jobs {jobs} {name}"));
+            fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} monitors"), monitors);
+            line(&mut h, &mut c, format!("jobs {jobs} {name}"));
         }
         for (name, diagram, db) in &designs {
             let mut e = Engine::builder().jobs(jobs).build().expect("in-memory engine");
             for pass in ["cold", "warm"] {
                 let table = e.analyze_injection(diagram, db, &config);
-                fold_engine_run(&mut h, &mut e, &format!("{name} injection {pass}"), table);
+                let label = format!("{name} injection {pass}");
+                fold_engine_run(&mut h, &mut c, &mut e, &label, table);
             }
             let mc = e.analyze_montecarlo(diagram, db, &config, 32, 7);
-            fold_engine_run(&mut h, &mut e, &format!("{name} montecarlo"), mc);
+            fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} montecarlo"), mc);
             let recommend = e.analyze_recommend(diagram, db, &config);
-            fold_engine_run(&mut h, &mut e, &format!("{name} recommend"), recommend);
+            fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} recommend"), recommend);
             for (what, bad) in [("threshold", &bad_threshold), ("breaker", &bad_breaker)] {
                 let refused = e.analyze_injection(diagram, db, bad);
-                fold_engine_run(&mut h, &mut e, &format!("{name} bad {what}"), refused);
+                fold_engine_run(&mut h, &mut c, &mut e, &format!("{name} bad {what}"), refused);
             }
-            line(&mut h, format!("jobs {jobs} {name} engine"));
+            line(&mut h, &mut c, format!("jobs {jobs} {name} engine"));
         }
     }
     for (name, diagram, db) in &designs {
@@ -604,15 +638,16 @@ fn analysis_outputs_match_the_recorded_digest() {
             let refused = injection::run_dual_point(diagram, db, bad).map(|r| r.table);
             fold_result(&mut h, &format!("{name} dual-point bad {what}"), &refused);
         }
-        line(&mut h, format!("{name} core"));
+        line(&mut h, &mut c, format!("{name} core"));
     }
-    let digest = h.finish().to_string();
-    if digest != "b4478a857b7bf6dc" {
+    let digests = (h.finish().to_string(), c.finish().to_string());
+    if digests != ("5eaae3bdea8114a9".to_owned(), "5f15f082f0aed8fb".to_owned()) {
         for line in &lines {
             eprintln!("{line}");
         }
     }
-    assert_eq!(digest, "b4478a857b7bf6dc");
+    assert_eq!(digests.0, "5eaae3bdea8114a9", "outputs");
+    assert_eq!(digests.1, "5f15f082f0aed8fb", "counters");
 }
 
 /// Drops the wall-clock fields (`wall_ms`, `max_job_ms`, `slowest`) from
@@ -629,54 +664,56 @@ fn timeless(value: &mut Value) {
     }
 }
 
-/// Folds `document` (JSON text) into `h` without its wall-clock fields.
-fn fold_timeless(h: &mut Hasher, label: &str, document: &str) {
+/// Folds one JSON document, a `--format json` result or a daemon
+/// response, into two digests: its engine `stats` (the document's own, or
+/// its `result`'s) into `counters` ([`fold_counters`]), and everything
+/// else but the wall-clock fields into `h`.
+fn fold_document(h: &mut Hasher, counters: &mut Hasher, label: &str, document: &str) {
+    fn take_stats(value: &mut Value) -> Value {
+        let Value::Record(fields) = value else { panic!("a document is a record") };
+        match fields.iter().position(|(name, _)| name == "stats") {
+            Some(at) => fields.remove(at).1,
+            None => {
+                let result = fields.iter_mut().find(|(name, _)| name == "result");
+                take_stats(&mut result.expect("a response carries its result").1)
+            }
+        }
+    }
     let mut value = decisive::federation::json::parse(document).expect("a JSON document");
+    let stats = from_value::<EngineStats>(&take_stats(&mut value)).expect("engine stats");
+    fold_counters(counters, label, &stats);
     timeless(&mut value);
     h.write_str(label).write_str(&decisive::federation::json::to_string(&value));
 }
 
-/// Folds what one request left on `engine` into `h`: every phase's
-/// counters, the invalidated and quarantined counts, and the run's
-/// document without timings. The run state is cleared afterwards.
+/// Folds what one request left on `engine` ([`fold_document`]) and
+/// clears the run state.
 fn fold_traffic(
     h: &mut Hasher,
+    counters: &mut Hasher,
     engine: &mut Engine,
     label: &str,
     run: &decisive::engine::PipelineRun,
 ) {
-    let stats = engine.stats();
-    for phase in &stats.phases {
-        h.write_str(&phase.name);
-        let counts = [
-            phase.jobs_total,
-            phase.jobs_executed,
-            phase.cache_hits,
-            phase.cache_misses,
-            phase.retries,
-            phase.timed_out,
-        ];
-        for n in counts {
-            h.write_u64(n as u64);
-        }
-    }
-    h.write_u64(stats.invalidated_keys as u64).write_u64(stats.quarantined_entries as u64);
     let document = to_json_string(&decisive::output::PipelineOutput::new(run, engine))
         .expect("document serialises");
-    fold_timeless(h, label, &document);
+    fold_document(h, counters, label, &document);
     engine.reset_run_state();
 }
 
-/// The cache traffic of the ways an engine meets its store is pinned by a
-/// digest recorded while each engine still layered a private overlay over
-/// its store: phase counters, invalidated and quarantined counts, and
-/// every artefact without timings. Scenarios: one in-memory engine (the
-/// brownout pipeline cold and warm, then a D1 FIT-edit `rerun` of the
-/// case study); engines A, B and A again over one in-memory
-/// `SharedStore`; a `cache_dir` engine cold, then a second one on the
-/// same directory; and a daemon whose sessions `a` and `b` each send two
-/// `pipeline` requests on one design. `shared_hits` is left out: it
-/// counts lookups, and which lookups count changed with the overlay.
+/// The cache traffic of the ways an engine meets its store is pinned by
+/// two digests: every artefact and document without timings, recorded
+/// while each engine still layered a private overlay over its store and
+/// re-recorded when a fault subtree without cut sets came to quantify as
+/// +0.0 instead of −0.0; and the engine counters ([`fold_counters`]),
+/// recorded before graph rows, the risk log and the monitor set stopped
+/// being cached, with those three phases asserted directly. Scenarios: one
+/// in-memory engine (the brownout pipeline cold and warm, then a D1
+/// FIT-edit `rerun` of the case study); engines A, B and A again over one
+/// in-memory `SharedStore`; a `cache_dir` engine cold, then a second one
+/// on the same directory; and a daemon whose sessions `a` and `b` each
+/// send two `pipeline` requests on one design. `shared_hits` is left out:
+/// it counts lookups, and which lookups count changed with the overlay.
 #[test]
 fn store_traffic_matches_the_recorded_digest() {
     use decisive::engine::SharedStore;
@@ -697,13 +734,13 @@ fn store_traffic_matches_the_recorded_digest() {
             _ => unreachable!("a pipeline request yields a pipeline run"),
         }
     };
-    let mut h = Hasher::new();
+    let (mut h, mut c) = (Hasher::new(), Hasher::new());
 
     // One in-memory engine.
     let mut solo = Engine::builder().jobs(2).build().expect("in-memory engine");
     for pass in ["cold", "warm"] {
         let run = pipeline(&mut solo, "brownout_threshold.bd", Some("brownout_reliability.csv"));
-        fold_traffic(&mut h, &mut solo, &format!("solo brownout {pass}"), &run);
+        fold_traffic(&mut h, &mut c, &mut solo, &format!("solo brownout {pass}"), &run);
     }
     let (old, old_top) = case_study::ssam_model();
     let (mut new, new_top) = case_study::ssam_model();
@@ -713,8 +750,7 @@ fn store_traffic_matches_the_recorded_digest() {
     new.components[d1].fit = Some(Fit::new(20.0));
     let (table, report) = solo.rerun(&old, &new, new_top).expect("rerun");
     h.write_str(&to_json_string(&table).expect("table")).write_str(&report.render());
-    let rows = solo.stats().phase("graph-rows").expect("rows phase");
-    h.write_u64(rows.jobs_executed as u64).write_u64(solo.stats().invalidated_keys as u64);
+    fold_counters(&mut c, "solo rerun", solo.stats());
 
     // Engines A, B, then A again over one in-memory store.
     let shared = SharedStore::new();
@@ -722,10 +758,10 @@ fn store_traffic_matches_the_recorded_digest() {
     let (mut a, mut b) = (over(), over());
     for (label, engine) in [("A", &mut a), ("B", &mut b)] {
         let run = pipeline(engine, "power_supply.bd", None);
-        fold_traffic(&mut h, engine, &format!("shared {label}"), &run);
+        fold_traffic(&mut h, &mut c, engine, &format!("shared {label}"), &run);
     }
     let run = pipeline(&mut a, "power_supply.bd", None);
-    fold_traffic(&mut h, &mut a, "shared A again", &run);
+    fold_traffic(&mut h, &mut c, &mut a, "shared A again", &run);
 
     // A durable engine cold, then a second one on the same directory.
     let dir = TempCacheDir::new("traffic");
@@ -733,7 +769,7 @@ fn store_traffic_matches_the_recorded_digest() {
         let mut engine = durable(&dir);
         let run = pipeline(&mut engine, "power_supply.bd", None);
         engine.save_cache(dir.path()).expect("commit");
-        fold_traffic(&mut h, &mut engine, &format!("durable {pass}"), &run);
+        fold_traffic(&mut h, &mut c, &mut engine, &format!("durable {pass}"), &run);
     }
 
     // A daemon: sessions `a` and `b`, two pipeline requests each.
@@ -746,8 +782,9 @@ fn store_traffic_matches_the_recorded_digest() {
             decisive::federation::json::to_string(&Value::from(design.as_str()))
         );
         let response = daemon.handle_line(&line).expect("one response line");
-        fold_timeless(&mut h, &format!("daemon {id} {session}"), &response);
+        fold_document(&mut h, &mut c, &format!("daemon {id} {session}"), &response);
     }
 
-    assert_eq!(h.finish().to_string(), "cef7c1a37f9f8f6d");
+    assert_eq!(h.finish().to_string(), "8498db288d03a72f", "artefacts and documents");
+    assert_eq!(c.finish().to_string(), "dbe1b369a6b945c2", "counters");
 }

@@ -15,6 +15,7 @@ use decisive::fta::{build_fault_tree, fmea_from_fault_tree};
 use decisive::ssam::architecture::{
     Component, ComponentKind, Coverage, FailureImpact, FailureNature, Fit,
 };
+use decisive::ssam::base::LangString;
 use decisive::ssam::model::SsamModel;
 use decisive::workload::sets::{instance_model, set_by_name};
 
@@ -276,6 +277,30 @@ proptest! {
         let (p, q) = (metrics::pmhf(&base), metrics::pmhf(&permuted));
         prop_assert!((q - p).abs() <= 1e-9 * p.abs(), "pmhf {} -> {}", p, q);
     }
+
+    /// Names identify components and failure modes, nothing more: an
+    /// injective renaming of both leaves SPFM, LFM and PMHF bit for bit.
+    #[test]
+    fn renaming_changes_no_metric(
+        table in arb_table(),
+        prefix in "[a-z]{0,4}",
+        keys in proptest::collection::vec(any::<u64>(), 6..7),
+    ) {
+        let base = consistent(table);
+        // Components trade names by a permutation of `C0`..`C5`; modes
+        // take a prefix and read backwards.
+        let mut order: Vec<usize> = (0..6).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut renamed = base.clone();
+        for row in &mut renamed.rows {
+            let index: usize = row.component[1..].parse().expect("a generated component name");
+            row.component = format!("C{}", order[index]);
+            row.failure_mode = format!("{prefix}{}", row.failure_mode.chars().rev().collect::<String>());
+        }
+        prop_assert_eq!(renamed.spfm().to_bits(), base.spfm().to_bits());
+        prop_assert_eq!(renamed.lfm().to_bits(), base.lfm().to_bits());
+        prop_assert_eq!(metrics::pmhf(&renamed).to_bits(), metrics::pmhf(&base).to_bits());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -490,12 +515,11 @@ fn artefact_texts(run: &PipelineRun) -> std::collections::BTreeMap<String, Strin
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// The FTA and HARA passes are keyed by exactly what they read —
-    /// subtree structure, and the assessed rows' names and verdicts — so
-    /// random FIT, mode-share and mission-time edits on Set1 and Set3
-    /// instances and on the edit chain re-run no MOCUS and no risk
-    /// assessment on a warm engine, whose artefacts still equal a fresh
-    /// engine's bit for bit.
+    /// The FTA pass is keyed by exactly what synthesis reads — subtree
+    /// structure — so random FIT, mode-share and mission-time edits on
+    /// Set1 and Set3 instances and on the edit chain re-run no MOCUS on a
+    /// warm engine, whose artefacts (the risk log, assessed on every run,
+    /// included) still equal a fresh engine's bit for bit.
     #[test]
     fn numeric_edits_rerun_no_fta_or_hara_and_match_a_fresh_engine(
         which in 0usize..3,
@@ -528,9 +552,40 @@ proptest! {
             .run_pipeline(&pipeline, &input)
             .expect("fresh run");
         prop_assert_eq!(artefact_texts(&served), artefact_texts(&fresh));
-        for phase in ["fta-subtrees", "risk-log"] {
-            let executed = warm.stats().phase(phase).expect("phase ran").jobs_executed;
-            prop_assert!(executed == 0, "{} executed {} job(s)", phase, executed);
+        let executed = warm.stats().phase("fta-subtrees").expect("phase ran").jobs_executed;
+        prop_assert!(executed == 0, "fta-subtrees executed {} job(s)", executed);
+    }
+}
+
+/// Renaming every component changes no metric through the engine either:
+/// rows are rebuilt on every run from container facts stored by component
+/// name, so a warm engine that analysed the original must not hand the
+/// renamed model the original's names. Every component takes the next
+/// one's name (arena order, wrapping), an injective renaming that reuses
+/// the original names; Set1 and Set3 instances.
+#[test]
+fn renaming_every_component_reaches_a_warm_engine() {
+    for (set, seed) in [("Set1", 1), ("Set3", 2)] {
+        let set = set_by_name(set).expect("a Table VI set");
+        for instance in 0..3 {
+            let (model, top) = instance_model(&set, instance, seed);
+            let names: Vec<String> =
+                model.components.iter().map(|(_, c)| c.core.name.value().to_owned()).collect();
+            let mut renamed = model.clone();
+            for (i, c) in renamed.components.indices().collect::<Vec<_>>().into_iter().enumerate() {
+                renamed.components[c].core.name = LangString::new(&names[(i + 1) % names.len()]);
+            }
+            let label = format!("{} instance {instance}", set.name);
+            let mut warm = Engine::new(EngineConfig::with_jobs(2));
+            let original = warm.analyze_graph(&model, top).expect("original");
+            let served = warm.analyze_graph(&renamed, top).expect("warm renamed");
+            let fresh = Engine::new(EngineConfig::with_jobs(2))
+                .analyze_graph(&renamed, top)
+                .expect("fresh renamed");
+            assert_eq!(served, fresh, "{label}: a warm engine serves a fresh engine's table");
+            assert_ne!(served, original, "{label}: the rows carry the new names");
+            assert_eq!(served.spfm().to_bits(), original.spfm().to_bits(), "{label}: SPFM");
+            assert_eq!(served.lfm().to_bits(), original.lfm().to_bits(), "{label}: LFM");
         }
     }
 }

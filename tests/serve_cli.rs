@@ -1,6 +1,7 @@
 //! End-to-end tests of `decisive serve` as a spawned process: the exit-code
 //! contract (0 success, 1 failure, 2 usage), the stdio protocol loop,
-//! serve-versus-CLI result identity, and SIGINT trace flushing.
+//! serve-versus-CLI result identity, SIGINT trace flushing, and the CLI
+//! pipeline's FTA output on the brownout design.
 
 #![cfg(unix)]
 
@@ -176,6 +177,39 @@ fn served_pipeline_matches_cli_json_output() {
 
 /// SIGINT mid-serve still flushes a valid trace file and exits through
 /// the normal persist path.
+/// The brownout design's one fault subtree is analysable but has no cut
+/// set: its top probability is +0.0 in the text and in the JSON (an empty
+/// `f64` sum is −0.0, which printed as `-0.000e0`).
+#[test]
+fn a_subtree_without_cut_sets_has_a_zero_top_probability() {
+    let design = data("brownout_threshold.bd");
+    let annex = data("brownout_reliability.csv");
+    let args = |format: &str| {
+        let out = run(&[
+            "pipeline",
+            design.to_str().unwrap(),
+            "--reliability",
+            annex.to_str().unwrap(),
+            "--format",
+            format,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
+    };
+    let text = args("text");
+    let fta = text.lines().find(|l| l.starts_with("# fta ")).expect("an fta line");
+    assert_eq!(
+        fta,
+        "# fta brownout-threshold-supply: top probability 0.000e0, 0 single point(s), 0 cut set(s)"
+    );
+    let json_text = args("json");
+    assert!(json_text.contains(r#""top_probability":0.0,"#), "{json_text}");
+    let document = json::parse(&json_text).expect("one JSON document");
+    let subtrees = document.get("fta").and_then(Value::as_list).expect("fta subtrees");
+    let top = subtrees[0].get("top_probability").and_then(Value::as_f64).expect("a number");
+    assert_eq!(top.to_bits(), 0.0f64.to_bits());
+}
+
 #[test]
 fn sigint_flushes_a_valid_trace() {
     let dir = scratch("sigint");

@@ -32,12 +32,13 @@ fn p(arg: &str) -> &Path {
     Path::new(arg)
 }
 
-/// Writes the case-study model into `dir` and analyses it with `--cache
-/// <dir>/a`; returns the model path.
+/// Writes the case-study model into `dir` and runs its pipeline with
+/// `--cache <dir>/a`, which stores three entries: the container facts,
+/// the fault subtree and the assurance case; returns the model path.
 fn seeded(dir: &Path) -> PathBuf {
     let model = dir.join("model.json");
     ok(&[p("demo"), &model]);
-    ok(&[p("analyze"), &model, p("--cache"), &dir.join("a")]);
+    ok(&[p("pipeline"), &model, p("--cache"), &dir.join("a")]);
     model
 }
 
@@ -49,12 +50,12 @@ fn export_import_round_trip_is_byte_identical_and_warm() {
     let (s1, s2) = (dir.join("s1.json"), dir.join("s2.json"));
     ok(&[p("store"), p("export"), &s1, p("--cache"), &a]);
     let imported = ok(&[p("store"), p("import"), &s1, p("--cache"), &b]);
-    assert!(imported.starts_with("# imported 9 entr(ies)"), "{imported}");
+    assert!(imported.starts_with("# imported 3 entr(ies)"), "{imported}");
     ok(&[p("store"), p("export"), &s2, p("--cache"), &b]);
     let (first, second) = (std::fs::read(&s1).expect("s1"), std::fs::read(&s2).expect("s2"));
     assert!(first == second, "the re-export differs from the imported snapshot");
 
-    let warm = ok(&[p("analyze"), &model, p("--cache"), &b]);
+    let warm = ok(&[p("pipeline"), &model, p("--cache"), &b]);
     let phases: Vec<&str> = warm.lines().filter(|l| l.starts_with("# phase")).collect();
     assert!(!phases.is_empty(), "{warm}");
     assert!(phases.iter().all(|l| l.contains(" misses 0")), "imported store is warm: {warm}");
@@ -81,7 +82,7 @@ fn import_skips_entries_that_fail_their_checksum() {
     let (stdout, stderr) =
         (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stdout.starts_with("# imported 8 entr(ies)"), "{stdout}");
+    assert!(stdout.starts_with("# imported 2 entr(ies)"), "{stdout}");
     assert!(
         stderr.contains("# skipped: entry 0") && stderr.contains("checksum mismatch"),
         "{stderr}"
