@@ -74,8 +74,14 @@ pub fn run_supervised(
     reliability: &ReliabilityDb,
     config: &InjectionConfig,
 ) -> Result<(FmeaTable, CampaignHealth)> {
-    let (results, _, _) = sweep(diagram, reliability, config)?;
-    let (rows, reports): (Vec<FmeaRow>, Vec<CaseReport>) = results.into_iter().unzip();
+    validate(config)?;
+    // Step 1 — Initialise: the fault-free sensor readings.
+    let (lowered, readings) = nominal(diagram, config)?;
+    // Step 2 — Iterate components and failure modes.
+    let (rows, reports): (Vec<FmeaRow>, Vec<CaseReport>) = candidates(diagram, reliability)
+        .iter()
+        .map(|c| analyse_candidate_supervised(c, &lowered, &readings, config))
+        .unzip();
     let health = CampaignHealth::from_reports(&reports);
     health.enforce(&config.campaign)?;
 
@@ -124,26 +130,6 @@ pub fn nominal(
     Ok((lowered, readings))
 }
 
-/// Steps 1–2 of the sweep: validate, record the nominal readings, analyse
-/// every candidate under supervision, in candidate order. Also returns the
-/// lowering and the nominal readings so dual-point campaigns can reuse
-/// them.
-#[allow(clippy::type_complexity)]
-fn sweep(
-    diagram: &BlockDiagram,
-    reliability: &ReliabilityDb,
-    config: &InjectionConfig,
-) -> Result<(Vec<(FmeaRow, CaseReport)>, LoweredCircuit, Vec<(decisive_circuit::ElementId, f64)>)> {
-    validate(config)?;
-    let (lowered, readings) = nominal(diagram, config)?;
-    // Step 2 — Iterate components and failure modes.
-    let results = candidates(diagram, reliability)
-        .iter()
-        .map(|c| analyse_candidate_supervised(c, &lowered, &readings, config))
-        .collect();
-    Ok((results, lowered, readings))
-}
-
 /// One injectable `(block, failure mode)` pair of the sweep — the unit of
 /// work the engine's injection pass caches and schedules independently.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,146 +168,6 @@ pub fn candidates(diagram: &BlockDiagram, reliability: &ReliabilityDb) -> Vec<Ca
         })
         .flatten()
         .collect()
-}
-
-/// The result of a dual-point injection campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DualPointOutcome {
-    /// The single-point table with latent modes upgraded from
-    /// `NoEffect` to `IndirectViolation`.
-    pub table: FmeaTable,
-    /// The `(component, failure mode)` pairs whose *joint* injection
-    /// deviated although neither did alone.
-    pub latent_pairs: Vec<((String, String), (String, String))>,
-    /// One warning per joint injection that could not be simulated — those
-    /// pairs are counted as deviating, and this trail makes the latent
-    /// count auditable.
-    pub pair_warnings: Vec<String>,
-    /// Health of the whole campaign: single-fault cases plus every joint
-    /// injection.
-    pub health: CampaignHealth,
-}
-
-/// Runs the dual-point fault-injection campaign: after the single-fault
-/// sweep, every pair of individually-masked failure modes is injected
-/// *together*; pairs that deviate expose latent (IVF) faults — the
-/// empirical counterpart of the ISO 26262 latent fault metric, going beyond
-/// the paper's single-fault FMEA.
-///
-/// Quadratic in the number of masked modes; intended for design-sized
-/// models (the case study has 6 masked modes → 15 joint simulations).
-///
-/// # Errors
-///
-/// Same conditions as [`run`].
-pub fn run_dual_point(
-    diagram: &BlockDiagram,
-    reliability: &ReliabilityDb,
-    config: &InjectionConfig,
-) -> Result<DualPointOutcome> {
-    let (results, lowered, nominal) = sweep(diagram, reliability, config)?;
-    let (rows, mut reports): (Vec<FmeaRow>, Vec<CaseReport>) = results.into_iter().unzip();
-    let mut table = FmeaTable::new(diagram.name());
-    for row in rows {
-        table.push(row);
-    }
-
-    // The injectable candidates whose single fault was masked.
-    let mut masked: Vec<(usize, decisive_circuit::ElementId, Fault)> = Vec::new();
-    for (id, block) in diagram.blocks() {
-        let (Some(type_key), Some(element)) = (block.kind.type_key(), lowered.element(id)) else {
-            continue;
-        };
-        let Some(entry) = reliability.get(type_key) else {
-            continue;
-        };
-        for mode in &entry.modes {
-            let Some(fault) = fault_for(&block.kind, mode) else {
-                continue;
-            };
-            let Some(row) = table
-                .rows
-                .iter()
-                .position(|r| r.component == block.name && r.failure_mode == mode.name)
-            else {
-                continue;
-            };
-            if !table.rows[row].safety_related {
-                masked.push((row, element, fault));
-            }
-        }
-    }
-
-    let mut latent_pairs = Vec::new();
-    let mut pair_warnings = Vec::new();
-    let mut latent_rows = std::collections::BTreeSet::new();
-    // Every joint circuit shares the healthy netlist's structure, so one
-    // workspace serves the whole quadratic pair loop allocation-free.
-    let mut joint_workspace = SolverWorkspace::new();
-    for (i, &(row_a, element_a, fault_a)) in masked.iter().enumerate() {
-        for &(row_b, element_b, fault_b) in &masked[i + 1..] {
-            if element_a == element_b {
-                continue; // the same physical element cannot fail twice
-            }
-            let key =
-                |r: usize| (table.rows[r].component.clone(), table.rows[r].failure_mode.clone());
-            let label = {
-                let (ca, ma) = key(row_a);
-                let (cb, mb) = key(row_b);
-                format!("{ca}/{ma}+{cb}/{mb}")
-            };
-            let Ok(joint) = lowered
-                .circuit
-                .with_fault(element_a, fault_a)
-                .and_then(|c| c.with_fault(element_b, fault_b))
-            else {
-                continue;
-            };
-            let start = Instant::now();
-            let (deviates, outcome, iterations) = match joint_workspace
-                .dc(&joint, &config.campaign.solver)
-            {
-                Ok((solution, diagnostics)) => {
-                    let deviates = nominal.iter().any(|&(sensor, before)| {
-                        let after = joint.sensor_reading(&solution, sensor).unwrap_or(f64::NAN);
-                        relative_deviation(before, after) > config.threshold
-                    });
-                    let outcome = if diagnostics.recovered() {
-                        CaseOutcome::Recovered { strategy: diagnostics.strategy.to_string() }
-                    } else {
-                        CaseOutcome::Converged
-                    };
-                    (deviates, outcome, diagnostics.iterations)
-                }
-                Err(e) => {
-                    // An unsolvable joint circuit is conservatively
-                    // counted as deviating, with an auditable trace.
-                    pair_warnings.push(format!(
-                            "joint injection {label} failed to solve ({e}); conservatively counted as deviating"
-                        ));
-                    (true, CaseOutcome::Unsolvable { reason: e.to_string() }, 0)
-                }
-            };
-            reports.push(CaseReport {
-                case: label,
-                outcome,
-                iterations,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            });
-            if deviates {
-                latent_rows.insert(row_a);
-                latent_rows.insert(row_b);
-                latent_pairs.push((key(row_a), key(row_b)));
-            }
-        }
-    }
-    for row in latent_rows {
-        table.rows[row].impact =
-            Some(decisive_ssam::architecture::FailureImpact::IndirectViolation);
-    }
-    let health = CampaignHealth::from_reports(&reports);
-    health.enforce(&config.campaign)?;
-    Ok(DualPointOutcome { table, latent_pairs, pair_warnings, health })
 }
 
 thread_local! {
@@ -588,45 +434,6 @@ mod tests {
         assert_eq!(table.rows.len(), 1);
         assert!(table.rows[0].warning.as_deref().unwrap().contains("not simulatable"));
         assert!(!table.rows[0].safety_related);
-    }
-
-    #[test]
-    fn dual_point_campaign_finds_latent_redundancy_faults() {
-        use decisive_ssam::architecture::FailureImpact;
-        let (diagram, _) = decisive_blocks::gallery::redundant_power_supply();
-        let outcome =
-            run_dual_point(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default())
-                .unwrap();
-        // Each diode open is masked alone but latent in combination.
-        for diode in ["D_A", "D_B"] {
-            let row = outcome
-                .table
-                .rows
-                .iter()
-                .find(|r| r.component == diode && r.failure_mode == "Open")
-                .expect("diode row");
-            assert!(!row.safety_related);
-            assert_eq!(row.impact, Some(FailureImpact::IndirectViolation), "{diode} is latent");
-        }
-        assert!(outcome
-            .latent_pairs
-            .iter()
-            .any(|(a, b)| a.0.starts_with("D_") && b.0.starts_with("D_")));
-        // And the table's LFM now reflects the discovered latency.
-        assert!(outcome.table.lfm() < 1.0);
-    }
-
-    #[test]
-    fn dual_point_on_series_design_finds_nothing_new() {
-        let (diagram, _) = gallery::sensor_power_supply();
-        let outcome =
-            run_dual_point(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default())
-                .unwrap();
-        // The filter caps are masked by the stiff source even in pairs.
-        assert!(outcome.latent_pairs.is_empty(), "got {:?}", outcome.latent_pairs);
-        let single =
-            run(&diagram, &ReliabilityDb::paper_table_ii(), &InjectionConfig::default()).unwrap();
-        assert_eq!(outcome.table.disagreement(&single), 0.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Supervised fault-campaign integration tests: the checked-in
 //! pathological brown-out circuit flips from a conservative warning to a
-//! genuine simulated verdict via the recovery ladder, the campaign circuit
-//! breaker trips on modelling bugs, and dual-point joint failures leave an
-//! auditable trail.
+//! genuine simulated verdict via the recovery ladder, and the campaign
+//! circuit breaker trips on modelling bugs.
 
 use decisive_blocks::gallery;
 use decisive_circuit::SolverOptions;
@@ -170,88 +169,6 @@ fn healthy_campaign_is_all_converged() {
     assert_eq!(health.unsolvable + health.panicked + health.skipped, 0);
     assert!(health.strategy_histogram.is_empty());
     assert!((table.spfm() - 0.0538).abs() < 5e-4);
-}
-
-/// Builds the dual-drift diagram: two series resistors whose individual
-/// drifts are masked but whose joint drift is the pathological circuit.
-fn dual_drift_diagram() -> decisive_blocks::BlockDiagram {
-    use decisive_blocks::{BlockDiagram, BlockKind, Port};
-    let ok = "static wiring";
-    let mut d = BlockDiagram::new("dual-drift");
-    let dc1 = d.add_block("DC1", BlockKind::DcVoltageSource { volts: 5.0 });
-    let r_a = d.add_block("R_A", BlockKind::Resistor { ohms: 0.25 });
-    let r_b = d.add_block("R_B", BlockKind::Resistor { ohms: 0.25 });
-    let cs1 = d.add_block("CS1", BlockKind::CurrentSensor);
-    let mc1 =
-        d.add_block("MC1", BlockKind::Mcu { on_amps: 3.0, brownout_volts: 2.75, fault_amps: 0.1 });
-    let gnd1 = d.add_block("GND1", BlockKind::Ground);
-    d.connect(dc1, Port(0), r_a, Port(0)).expect(ok);
-    d.connect(r_a, Port(1), r_b, Port(0)).expect(ok);
-    d.connect(r_b, Port(1), cs1, Port(0)).expect(ok);
-    d.connect(cs1, Port(1), mc1, Port(0)).expect(ok);
-    d.connect(mc1, Port(1), gnd1, Port(0)).expect(ok);
-    d.connect(dc1, Port(1), gnd1, Port(0)).expect(ok);
-    d
-}
-
-fn resistor_only_reliability() -> ReliabilityDb {
-    let mut db = ReliabilityDb::new();
-    db.insert(ComponentReliability {
-        type_key: "Resistor".into(),
-        fit: Fit::new(5.0),
-        modes: vec![FailureModeSpec {
-            name: "Drift".into(),
-            nature: FailureNature::Degraded,
-            distribution: 1.0,
-        }],
-    });
-    db
-}
-
-/// With the ladder, the joint drift is *simulated*: a genuine latent pair
-/// with `Recovered` diagnostics and no warnings.
-#[test]
-fn dual_point_joint_failure_is_simulated_via_ladder() {
-    let outcome = injection::run_dual_point(
-        &dual_drift_diagram(),
-        &resistor_only_reliability(),
-        &InjectionConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(outcome.latent_pairs.len(), 1, "the joint drift browns the load out");
-    assert!(outcome.pair_warnings.is_empty(), "warnings: {:?}", outcome.pair_warnings);
-    // 2 single cases + 1 joint case; the joint one needed recovery.
-    assert_eq!(outcome.health.total, 3);
-    assert_eq!(outcome.health.recovered, 1);
-    for r in ["R_A", "R_B"] {
-        let row = outcome.table.rows.iter().find(|row| row.component == r).expect("resistor row");
-        assert!(!row.safety_related, "single drift is masked");
-        assert_eq!(row.impact, Some(FailureImpact::IndirectViolation), "{r} is latent");
-    }
-}
-
-/// Without the ladder the joint solve fails: still counted as deviating
-/// (conservative), but now with an auditable per-pair warning and an
-/// `Unsolvable` case in the health report.
-#[test]
-fn dual_point_unsolvable_joint_failure_leaves_audit_trail() {
-    let config = InjectionConfig {
-        campaign: CampaignConfig {
-            solver: SolverOptions::plain_newton_only(),
-            ..CampaignConfig::default()
-        },
-        ..InjectionConfig::default()
-    };
-    let outcome =
-        injection::run_dual_point(&dual_drift_diagram(), &resistor_only_reliability(), &config)
-            .unwrap();
-    assert_eq!(outcome.latent_pairs.len(), 1, "unsolvable pairs count as deviating");
-    assert_eq!(outcome.pair_warnings.len(), 1);
-    let warning = &outcome.pair_warnings[0];
-    assert!(warning.contains("R_A/Drift+R_B/Drift"), "warning: {warning}");
-    assert!(warning.contains("counted as deviating"), "warning: {warning}");
-    assert_eq!(outcome.health.unsolvable, 1);
-    assert!(outcome.health.failed_cases.iter().any(|c| c == "R_A/Drift+R_B/Drift"));
 }
 
 /// Outcome classification is visible through the public supervised API.

@@ -1,11 +1,12 @@
 //! `decisive` — command-line front end to the toolchain: validate, analyse
-//! and render SSAM models persisted as JSON.
+//! and render SSAM models persisted as JSON. The analysis verbs
+//! (`analyze`, `pipeline`, `montecarlo`, `recommend`) run through
+//! `Engine::execute`.
 //!
 //! ```text
 //! decisive demo model.json                 # write the case-study model
 //! decisive validate model.json             # SSAM well-formedness report
-//! decisive fmea model.json [--csv out.csv] # automated FMEA (Algorithm 1)
-//! decisive analyze model.json --cache .dc  # incremental FMEA via the engine
+//! decisive analyze model.json --csv out.csv  # automated FMEA (Algorithm 1), cached
 //! decisive analyze design.bd --strict      # fault-injection campaign (.bd)
 //! decisive pipeline design.bd --cache .dc  # full pass pipeline (FMEA → FTA → HARA → assurance)
 //! decisive montecarlo design.bd --trials 256 --seed 7  # stochastic campaign: mean + 95% CI metrics
@@ -32,7 +33,6 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use decisive::core::fmea::graph::{self, GraphAlgorithm, GraphConfig};
 use decisive::core::monitor::RuntimeMonitor;
 use decisive::core::request::{AnalysisOp, AnalysisRequest, RunSpec};
 use decisive::core::{case_study, metrics, persist};
@@ -68,7 +68,6 @@ fn main() -> ExitCode {
         Some("import") => cmd_import(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("fmea") => cmd_fmea(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("pipeline") => cmd_pipeline(&args[1..]),
         Some("montecarlo") => cmd_montecarlo(&args[1..]),
@@ -115,7 +114,6 @@ fn print_usage() {
     println!(
         "decisive — iterative automated safety analysis\n\n\
          usage:\n  decisive demo <model.json>\n  decisive import <design.bd> <model.json>\n  decisive validate <model.json>\n  \
-         decisive fmea <model.json> [--algorithm paths|cut] [--csv <out.csv>] [--json <out.json>]\n  \
          decisive analyze <model.json|design.bd> [--cache <dir>] [--jobs <n>] [--deadline-ms <ms>] [--csv <out.csv>] [--json <out.json>] [--reliability <csv>] [--solver sparse|dense] [--strict] [--format text|json] [--trace-out <trace.json>] [--metrics]\n  \
          decisive pipeline <model.json|design.bd> [--cache <dir>] [--jobs <n>] [--deadline-ms <ms>] [--mission-hours <h>] [--csv <out.csv>] [--json <out.json>] [--reliability <csv>] [--solver sparse|dense] [--strict] [--format text|json] [--trace-out <trace.json>] [--metrics]\n  \
          decisive montecarlo <design.bd> [--trials <n>] [--seed <n>] [--cache <dir>] [--jobs <n>] [--deadline-ms <ms>] [--reliability <csv>] [--solver sparse|dense] [--strict] [--format text|json] [--trace-out <trace.json>] [--metrics]\n  \
@@ -137,8 +135,7 @@ fn print_usage() {
 }
 
 /// Flags that consume the following argument as their value.
-const VALUE_FLAGS: [&str; 25] = [
-    "--algorithm",
+const VALUE_FLAGS: [&str; 24] = [
     "--solver",
     "--trials",
     "--csv",
@@ -291,21 +288,6 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_fmea(args: &[String]) -> Result<(), CliError> {
-    check_flags("fmea", args, &["--algorithm", "--csv", "--json"])?;
-    let path = one_path("fmea", args)?;
-    let model = load(path)?;
-    let top = top_of(&model)?;
-    let algorithm = match flag_value(args, "--algorithm").unwrap_or("cut") {
-        "paths" => GraphAlgorithm::ExhaustivePaths,
-        "cut" => GraphAlgorithm::CutVertex,
-        other => return Err(CliError::usage(format!("unknown algorithm `{other}` (paths|cut)"))),
-    };
-    let table = graph::run(&model, top, &GraphConfig { algorithm, ..GraphConfig::default() })
-        .map_err(|e| e.to_string())?;
-    print_table(&table, args)
-}
-
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     check_flags(
         "analyze",
@@ -328,10 +310,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `decisive pipeline`: one full DECISIVE iteration through the pass
-/// manager — FMEA (graph, plus the injection campaign for `.bd` designs),
-/// FTA subtrees, runtime monitors, the HARA risk log and the evaluated
-/// assurance case — executed as a DAG with cross-pass parallelism and one
-/// shared artefact cache.
+/// manager — the FMEA (Algorithm 1 on an SSAM model, the injection
+/// campaign on a `.bd` design), FTA subtrees, runtime monitors, the HARA
+/// risk log and the evaluated assurance case — executed as a DAG with
+/// cross-pass parallelism and one shared artefact cache.
 fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
     check_flags(
         "pipeline",
@@ -516,8 +498,8 @@ fn print_run(output: &OpOutput, engine: &Engine, args: &[String]) -> Result<(), 
 /// `decisive passes`: the pass DAG in topological order, with each pass's
 /// dependencies, cache namespaces and how many cache entries those
 /// namespaces currently hold (pass `--cache` to inspect a persisted one).
-/// The optional path only selects the pipeline shape: `.bd` designs
-/// include the injection pass.
+/// The optional path only selects the pipeline shape: a `.bd` design runs
+/// the injection FMEA in place of the graph FMEA.
 fn cmd_passes(args: &[String]) -> Result<(), CliError> {
     check_flags("passes", args, &["--cache", "--jobs", "--format"])?;
     let format = output_format(args)?;

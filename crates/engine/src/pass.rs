@@ -407,13 +407,15 @@ impl<'a> PassContext<'a> {
     /// report, and records a [`PhaseStats`] entry — the single code path
     /// that previously existed as four copies in `engine.rs`.
     ///
+    /// `items` derives the work items, keys included, inside the phase's
+    /// clock and span, so the phase's time counts its key hashing.
     /// `decode` maps a cached artefact to the in-memory result, `encode`
     /// the reverse; `prepare` builds batch-shared state and runs only when
     /// at least one item missed (e.g. lowering the nominal circuit).
     pub(crate) fn run_keyed<T, A, P>(
         &mut self,
         phase_name: &str,
-        items: &[WorkItem],
+        items: impl FnOnce() -> Vec<WorkItem>,
         decode: impl Fn(usize, A) -> T,
         prepare: impl FnOnce(&[usize]) -> Result<P>,
         compute: impl Fn(&P, usize) -> decisive_core::Result<T> + Sync,
@@ -428,6 +430,7 @@ impl<'a> PassContext<'a> {
         let instrumented = self.telemetry.enabled();
         let _phase_span =
             instrumented.then(|| self.telemetry.span(format!("phase:{phase_name}"), "phase"));
+        let items = items();
         let mut phase = PhaseStats::new(phase_name);
         phase.jobs_total = items.len();
         let mut merged: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
@@ -834,29 +837,31 @@ impl AnalysisPass for GraphFmeaPass {
         let model = ctx.input.model.ok_or_else(|| missing_input(self.id(), "a model"))?;
         let top = ctx.input.top.ok_or_else(|| missing_input(self.id(), "an analysis root"))?;
         let graph_config = GraphConfig::default();
-        let config_fp = model_fp::graph_config_fingerprint(model, &graph_config);
 
         // Phase 1: container path facts.
         let containers = collect_containers(model, top);
-        let items: Vec<WorkItem> = containers
-            .iter()
-            .map(|&container| {
-                let key = Hasher::new()
-                    .write_str("graph-facts")
-                    .write_fingerprint(model_fp::topology_fingerprint(model, container))
-                    .write_fingerprint(config_fp)
-                    .finish();
-                let name = model.components[container].core.name.value().to_owned();
-                WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::GraphFacts, key },
-                    owner: name.clone(),
-                    label: name,
-                }
-            })
-            .collect();
+        let items = || {
+            let config_fp = model_fp::graph_config_fingerprint(model, &graph_config);
+            containers
+                .iter()
+                .map(|&container| {
+                    let key = Hasher::new()
+                        .write_str("graph-facts")
+                        .write_fingerprint(model_fp::topology_fingerprint(model, container))
+                        .write_fingerprint(config_fp)
+                        .finish();
+                    let name = model.components[container].core.name.value().to_owned();
+                    WorkItem {
+                        id: ArtifactId { kind: ArtifactKind::GraphFacts, key },
+                        owner: name.clone(),
+                        label: name,
+                    }
+                })
+                .collect()
+        };
         let facts_list = ctx.run_keyed(
             "graph-facts",
-            &items,
+            items,
             |i, artifact: FactsArtifact| artifact.to_facts(model, containers[i]),
             |_| Ok(()),
             |_: &(), i| graph::container_facts(model, containers[i], &graph_config),
@@ -925,33 +930,35 @@ impl AnalysisPass for InjectionFmeaPass {
             ctx.input.reliability.ok_or_else(|| missing_input(self.id(), "reliability data"))?;
         let config = ctx.input.injection.clone();
         injection::validate(&config)?;
-        let circuit_fp = model_fp::serialized_fingerprint(diagram, "block-diagram");
-        let solver = &config.campaign.solver;
         let candidates = injection::candidates(diagram, reliability);
-        let items: Vec<WorkItem> = candidates
-            .iter()
-            .map(|candidate| {
-                let key = Hasher::new()
-                    .write_str("injection-row")
-                    .write_fingerprint(circuit_fp)
-                    .write_fingerprint(model_fp::candidate_fingerprint(candidate))
-                    .write_f64(config.threshold)
-                    .write_bool(solver.damped)
-                    .write_bool(solver.gmin_stepping)
-                    .write_bool(solver.source_stepping)
-                    .write_u64(solver.budget as u64)
-                    .write_str(solver.kernel.tag())
-                    .finish();
-                WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::InjectionRow, key },
-                    owner: candidate.name.clone(),
-                    label: format!("{}/{}", candidate.name, candidate.mode.name),
-                }
-            })
-            .collect();
+        let items = || {
+            let circuit_fp = model_fp::serialized_fingerprint(diagram, "block-diagram");
+            let solver = &config.campaign.solver;
+            candidates
+                .iter()
+                .map(|candidate| {
+                    let key = Hasher::new()
+                        .write_str("injection-row")
+                        .write_fingerprint(circuit_fp)
+                        .write_fingerprint(model_fp::candidate_fingerprint(candidate))
+                        .write_f64(config.threshold)
+                        .write_bool(solver.damped)
+                        .write_bool(solver.gmin_stepping)
+                        .write_bool(solver.source_stepping)
+                        .write_u64(solver.budget as u64)
+                        .write_str(solver.kernel.tag())
+                        .finish();
+                    WorkItem {
+                        id: ArtifactId { kind: ArtifactKind::InjectionRow, key },
+                        owner: candidate.name.clone(),
+                        label: format!("{}/{}", candidate.name, candidate.mode.name),
+                    }
+                })
+                .collect()
+        };
         let results = ctx.run_keyed(
             "injection-rows",
-            &items,
+            items,
             |i, artifact: InjectionArtifact| {
                 let candidate = &candidates[i];
                 let report = CaseReport {
@@ -1033,30 +1040,34 @@ impl AnalysisPass for FtaPass {
         let containers = collect_containers(model, top);
         let members: Vec<Vec<Idx<Component>>> =
             containers.iter().map(|&c| model_fp::fault_tree_members(model, c)).collect();
-        let items: Vec<WorkItem> = containers
-            .iter()
-            .zip(&members)
-            .map(|(&container, members)| {
-                let key = Hasher::new()
-                    .write_str("fta-subtree")
-                    .write_fingerprint(model_fp::fault_tree_fingerprint(model, container, members))
-                    .write_u64(max_paths as u64)
-                    .finish();
-                let name = model.components[container].core.name.value().to_owned();
-                WorkItem {
-                    id: ArtifactId { kind: ArtifactKind::FtaSubtree, key },
-                    owner: name.clone(),
-                    label: name,
-                }
-            })
-            .collect();
+        let items = || {
+            containers
+                .iter()
+                .zip(&members)
+                .map(|(&container, members)| {
+                    let key = Hasher::new()
+                        .write_str("fta-subtree")
+                        .write_fingerprint(model_fp::fault_tree_fingerprint(
+                            model, container, members,
+                        ))
+                        .write_u64(max_paths as u64)
+                        .finish();
+                    let name = model.components[container].core.name.value().to_owned();
+                    WorkItem {
+                        id: ArtifactId { kind: ArtifactKind::FtaSubtree, key },
+                        owner: name.clone(),
+                        label: name,
+                    }
+                })
+                .collect()
+        };
         let quantify = |i: usize, structure: FtaArtifact| {
             let summary = structure.summary(model, containers[i], &members[i], mission_hours);
             (structure, summary)
         };
         let subtrees = ctx.run_keyed(
             "fta-subtrees",
-            &items,
+            items,
             quantify,
             |_| Ok(()),
             |_: &(), i| {
@@ -1252,18 +1263,20 @@ impl AnalysisPass for RecommendPass {
             self.id(),
             self.deps[0],
         )?;
-        let key = Hasher::new()
-            .write_str("recommendation")
-            .write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"))
-            .finish();
-        let items = [WorkItem {
-            id: ArtifactId { kind: ArtifactKind::Recommendation, key },
-            owner: table.system.clone(),
-            label: table.system.clone(),
-        }];
+        let items = || {
+            let key = Hasher::new()
+                .write_str("recommendation")
+                .write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"))
+                .finish();
+            vec![WorkItem {
+                id: ArtifactId { kind: ArtifactKind::Recommendation, key },
+                owner: table.system.clone(),
+                label: table.system.clone(),
+            }]
+        };
         let mut reports = ctx.run_keyed(
             "recommendation",
-            &items,
+            items,
             |_, report: RecommendationReport| report,
             |_| Ok(()),
             |_: &(), _| patterns::recommend(table),
@@ -1338,51 +1351,55 @@ impl AnalysisPass for AssurancePass {
         let evidence =
             PipelineEvidence { system: &table.system, target, subtrees: &subtrees, campaign };
 
-        let mut h = Hasher::new();
-        h.write_str("assurance-case");
-        h.write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"));
-        h.write_fingerprint(model_fp::serialized_fingerprint(subtree_summaries, "fta-summaries"));
-        h.write_fingerprint(model_fp::serialized_fingerprint(risk, "risk-log"));
-        // Only the semantic campaign fields: wall-clock noise (slowest
-        // cases, degradation snapshots) must not break warm cache hits.
-        match campaign {
-            Some(health) => {
-                h.write_bool(true);
-                h.write_u64(health.total as u64);
-                h.write_u64(health.converged as u64);
-                h.write_u64(health.recovered as u64);
-                h.write_u64(health.unsolvable as u64);
-                h.write_u64(health.panicked as u64);
-                h.write_u64(health.skipped as u64);
-                for (strategy, count) in &health.strategy_histogram {
-                    h.write_str(strategy);
-                    h.write_u64(*count as u64);
+        let items = || {
+            let mut h = Hasher::new();
+            h.write_str("assurance-case");
+            h.write_fingerprint(model_fp::serialized_fingerprint(table, "fmea-table"));
+            h.write_fingerprint(model_fp::serialized_fingerprint(
+                subtree_summaries,
+                "fta-summaries",
+            ));
+            h.write_fingerprint(model_fp::serialized_fingerprint(risk, "risk-log"));
+            // Only the semantic campaign fields: wall-clock noise (slowest
+            // cases, degradation snapshots) must not break warm cache hits.
+            match campaign {
+                Some(health) => {
+                    h.write_bool(true);
+                    h.write_u64(health.total as u64);
+                    h.write_u64(health.converged as u64);
+                    h.write_u64(health.recovered as u64);
+                    h.write_u64(health.unsolvable as u64);
+                    h.write_u64(health.panicked as u64);
+                    h.write_u64(health.skipped as u64);
+                    for (strategy, count) in &health.strategy_histogram {
+                        h.write_str(strategy);
+                        h.write_u64(*count as u64);
+                    }
+                    for case in &health.failed_cases {
+                        h.write_str(case);
+                    }
                 }
-                for case in &health.failed_cases {
-                    h.write_str(case);
+                None => {
+                    h.write_bool(false);
                 }
             }
-            None => {
-                h.write_bool(false);
-            }
-        }
-        // The generated case — its statements and evidence queries — keys
-        // the report too, so a changed generator recomputes stored reports.
-        match pipeline_case(&evidence) {
-            Ok(case) => h
-                .write_bool(true)
-                .write_fingerprint(model_fp::serialized_fingerprint(&case, "assurance-case")),
-            Err(e) => h.write_bool(false).write_str(&e.to_string()),
+            // The generated case — its statements and evidence queries — keys
+            // the report too, so a changed generator recomputes stored reports.
+            match pipeline_case(&evidence) {
+                Ok(case) => h
+                    .write_bool(true)
+                    .write_fingerprint(model_fp::serialized_fingerprint(&case, "assurance-case")),
+                Err(e) => h.write_bool(false).write_str(&e.to_string()),
+            };
+            vec![WorkItem {
+                id: ArtifactId { kind: ArtifactKind::AssuranceCase, key: h.finish() },
+                owner: table.system.clone(),
+                label: table.system.clone(),
+            }]
         };
-        let items = [WorkItem {
-            id: ArtifactId { kind: ArtifactKind::AssuranceCase, key: h.finish() },
-            owner: table.system.clone(),
-            label: table.system.clone(),
-        }];
-
         let mut reports = ctx.run_keyed(
             "assurance-case",
-            &items,
+            items,
             |_, report: AssuranceReport| report,
             |_| Ok(()),
             |_: &(), _| {

@@ -9,14 +9,14 @@
 //! One full DECISIVE iteration (paper Fig. 2) is [`Pipeline::standard`]:
 //!
 //! ```text
-//! graph-fmea ──┬─▶ hara ───▶ assurance
-//! injection ───┤               ▲
-//! fta ─────────┴───────────────┘
+//! fmea ──┬─▶ hara ──▶ assurance
+//!        └───────────▶   ▲
+//! fta ───────────────────┘
 //! monitors
 //! ```
 //!
-//! (with `hara`/`assurance` consuming the injection table instead when the
-//! block-diagram path is analysed).
+//! with one FMEA pass: `injection-fmea` when a block diagram is analysed,
+//! `graph-fmea` on an SSAM model.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,16 +57,11 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    /// Builder-style registration.
-    pub fn with(mut self, pass: impl AnalysisPass + 'static) -> Self {
-        self.push(pass);
-        self
-    }
-
     /// Registers a pass. Registration order is the tie-break order for
     /// scheduling and the merge order for stats and degraded-mode notes.
-    pub fn push(&mut self, pass: impl AnalysisPass + 'static) {
+    pub fn with(mut self, pass: impl AnalysisPass + 'static) -> Self {
         self.passes.push(Box::new(pass));
+        self
     }
 
     /// The registered passes, in registration order.
@@ -74,17 +69,17 @@ impl Pipeline {
         &self.passes
     }
 
-    /// The full DECISIVE iteration: graph FMEA, optional injection FMEA,
-    /// FTA subtrees, runtime monitors, the HARA risk log and the
-    /// assurance case. With `with_injection`, HARA and the assurance case
-    /// argue over the injection table (the measured path); without, over
-    /// the graph table.
+    /// The full DECISIVE iteration: one FMEA, FTA subtrees, runtime
+    /// monitors, the HARA risk log and the assurance case, which argue
+    /// over that FMEA's table. With `with_injection` the FMEA is the
+    /// injection campaign over the block diagram (the measured path);
+    /// without, Algorithm 1 over the model.
     pub fn standard(with_injection: bool) -> Self {
-        let primary = if with_injection { ids::INJECTION } else { ids::GRAPH };
-        let mut pipeline = Pipeline::new().with(GraphFmeaPass);
-        if with_injection {
-            pipeline.push(InjectionFmeaPass);
-        }
+        let (primary, pipeline) = if with_injection {
+            (ids::INJECTION, Pipeline::new().with(InjectionFmeaPass))
+        } else {
+            (ids::GRAPH, Pipeline::new().with(GraphFmeaPass))
+        };
         pipeline
             .with(FtaPass)
             .with(MonitorPass)

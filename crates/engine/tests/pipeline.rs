@@ -278,6 +278,36 @@ fn standard_pipeline_covers_the_case_study() {
     assert_eq!(assurance.total, assurance.satisfied + assurance.open.len());
 }
 
+/// `Pipeline::standard` registers exactly one FMEA pass: the injection
+/// campaign when a block diagram is analysed, Algorithm 1 otherwise. A
+/// design's pipeline runs no graph-FMEA phase, and its table is the
+/// campaign's.
+#[test]
+fn standard_pipelines_register_one_fmea_pass() {
+    let ids = |with_injection| {
+        Pipeline::standard(with_injection).passes().iter().map(|p| p.id()).collect::<Vec<_>>()
+    };
+    assert_eq!(ids(true), ["injection-fmea", "fta", "monitors", "hara", "assurance"]);
+    assert_eq!(ids(false), ["graph-fmea", "fta", "monitors", "hara", "assurance"]);
+
+    let (diagram, _) = gallery::sensor_power_supply();
+    let db = ReliabilityDb::paper_table_ii();
+    let mut model = decisive_blocks::to_ssam(&diagram);
+    db.aggregate_into(&mut model);
+    let top = decisive_engine::execute::top_of(&model).expect("top component");
+    let mut engine = Engine::new(EngineConfig::with_jobs(2));
+    let input = PipelineInput::for_model(&model, top).with_diagram(&diagram, &db);
+    let run = engine.run_pipeline(&Pipeline::standard(true), &input).expect("pipeline");
+    assert!(run.artifact(ids::GRAPH).is_none());
+    let phases: Vec<&str> = engine.stats().phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(
+        phases,
+        ["injection-rows", "fta-subtrees", "monitor-set", "risk-log", "assurance-case"]
+    );
+    let campaign = injection::run(&diagram, &db, &InjectionConfig::default()).expect("sweep");
+    assert_eq!(run.fmea(), Some(&campaign));
+}
+
 /// Whole-pipeline verification after an edit: the warm artefacts (built
 /// partly from cached ones) are equivalent to a cold engine's from-scratch
 /// run, artefact by artefact — and the warm run really did hit the cache:

@@ -13,7 +13,9 @@ use decisive::fta::{build_fault_tree, fmea_from_fault_tree, FaultTree, Gate};
 use decisive::ssam::architecture::{Component, ComponentKind, FailureNature, Fit};
 use decisive::ssam::id::Idx;
 use decisive::ssam::model::SsamModel;
-use decisive::workload::sets::{chain_model, instance_model, ladder_model, set_by_name};
+use decisive::workload::sets::{
+    chain_model, instance_model, ladder_model, set_by_name, SCALABILITY_SETS,
+};
 
 /// The case study through both pipelines.
 #[test]
@@ -53,6 +55,27 @@ fn baseline_agrees_on_ladders() {
     let mcs = synthesised.tree.minimal_cut_sets();
     assert!(!mcs.is_empty());
     assert!(mcs.iter().all(|cs| cs.len() >= 2), "ladder has no single points");
+}
+
+/// Every Table VI set through both pipelines: on instances 0–11 of Set0
+/// to Set5 for seeds 1 and 2, the direct FMEA (Algorithm 1) equals the
+/// FMEA read off the synthesised fault tree, verdict for verdict and in
+/// SPFM.
+#[test]
+fn baseline_agrees_on_every_scalability_set() {
+    for set in &SCALABILITY_SETS {
+        for seed in [1, 2] {
+            for instance in 0..12 {
+                let what = format!("{} seed {seed} instance {instance}", set.name);
+                let (model, top) = instance_model(set, instance, seed);
+                let direct = graph::run(&model, top, &GraphConfig::default()).expect("direct FMEA");
+                let synthesised = build_fault_tree(&model, top, 100_000).expect("tree synthesis");
+                let via_fta = fmea_from_fault_tree(&synthesised, &model, top);
+                assert_eq!(direct.disagreement(&via_fta), 0.0, "{what}");
+                assert!((direct.spfm() - via_fta.spfm()).abs() < 1e-12, "{what}");
+            }
+        }
+    }
 }
 
 /// "FTA and FMEA can be federated for quantitative system safety analysis"

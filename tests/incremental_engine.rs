@@ -386,7 +386,9 @@ fn corrupt_cache_file_is_quarantined_and_run_proceeds() {
 /// without cut sets came to quantify as +0.0 instead of −0.0 (the
 /// brownout design's FTA summaries key its case). Graph rows, the risk
 /// log and the monitor set are computed on every run, so a pipeline
-/// stores no other kind.
+/// stores no other kind. A design's pipeline runs one FMEA, the injection
+/// one, so it stores no `graph-facts` for the design's SSAM lowering:
+/// those keys fold into a hasher of their own, which must see nothing.
 #[test]
 fn pipeline_keys_match_the_recorded_digest() {
     let data = |file: &str| {
@@ -397,8 +399,9 @@ fn pipeline_keys_match_the_recorded_digest() {
             .into_owned()
     };
     let (mut h, mut exact, mut assurance) = (Hasher::new(), Hasher::new(), Hasher::new());
+    let mut design_facts = Hasher::new();
     let mut kinds = std::collections::BTreeSet::new();
-    let mut fold = |engine: &Engine| {
+    let mut fold = |engine: &Engine, design: bool| {
         let snapshot = engine.cache().to_value();
         let entries = snapshot.get("entries").and_then(Value::as_list).expect("snapshot entries");
         for entry in entries {
@@ -409,6 +412,8 @@ fn pipeline_keys_match_the_recorded_digest() {
                 &mut assurance
             } else if kind == ArtifactKind::FtaSubtree.tag() {
                 &mut exact
+            } else if design && kind == ArtifactKind::GraphFacts.tag() {
+                &mut design_facts
             } else if [ArtifactKind::GraphFacts, ArtifactKind::InjectionRow]
                 .iter()
                 .any(|k| k.tag() == kind)
@@ -429,7 +434,7 @@ fn pipeline_keys_match_the_recorded_digest() {
         let mut e = engine();
         e.execute(&AnalysisRequest::new(AnalysisOp::Pipeline, data(design), spec))
             .expect("pipeline on a design");
-        fold(&e);
+        fold(&e, true);
     }
     let set3 = set_by_name("Set3").expect("Set3");
     let models = [
@@ -441,26 +446,35 @@ fn pipeline_keys_match_the_recorded_digest() {
         let mut e = engine();
         e.execute_model(AnalysisOp::Pipeline, model, name, &RunSpec::default())
             .expect("pipeline on a model");
-        fold(&e);
+        fold(&e, false);
     }
     let expected = ["assurance-case", "fta-subtree", "graph-facts", "injection-row"];
     assert_eq!(kinds.iter().map(String::as_str).collect::<Vec<_>>(), expected);
-    assert_eq!(h.finish().to_string(), "82a7e27c8353a19a");
+    assert_eq!(h.finish().to_string(), "84617129ddd404a3");
     assert_eq!(exact.finish().to_string(), "256b90e8a0ce4270");
     assert_eq!(assurance.finish().to_string(), "9d260196a0437859");
+    assert_eq!(design_facts.finish(), Hasher::new().finish(), "a design stores no graph facts");
 }
 
 /// The phases that compute on every run: they look nothing up in the
 /// store.
 const UNCACHED_PHASES: [&str; 4] = ["graph-rows", "monitor-set", "risk-log", "mc-trials"];
 
+/// The phases of the graph FMEA pass.
+const GRAPH_PHASES: [&str; 2] = ["graph-facts", "graph-rows"];
+
 /// Folds a run's engine counters into `h`: each phase's name and units,
 /// the executed, hit, miss, retry and timed-out counts of each
 /// store-backed phase, then the quarantined count. An uncached phase must
-/// execute every unit, with no hit, miss, retry or timeout.
-fn fold_counters(h: &mut Hasher, label: &str, stats: &EngineStats) {
+/// execute every unit, with no hit, miss, retry or timeout. With `graph`
+/// given, the graph FMEA's phases fold into it instead of `h`.
+fn fold_counters(h: &mut Hasher, mut graph: Option<&mut Hasher>, label: &str, stats: &EngineStats) {
     h.write_str(label);
     for phase in &stats.phases {
+        let h = match graph.as_deref_mut() {
+            Some(graph) if GRAPH_PHASES.contains(&phase.name.as_str()) => graph,
+            _ => &mut *h,
+        };
         h.write_str(&phase.name).write_u64(phase.jobs_total as u64);
         let counts = [
             phase.jobs_executed,
@@ -535,7 +549,7 @@ fn fold_engine_run<T: serde::Serialize>(
     result: Result<T, EngineError>,
 ) {
     fold_result(h, label, &result);
-    fold_counters(counters, label, engine.stats());
+    fold_counters(counters, None, label, engine.stats());
     match engine.campaign_health() {
         Some(health) => fold_health(h.write_bool(true), health),
         None => {
@@ -546,12 +560,13 @@ fn fold_engine_run<T: serde::Serialize>(
     engine.reset_run_state();
 }
 
-/// What every `analyze_*` wrapper, `injection::run_supervised` and
-/// `injection::run_dual_point` return is pinned by a digest recorded
-/// before the wrappers ran through the pipeline runner and the core sweep
-/// became sequential, and re-recorded when a fault subtree without cut
-/// sets came to quantify as +0.0 instead of −0.0; the engine counters of
-/// those calls are pinned by a second digest ([`fold_counters`]). Inputs: the case-study model,
+/// What every `analyze_*` wrapper and `injection::run_supervised` return
+/// is pinned by a digest recorded before the wrappers ran through the
+/// pipeline runner and the core sweep became sequential, re-recorded when
+/// a fault subtree without cut sets came to quantify as +0.0 instead of
+/// −0.0, and again when the dual-point campaign was deleted with its
+/// folds; the engine counters of those calls are pinned by a second digest
+/// ([`fold_counters`]). Inputs: the case-study model,
 /// `data/power_supply.bd`, `data/brownout_threshold.bd` with its
 /// reliability annex and the gallery's redundant supply; each design is
 /// analysed as a diagram and as its SSAM lowering, on engines of 1 and 4
@@ -623,30 +638,19 @@ fn analysis_outputs_match_the_recorded_digest() {
         let supervised = injection::run_supervised(diagram, db, &config);
         fold_result(&mut h, &format!("{name} supervised"), &supervised.as_ref().map(|r| &r.0));
         fold_health(&mut h, &supervised.expect("supervised sweep").1);
-        let dual = injection::run_dual_point(diagram, db, &config).expect("dual-point campaign");
-        fold_result(&mut h, &format!("{name} dual-point"), &Ok::<_, String>(&dual.table));
-        for ((ca, ma), (cb, mb)) in &dual.latent_pairs {
-            h.write_str(ca).write_str(ma).write_str(cb).write_str(mb);
-        }
-        for warning in &dual.pair_warnings {
-            h.write_str(warning);
-        }
-        fold_health(&mut h, &dual.health);
         for (what, bad) in [("threshold", &bad_threshold), ("breaker", &bad_breaker)] {
             let refused = injection::run_supervised(diagram, db, bad).map(|r| r.0);
             fold_result(&mut h, &format!("{name} supervised bad {what}"), &refused);
-            let refused = injection::run_dual_point(diagram, db, bad).map(|r| r.table);
-            fold_result(&mut h, &format!("{name} dual-point bad {what}"), &refused);
         }
         line(&mut h, &mut c, format!("{name} core"));
     }
     let digests = (h.finish().to_string(), c.finish().to_string());
-    if digests != ("5eaae3bdea8114a9".to_owned(), "5f15f082f0aed8fb".to_owned()) {
+    if digests != ("c6341dc076d6ab8e".to_owned(), "5f15f082f0aed8fb".to_owned()) {
         for line in &lines {
             eprintln!("{line}");
         }
     }
-    assert_eq!(digests.0, "5eaae3bdea8114a9", "outputs");
+    assert_eq!(digests.0, "c6341dc076d6ab8e", "outputs");
     assert_eq!(digests.1, "5f15f082f0aed8fb", "counters");
 }
 
@@ -664,11 +668,18 @@ fn timeless(value: &mut Value) {
     }
 }
 
-/// Folds one JSON document, a `--format json` result or a daemon
-/// response, into two digests: its engine `stats` (the document's own, or
-/// its `result`'s) into `counters` ([`fold_counters`]), and everything
-/// else but the wall-clock fields into `h`.
-fn fold_document(h: &mut Hasher, counters: &mut Hasher, label: &str, document: &str) {
+/// Folds one JSON document of a design's pipeline, a `--format json`
+/// result or a daemon response, into three digests: its engine `stats`
+/// (the document's own, or its `result`'s) into `counters`, with the graph
+/// FMEA's phases into `graph` ([`fold_counters`]), and everything else but
+/// the wall-clock fields into `h`.
+fn fold_document(
+    h: &mut Hasher,
+    counters: &mut Hasher,
+    graph: &mut Hasher,
+    label: &str,
+    document: &str,
+) {
     fn take_stats(value: &mut Value) -> Value {
         let Value::Record(fields) = value else { panic!("a document is a record") };
         match fields.iter().position(|(name, _)| name == "stats") {
@@ -681,7 +692,7 @@ fn fold_document(h: &mut Hasher, counters: &mut Hasher, label: &str, document: &
     }
     let mut value = decisive::federation::json::parse(document).expect("a JSON document");
     let stats = from_value::<EngineStats>(&take_stats(&mut value)).expect("engine stats");
-    fold_counters(counters, label, &stats);
+    fold_counters(counters, Some(graph), label, &stats);
     timeless(&mut value);
     h.write_str(label).write_str(&decisive::federation::json::to_string(&value));
 }
@@ -691,13 +702,14 @@ fn fold_document(h: &mut Hasher, counters: &mut Hasher, label: &str, document: &
 fn fold_traffic(
     h: &mut Hasher,
     counters: &mut Hasher,
+    graph: &mut Hasher,
     engine: &mut Engine,
     label: &str,
     run: &decisive::engine::PipelineRun,
 ) {
     let document = to_json_string(&decisive::output::PipelineOutput::new(run, engine))
         .expect("document serialises");
-    fold_document(h, counters, label, &document);
+    fold_document(h, counters, graph, label, &document);
     engine.reset_run_state();
 }
 
@@ -707,7 +719,10 @@ fn fold_traffic(
 /// re-recorded when a fault subtree without cut sets came to quantify as
 /// +0.0 instead of −0.0; and the engine counters ([`fold_counters`]),
 /// recorded before graph rows, the risk log and the monitor set stopped
-/// being cached, with those three phases asserted directly. Scenarios: one
+/// being cached, with those three phases asserted directly, and
+/// re-recorded without the graph FMEA's phases of the design pipelines,
+/// which fold into a third digest that must see nothing: a design's
+/// pipeline runs the injection FMEA alone. Scenarios: one
 /// in-memory engine (the brownout pipeline cold and warm, then a D1
 /// FIT-edit `rerun` of the case study); engines A, B and A again over one
 /// in-memory `SharedStore`; a `cache_dir` engine cold, then a second one
@@ -734,13 +749,13 @@ fn store_traffic_matches_the_recorded_digest() {
             _ => unreachable!("a pipeline request yields a pipeline run"),
         }
     };
-    let (mut h, mut c) = (Hasher::new(), Hasher::new());
+    let (mut h, mut c, mut g) = (Hasher::new(), Hasher::new(), Hasher::new());
 
     // One in-memory engine.
     let mut solo = Engine::builder().jobs(2).build().expect("in-memory engine");
     for pass in ["cold", "warm"] {
         let run = pipeline(&mut solo, "brownout_threshold.bd", Some("brownout_reliability.csv"));
-        fold_traffic(&mut h, &mut c, &mut solo, &format!("solo brownout {pass}"), &run);
+        fold_traffic(&mut h, &mut c, &mut g, &mut solo, &format!("solo brownout {pass}"), &run);
     }
     let (old, old_top) = case_study::ssam_model();
     let (mut new, new_top) = case_study::ssam_model();
@@ -750,7 +765,7 @@ fn store_traffic_matches_the_recorded_digest() {
     new.components[d1].fit = Some(Fit::new(20.0));
     let (table, report) = solo.rerun(&old, &new, new_top).expect("rerun");
     h.write_str(&to_json_string(&table).expect("table")).write_str(&report.render());
-    fold_counters(&mut c, "solo rerun", solo.stats());
+    fold_counters(&mut c, None, "solo rerun", solo.stats());
 
     // Engines A, B, then A again over one in-memory store.
     let shared = SharedStore::new();
@@ -758,10 +773,10 @@ fn store_traffic_matches_the_recorded_digest() {
     let (mut a, mut b) = (over(), over());
     for (label, engine) in [("A", &mut a), ("B", &mut b)] {
         let run = pipeline(engine, "power_supply.bd", None);
-        fold_traffic(&mut h, &mut c, engine, &format!("shared {label}"), &run);
+        fold_traffic(&mut h, &mut c, &mut g, engine, &format!("shared {label}"), &run);
     }
     let run = pipeline(&mut a, "power_supply.bd", None);
-    fold_traffic(&mut h, &mut c, &mut a, "shared A again", &run);
+    fold_traffic(&mut h, &mut c, &mut g, &mut a, "shared A again", &run);
 
     // A durable engine cold, then a second one on the same directory.
     let dir = TempCacheDir::new("traffic");
@@ -769,7 +784,7 @@ fn store_traffic_matches_the_recorded_digest() {
         let mut engine = durable(&dir);
         let run = pipeline(&mut engine, "power_supply.bd", None);
         engine.save_cache(dir.path()).expect("commit");
-        fold_traffic(&mut h, &mut c, &mut engine, &format!("durable {pass}"), &run);
+        fold_traffic(&mut h, &mut c, &mut g, &mut engine, &format!("durable {pass}"), &run);
     }
 
     // A daemon: sessions `a` and `b`, two pipeline requests each.
@@ -782,9 +797,10 @@ fn store_traffic_matches_the_recorded_digest() {
             decisive::federation::json::to_string(&Value::from(design.as_str()))
         );
         let response = daemon.handle_line(&line).expect("one response line");
-        fold_document(&mut h, &mut c, &format!("daemon {id} {session}"), &response);
+        fold_document(&mut h, &mut c, &mut g, &format!("daemon {id} {session}"), &response);
     }
 
     assert_eq!(h.finish().to_string(), "8498db288d03a72f", "artefacts and documents");
-    assert_eq!(c.finish().to_string(), "dbe1b369a6b945c2", "counters");
+    assert_eq!(c.finish().to_string(), "c86b60e1c9d79a88", "counters");
+    assert_eq!(g.finish(), Hasher::new().finish(), "a design's pipeline runs no graph FMEA");
 }

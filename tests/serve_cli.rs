@@ -1,7 +1,8 @@
 //! End-to-end tests of `decisive serve` as a spawned process: the exit-code
 //! contract (0 success, 1 failure, 2 usage), the stdio protocol loop,
-//! serve-versus-CLI result identity, SIGINT trace flushing, and the CLI
-//! pipeline's FTA output on the brownout design.
+//! serve-versus-CLI result identity, SIGINT trace flushing, the CLI
+//! pipeline's FTA output on the brownout design, and the table files
+//! `decisive analyze` writes.
 
 #![cfg(unix)]
 
@@ -208,6 +209,68 @@ fn a_subtree_without_cut_sets_has_a_zero_top_probability() {
     let subtrees = document.get("fta").and_then(Value::as_list).expect("fta subtrees");
     let top = subtrees[0].get("top_probability").and_then(Value::as_f64).expect("a number");
     assert_eq!(top.to_bits(), 0.0f64.to_bits());
+}
+
+/// `decisive analyze` writes, under `--csv` and `--json`, exactly the
+/// table the in-process analysis returns: `graph::run` on the demo model,
+/// `injection::run` on `data/power_supply.bd`. Each `# written to` note
+/// goes to stdout, or to stderr under `--format json` so that stdout stays
+/// one document. `fmea`, the verb `analyze` replaced, is an unknown
+/// command.
+#[test]
+fn analyze_writes_the_in_process_table_to_its_file_flags() {
+    use decisive::core::fmea::{graph, injection};
+    use decisive::core::{persist, reliability::ReliabilityDb, request::RunSpec};
+
+    let dir = scratch("analyze-files");
+    let path = |name: &str| dir.join(name).to_str().expect("UTF-8 path").to_owned();
+    let model = path("model.json");
+    assert_eq!(run(&["demo", &model]).status.code(), Some(0));
+    let loaded = persist::load_model(&model).expect("the demo model loads");
+    let top = decisive::engine::execute::top_of(&loaded).expect("top component");
+    let design = data("power_supply.bd");
+    let text = std::fs::read_to_string(&design).expect("design file");
+    let diagram = decisive::blocks::text::from_text(&text).expect("design parses");
+    let config = RunSpec::default().injection_config();
+    let tables = [
+        (model.clone(), graph::run(&loaded, top, &graph::GraphConfig::default())),
+        (
+            design.to_str().expect("UTF-8 path").to_owned(),
+            injection::run(&diagram, &ReliabilityDb::paper_table_ii(), &config),
+        ),
+    ];
+    for (i, (input, table)) in tables.iter().enumerate() {
+        let table = table.as_ref().expect("in-process table");
+        let expected = path(&format!("expected-{i}.json"));
+        persist::save_table(table, &expected).expect("table saves");
+        for format in ["text", "json"] {
+            let (csv, json_file) =
+                (path(&format!("{i}-{format}.csv")), path(&format!("{i}-{format}.json")));
+            let out =
+                run(&["analyze", input, "--csv", &csv, "--json", &json_file, "--format", format]);
+            let stderr = String::from_utf8(out.stderr).expect("UTF-8 stderr");
+            assert_eq!(out.status.code(), Some(0), "{input} {format}: {stderr}");
+            let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+            let written =
+                |file: &str| std::fs::read(file).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(written(&csv) == table.to_csv_string().into_bytes(), "{input} {format}: csv");
+            assert!(written(&json_file) == written(&expected), "{input} {format}: json");
+            let (notes, clean) =
+                if format == "text" { (&stdout, &stderr) } else { (&stderr, &stdout) };
+            for file in [&csv, &json_file] {
+                let note = format!("# written to {file}");
+                assert!(notes.lines().any(|l| l == note), "{input} {format}: `{note}` missing");
+                assert!(!clean.contains(&note), "{input} {format}: `{note}` misplaced");
+            }
+            if format == "json" {
+                json::parse(&stdout).expect("stdout is one JSON document");
+            }
+        }
+    }
+    let out = run(&["fmea", &model]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `fmea`"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
